@@ -88,8 +88,10 @@ def cmd_threshold(args) -> int:
     loaded = load_model(args.model, args.grid)
     spec = loaded.spec
     lines = []
+    mu0s = []
     for alpha in (1, 2):
         mu0 = twb.coupling_threshold(spec, alpha)
+        mu0s.append(mu0)
         cls = twb.classify_threshold(spec, alpha)
         fit = twb.expansion_fit(spec, alpha)
         norms = twb.resonance_function_norm(spec, alpha)
@@ -100,11 +102,8 @@ def cmd_threshold(args) -> int:
                      f"norm trend = {trend} {['%.4g' % v for v in norms]}")
     print("\n".join(lines))
     if args.out:
-        rows = []
-        for alpha in (1, 2):
-            rows.append(twb.coupling_threshold(spec, alpha))
         write_report(CurveReport(x_name="channel", x=np.array([1, 2]),
-                                 values=np.array(rows),
+                                 values=np.array(mu0s),
                                  meta={"grid_n": spec.grid.n}),
                      args.out, args.format)
     return EXIT_OK

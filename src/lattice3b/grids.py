@@ -38,10 +38,15 @@ class TorusGrid:
 
     def negation_index(self) -> np.ndarray:
         """Permutation idx with nodes[idx[i]] == -nodes[i] (exact for even n)."""
-        per_axis = np.arange(self.n)[::-1]
-        i, j, k = np.unravel_index(np.arange(self.size), (self.n,) * 3)
-        return np.ravel_multi_index((per_axis[i], per_axis[j], per_axis[k]),
-                                    (self.n,) * 3)
+        return self.reflection_index((0, 1, 2))
+
+    def reflection_index(self, axes) -> np.ndarray:
+        """Permutation idx: nodes[idx[i]] is nodes[i] with the coordinates on
+        `axes` negated (exact for even n)."""
+        ijk = list(np.unravel_index(np.arange(self.size), (self.n,) * 3))
+        for a in axes:
+            ijk[a] = self.n - 1 - ijk[a]
+        return np.ravel_multi_index(ijk, (self.n,) * 3)
 
 
 def build_grid(n: int) -> TorusGrid:

@@ -401,35 +401,39 @@ def _validate_symmetries(spec: ModelSpec, samples: int = 512, seed: int = 0) -> 
         raise HypothesisViolationError(f"pair energy is not even: max deviation {err:.3e}")
 
 
-def pair_matrix(spec: ModelSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense u(t_i, p_j) over all node pairs (rows = first slot).
+def pair_matrix(spec: ModelSpec, out: Optional[np.ndarray] = None,
+                rows: Optional[np.ndarray] = None,
+                cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """Dense u(t_i, p_j) over all point pairs (rows = first slot).
 
-    Separable sum-form models assemble through per-axis cosine outer products;
+    The points t (rows) and p (cols) default to the grid nodes.  Separable
+    sum-form models assemble through per-axis cosine outer products;
     everything else evaluates the pair energy chunk by chunk.
     """
-    nodes = spec.grid.nodes
-    N = nodes.shape[0]
-    U = np.empty((N, N)) if out is None else out
-    step = max(1, _CHUNK_BYTES // (8 * N))
+    t = spec.grid.nodes if rows is None else rows
+    p = spec.grid.nodes if cols is None else cols
+    U = np.empty((t.shape[0], p.shape[0])) if out is None else out
+    step = max(1, _CHUNK_BYTES // (8 * p.shape[0]))
     if spec.pair.form == "sum-of-dispersions" and spec.pair.dispersion.separable:
         w = np.array(spec.pair.dispersion.axis_weights)
         c = spec.pair.cross_weight
-        C = np.cos(nodes) * w
-        S = np.sin(nodes) * w
-        Cu = np.cos(nodes)
-        Su = np.sin(nodes)
-        e = np.sum(w * (1.0 - np.cos(nodes)), axis=1)
+        C = np.cos(t) * w
+        S = np.sin(t) * w
+        Cu = np.cos(p)
+        Su = np.sin(p)
+        et = np.sum(w * (1.0 - np.cos(t)), axis=1)
+        ep = np.sum(w * (1.0 - Cu), axis=1)
         wsum = w.sum()
-        for i0 in range(0, N, step):
-            i1 = min(N, i0 + step)
+        for i0 in range(0, t.shape[0], step):
+            i1 = min(t.shape[0], i0 + step)
             # c * eps(t - p) = c * (wsum - sum_a w_a cos(t_a - p_a))
             U[i0:i1] = c * (wsum - C[i0:i1] @ Cu.T - S[i0:i1] @ Su.T)
-            U[i0:i1] += e[i0:i1, None]
-            U[i0:i1] += e[None, :]
+            U[i0:i1] += et[i0:i1, None]
+            U[i0:i1] += ep[None, :]
     else:
-        for i0 in range(0, N, step):
-            U[i0:i0 + step] = spec.pair.evaluator(nodes[i0:i0 + step, None, :],
-                                                  nodes[None, :, :])
+        for i0 in range(0, t.shape[0], step):
+            U[i0:i0 + step] = spec.pair.evaluator(t[i0:i0 + step, None, :],
+                                                  p[None, :, :])
     return U
 
 

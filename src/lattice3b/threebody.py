@@ -9,6 +9,19 @@ T(z) has zero diagonal blocks and cross kernel
 
 discretized by weight-symmetrized Nystrom on the shifted grid, so eigenvalue
 counts match dense-Hamiltonian counts exactly at matched discretization.
+
+N(z) is the number of singular values of the N x N cross block above 1
+(within 1e-12 times the largest singular value counts as not above).  The
+shifted grid has no zero coordinate, so the group Z2^3 of per-axis flips acts
+freely on it.  When the pair energy is the builtin separable sum (invariant
+under flipping both momenta on any axis) and both form factors have a
+definite parity on every axis (const, sin_axis, cos_axis; read off the grid
+values), the cross block splits exactly into eight (N/8) x (N/8) sector
+blocks built from the pair energies between positive-octant representatives,
+and the count runs on those.  Any other model (tabulated or custom
+dispersions, form factors without per-axis parity) counts on the full cross
+block.  The full N x N arrays are built only for the HS diagnostics and the
+dense assembly.
 """
 from __future__ import annotations
 
@@ -54,44 +67,160 @@ class BSMatrix:
 
 
 class _BSWorkspace:
-    """Reusable buffers for a z-sweep on one model: u-matrix plus one scratch block."""
+    """Reusable arrays for a z-sweep on one model, each built on first use.
+
+    Counts and determinants run on the eight reflection-sector arrays
+    U_k[i, j] = u(k r_i, r_j) over positive-octant representatives r and
+    flips k when the model splits (`sector_reps` is set), else on the full
+    u-matrix; `block12_into` (HS diagnostics, dense assembly) always works
+    on the full u-matrix plus one scratch block.
+    """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.N = spec.grid.size
-        self.U = pair_matrix(spec)              # u(t_i, q_j), rows = first slot
-        self.B = np.empty_like(self.U)
         self.f1 = spec.phi_values(1)
         self.f2 = spec.phi_values(2)
         self.w = spec.grid.weight
+        self.sector_reps = _sector_representatives(spec)
+        self._U = self._B = None            # full u-matrix and scratch block
+        self._Uk = self._S = None           # sector arrays and their resolvents
 
-    def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
-        """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
-        np.subtract(self.U, z, out=self.B)
-        if self.B.min() <= 0.0:
+    def _full_resolvent(self, z: float) -> np.ndarray:
+        """Scratch block overwritten with 1/(u - z) on all node pairs."""
+        if self._U is None:
+            self._U = pair_matrix(self.spec)    # u(t_i, q_j), rows = first slot
+            self._B = np.empty_like(self._U)
+        np.subtract(self._U, z, out=self._B)
+        if self._B.min() <= 0.0:
             raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
-        np.reciprocal(self.B, out=self.B)
-        lam1 = self.w * np.einsum("i,ij->j", self.f1 ** 2, self.B)
-        lam2 = self.w * np.einsum("j,ij->i", self.f2 ** 2, self.B)
+        return np.reciprocal(self._B, out=self._B)
+
+    def _sector_resolvents(self, z: float) -> np.ndarray:
+        """(8, M, M) character sums S_psi = sum_k psi(k) / (U_k - z) over the
+        flips k; S[0] = sum_k 1/(U_k - z) is the plain sum."""
+        if self._Uk is None:
+            r = self.spec.grid.nodes[self.sector_reps]
+            M = r.shape[0]
+            self._Uk = np.empty((8, M, M))
+            for k, flip in enumerate(np.ndindex(2, 2, 2)):
+                pair_matrix(self.spec, out=self._Uk[k], rows=r * (1 - 2 * np.array(flip)),
+                            cols=r)
+            self._S = np.empty_like(self._Uk)
+        S = self._S
+        np.subtract(self._Uk, z, out=S)
+        if S.min() <= 0.0:
+            raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
+        np.reciprocal(S, out=S)
+        # Walsh-Hadamard butterflies, one per flip bit; k and psi both index
+        # (bit0, bit1, bit2) of the flipped axes
+        M = S.shape[1]
+        H = S.reshape(2, 2, 2, M, M)
+        diff = np.empty((M, M))
+        for axis in range(3):
+            for rest in np.ndindex(2, 2):
+                lo = H[rest[:axis] + (0,) + rest[axis:]]
+                hi = H[rest[:axis] + (1,) + rest[axis:]]
+                np.subtract(lo, hi, out=diff)
+                lo += hi
+                hi[...] = diff
+        return S
+
+    def _determinants_from(self, R: np.ndarray, f1: np.ndarray,
+                           f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Delta_1, Delta_2) from a resolvent matrix R[t, p] = sum of 1/(u - z)."""
+        lam1 = self.w * (f1 ** 2 @ R)
+        lam2 = self.w * (R @ f2 ** 2)
         return 1.0 - self.spec.mu1 * lam1, 1.0 - self.spec.mu2 * lam2
 
-    def block12_into(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Overwrite the scratch block with T12(z); returns (block, d1, d2)."""
-        d1, d2 = self.determinants(z)
+    def _scale_into(self, R: np.ndarray, R0: np.ndarray, f1: np.ndarray,
+                    f2: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """Scale resolvents R[..., t, p] in place into T12 entries; the
+        determinants come from the plain resolvent sum R0.  Returns (d1, d2)."""
+        d1, d2 = self._determinants_from(R0, f1, f2)
         if d1.min() <= 0.0 or d2.min() <= 0.0:
             raise InvalidSpectralPointError(
                 f"nonpositive determinant at z = {z} "
                 f"(min d1 = {d1.min():.3e}, min d2 = {d2.min():.3e}); "
                 f"z is not below the channel branches")
-        # B currently holds 1/(u - z); scale rows (spectator of channel 1) and
-        # columns (spectator of channel 2).  Row index = second slot of u, so
-        # the resolvent factor is B.T; transpose in place via the scaled view.
         scale = np.sqrt(self.spec.mu1 * self.spec.mu2) * self.w
-        row = scale * self.f2 / np.sqrt(d1)
-        col = self.f1 / np.sqrt(d2)
-        self.B *= col[:, None]      # t-index scaling on rows of B (first slot)
-        self.B *= row[None, :]      # q-index scaling on columns of B
-        return self.B.T, d1, d2
+        R *= (f1 / np.sqrt(d2))[:, None]            # t: spectator of channel 2
+        R *= (scale * f2 / np.sqrt(d1))[None, :]    # p: spectator of channel 1
+        return d1, d2
+
+    def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
+        if self.sector_reps is None:
+            return self._determinants_from(self._full_resolvent(z), self.f1, self.f2)
+        d1, d2 = self._determinants_from(self._sector_resolvents(z)[0],
+                                         self.f1[self.sector_reps],
+                                         self.f2[self.sector_reps])
+        fold = _representative_of_node(self.spec.grid)
+        return d1[fold], d2[fold]
+
+    def block12_into(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Overwrite the scratch block with T12(z); returns (block, d1, d2).
+
+        The scratch is indexed (t, p), first slot of u first; T12 is its
+        transpose view.
+        """
+        B = self._full_resolvent(z)
+        d1, d2 = self._scale_into(B, B, self.f1, self.f2, z)
+        return B.T, d1, d2
+
+    def sector_blocks_into(self, z: float) -> np.ndarray:
+        """Overwrite the sector scratch with the eight (M, M) blocks of T12(z).
+
+        With u invariant under every flip k and phi_alpha(k q) =
+        chi_alpha(k) phi_alpha(q), T12 maps the sector of the character psi
+        onto that of psi chi_1 chi_2, and on the representatives its block is
+        col(t) row(p) sum_k psi(k) chi_2(k) / (U_k[t, p] - z).  Multiplying by
+        chi_2 only permutes the labels psi, so the eight blocks are the plain
+        character sums, scaled like the full block.
+        """
+        S = self._sector_resolvents(z)
+        self._scale_into(S, S[0], self.f1[self.sector_reps],
+                         self.f2[self.sector_reps], z)
+        return S
+
+
+def _check_determinants(d1: np.ndarray, d2: np.ndarray, z: float) -> None:
+    if d1.min() <= 0.0 or d2.min() <= 0.0:
+        raise InvalidSpectralPointError(
+            f"nonpositive determinant at z = {z} "
+            f"(min d1 = {d1.min():.3e}, min d2 = {d2.min():.3e}); "
+            f"z is not below the channel branches")
+
+
+def _sector_representatives(spec: ModelSpec) -> Optional[np.ndarray]:
+    """Node indices of the positive octant when T(z) splits into Z2^3 sectors.
+
+    The shifted grid has no zero coordinate, so the per-axis flips act freely
+    on it.  The split needs a builtin separable pair energy (invariant under
+    flipping both momenta on any axis) and form factors with a definite parity
+    on every axis, read off their grid values with the tolerance of the model's
+    own parity check.  Otherwise None: the full cross block is the only path.
+    """
+    pair = spec.pair
+    if not (pair.form == "sum-of-dispersions" and pair.dispersion.separable):
+        return None
+    for alpha in (1, 2):
+        vals = spec.phi_values(alpha)
+        tol = 1e-9 * max(1.0, np.max(np.abs(vals)))
+        for axis in range(3):
+            flipped = vals[spec.grid.reflection_index((axis,))]
+            if min(np.max(np.abs(flipped - vals)), np.max(np.abs(flipped + vals))) > tol:
+                return None
+    return np.flatnonzero(np.all(spec.grid.nodes > 0.0, axis=1))
+
+
+def _representative_of_node(grid) -> np.ndarray:
+    """For every node, the index of its positive-octant image among the
+    representatives (ordered as _sector_representatives lists them)."""
+    h = grid.n // 2
+    ijk = np.unravel_index(np.arange(grid.size), (grid.n,) * 3)
+    return np.ravel_multi_index(tuple(np.maximum(i, grid.n - 1 - i) - h for i in ijk),
+                                (h,) * 3)
 
 
 def assemble_bs_matrix(spec: ModelSpec, z: float) -> BSMatrix:
@@ -131,25 +260,37 @@ def count_above(matrix: np.ndarray, lam: float) -> int:
 
 def _count_block_singular_above(block: np.ndarray, mu: float, k0: int = 8,
                                 seed: int = 0) -> int:
-    """#{singular values of block > mu} via Lanczos with adaptive k."""
+    """#{singular values > mu} of one block, or of the block-diagonal sum of a
+    stack of blocks.
+
+    Values within TIE_RTOL times the largest singular value of the whole count
+    as not above.
+    """
+    blocks = block[None] if block.ndim == 2 else block
+    sv = [_leading_singular_values(b, mu, k0, seed) for b in blocks]
+    top = max((float(v.max()) for v in sv if v.size), default=0.0)
+    return int(sum(np.sum(v > mu + TIE_RTOL * top) for v in sv))
+
+
+def _leading_singular_values(block: np.ndarray, mu: float, k0: int,
+                             seed: int) -> np.ndarray:
+    """Every singular value of block above mu and at least one that is not
+    (or as many as Lanczos can give); empty when ||block||_F <= mu.
+
+    Dense SVD on small blocks, else Lanczos with adaptive k.
+    """
     N = min(block.shape)
-    fro = float(np.linalg.norm(block))
-    if fro <= mu:            # sigma_max <= Frobenius norm
-        return 0
+    if float(np.linalg.norm(block)) <= mu:      # sigma_max <= Frobenius norm
+        return np.empty(0)
     if N <= 600:
-        sv = np.linalg.svd(block, compute_uv=False)
-        tie = TIE_RTOL * sv[0]
-        return int(np.sum(sv > mu + tie))
+        return np.linalg.svd(block, compute_uv=False)
     k = k0
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(block.shape[1])
+    v0 = np.random.default_rng(seed).standard_normal(block.shape[1])
     while True:
         k_eff = min(k, N - 1)
         sv = svds(block, k=k_eff, v0=v0, return_singular_vectors=False, tol=1e-10)
-        tie = TIE_RTOL * sv.max()
-        cnt = int(np.sum(sv > mu + tie))
-        if cnt < len(sv) or k_eff == N - 1:
-            return cnt
+        if sv.min() <= mu + TIE_RTOL * sv.max() or k_eff == N - 1:
+            return sv
         k *= 2
 
 
@@ -157,18 +298,17 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
                             workspace: Optional[_BSWorkspace] = None) -> int:
     """N(z) = n(1, T(z)): eigenvalues of H below z, via the sandwich operator.
 
-    Dimension 2 n^3 <= DENSE_BS_DIM_CAP runs the dense symmetric count; larger
-    grids count block singular values iteratively (same integers, the spectrum
-    of T is +/- the singular values of the cross block).
+    The spectrum of T is +/- the singular values of its cross block, so this
+    counts block singular values above 1: over the eight reflection sectors
+    when the model splits, else over the full cross block.
     """
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    if 2 * spec.grid.size <= 4096:
+    if ws.sector_reps is None:
         block, _, _ = ws.block12_into(z)
-        bs = BSMatrix(z=float(z), block12=block.copy())
-        return count_above(bs.full(), 1.0)
-    block, _, _ = ws.block12_into(z)
+    else:
+        block = ws.sector_blocks_into(z)
     return _count_block_singular_above(block, 1.0)
 
 
@@ -370,21 +510,11 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
     floor = trust_floor(spec.grid.n)
     for i, s in enumerate(s_list):
         z = spec.m - s
-        block, d1, d2 = ws.block12_into(z)
+        d1, d2 = ws.determinants(z)
         detmin[i] = min(float(d1.min()), float(d2.min()))
+        counts[i] = count_eigenvalues_below(spec, z, ws)
         if with_hs:
-            hs[i] = np.sqrt(2.0) * float(np.linalg.norm(block))
-            acc = 0.0
-            step = max(1, (1 << 27) // (8 * ws.N))
-            for i0 in range(0, ws.N, step):
-                rows = slice(i0, min(ws.N, i0 + step))
-                Mblk = model_kernel_block(spec, hess, s, delta, rows=rows)
-                acc += float(np.sum((block[rows] - Mblk) ** 2))
-            hsd[i] = float(np.sqrt(2.0 * acc))
-        if 2 * spec.grid.size <= 4096:
-            counts[i] = count_above(BSMatrix(z=z, block12=block.copy()).full(), 1.0)
-        else:
-            counts[i] = _count_block_singular_above(block, 1.0)
+            hs[i], hsd[i] = hs_diagnostics(spec, z, delta, hess, ws)
     return CountReport(
         m_minus_z=s_list, counts=counts, det_min=detmin, hs_norm=hs, hs_diff=hsd,
         trusted=s_list >= floor,

@@ -114,15 +114,11 @@ def lambda_on_grid(spec: ModelSpec, alpha: int, z: float,
     from .model import pair_matrix
     U = pair_matrix(spec) if pair_mat is None else pair_mat
     phi2 = spec.phi_values(alpha) ** 2
-    if alpha == 1:
-        den = U - z
-        if den.min() <= 0:
-            raise OutOfDomainError(f"z = {z} is not below the channel spectrum")
-        return spec.grid.weight * np.einsum("i,ij->j", phi2, 1.0 / den)
     den = U - z
     if den.min() <= 0:
         raise OutOfDomainError(f"z = {z} is not below the channel spectrum")
-    return spec.grid.weight * np.einsum("j,ij->i", phi2, 1.0 / den)
+    subscripts = "i,ij->j" if alpha == 1 else "j,ij->i"
+    return spec.grid.weight * np.einsum(subscripts, phi2, 1.0 / den)
 
 
 def fredholm_det(spec: ModelSpec, alpha: int, p: np.ndarray, z: float,

@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
                        ResourceCapError, assemble_bs_matrix,
-                       assemble_direct_hamiltonian, builtin_model, count_above,
-                       count_eigenvalues_below, count_report,
+                       assemble_direct_hamiltonian, build_grid,
+                       builtin_epsilon, builtin_model, cos_axis_form_factor,
+                       count_above, count_eigenvalues_below, count_report,
                        coupling_threshold, direct_count_below,
                        essential_spectrum, finite_dim_bs_identity_check,
-                       hs_diagnostics, sin_axis_form_factor, trust_floor)
+                       form_factor, hs_diagnostics, lambda_on_grid, make_model,
+                       pair_energy_sum, sin_axis_form_factor,
+                       tabulated_dispersion, trust_floor)
 from lattice3b.model import hessian_at_minimum, pair_matrix
-from lattice3b.threebody import _count_block_singular_above
+from lattice3b.threebody import _BSWorkspace, _count_block_singular_above
 
 
 def test_count_above_examples():
@@ -131,31 +134,102 @@ def test_finite_dim_bs_exactness_n4(phi1_sin):
     assert direct == bs
 
 
-def test_intermediate_sandwich_same_counts():
-    # independent assembly of M(z) (quadrature-symmetrized Phi R0 Phi* blocks):
-    # counts of the direct Hamiltonian below z = n(1, M(z)) = n(1, T(z))
+def _intermediate_count(spec, z):
+    """n(1, M(z)) for the independently assembled sandwich M(z): the
+    quadrature-symmetrized Phi_a R0 Phi_b* blocks, sparse, never the cross
+    block of T(z)."""
     import scipy.sparse as sp
-    spec = builtin_model(4, 0.0, 0.0)
-    mu0 = coupling_threshold(spec, 1)
-    spec = spec.with_params(mu1=0.9 * mu0, mu2=0.9 * mu0)
     N = spec.grid.size
     sw = np.sqrt(spec.grid.weight)
     f1 = spec.phi_values(1)
     f2 = spec.phi_values(2)
     Phi1 = sp.kron(sp.csr_matrix(sw * f1[None, :]), sp.eye(N), format="csr")
     Phi2 = sp.kron(sp.eye(N), sp.csr_matrix(sw * f2[None, :]), format="csr")
+    R0 = sp.diags(1.0 / (pair_matrix(spec).ravel() - z))
+    blocks = {}
+    for (a, Pa, ma) in ((1, Phi1, spec.mu1), (2, Phi2, spec.mu2)):
+        for (b, Pb, mb) in ((1, Phi1, spec.mu1), (2, Phi2, spec.mu2)):
+            blocks[a, b] = np.sqrt(ma * mb) * (Pa @ R0 @ Pb.T).toarray()
+    M = np.block([[blocks[1, 1], blocks[1, 2]],
+                  [blocks[2, 1], blocks[2, 2]]])
+    return count_above(M, 1.0)
+
+
+def test_intermediate_sandwich_same_counts():
+    # counts of the direct Hamiltonian below z = n(1, M(z)) = n(1, T(z))
+    spec = builtin_model(4, 0.0, 0.0)
+    mu0 = coupling_threshold(spec, 1)
+    spec = spec.with_params(mu1=0.9 * mu0, mu2=0.9 * mu0)
     for z in (-0.5, -0.05):
-        R0 = sp.diags(1.0 / (pair_matrix(spec).ravel() - z))
-        blocks = {}
-        for (a, Pa, ma) in ((1, Phi1, spec.mu1), (2, Phi2, spec.mu2)):
-            for (b, Pb, mb) in ((1, Phi1, spec.mu1), (2, Phi2, spec.mu2)):
-                blocks[a, b] = np.sqrt(ma * mb) * (Pa @ R0 @ Pb.T).toarray()
-        M = np.block([[blocks[1, 1], blocks[1, 2]],
-                      [blocks[2, 1], blocks[2, 2]]])
-        n_m = count_above(M, 1.0)
+        n_m = _intermediate_count(spec, z)
         n_t = count_eigenvalues_below(spec, z)
         n_direct = direct_count_below(spec, [z])[0]
         assert n_direct == n_m == n_t
+
+
+# sin-a-b: phi1 odd on axis a, phi2 odd on axis b
+SECTOR_MODELS = {
+    "const": {},
+    "sin-0-1": dict(phi1=sin_axis_form_factor(1, 0), phi2=sin_axis_form_factor(2, 1)),
+    "sin-1-2": dict(phi1=sin_axis_form_factor(1, 1), phi2=sin_axis_form_factor(2, 2)),
+    "sin-2-0": dict(phi1=sin_axis_form_factor(1, 2), phi2=sin_axis_form_factor(2, 0)),
+    "cos": dict(phi1=cos_axis_form_factor(1, 1), phi2=cos_axis_form_factor(2, 2)),
+    "axis-weights": dict(axis_weights=(1.0, 2.0, 3.0), phi1=cos_axis_form_factor(1, 0),
+                         phi2=sin_axis_form_factor(2, 1)),
+    "cross-weight": dict(cross_weight=6.0),
+}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("case", sorted(SECTOR_MODELS))
+def test_sector_count_exact(case, n):
+    """The eight reflection sectors reproduce the full cross block exactly:
+    counts equal the dense oracle and the direct Hamiltonian (n = 4; at n = 6
+    the n^6 matrix needs 17 GB, so the sparse M(z) assembly stands in), the
+    sector singular values are those of the full block, and the determinants
+    equal the full-array ones at every node."""
+    spec = builtin_model(n, 0.0, 0.0, **SECTOR_MODELS[case])
+    spec = spec.with_params(mu1=coupling_threshold(spec, 1),
+                            mu2=coupling_threshold(spec, 2))
+    ws = _BSWorkspace(spec)
+    assert ws.sector_reps is not None and ws.sector_reps.size == spec.grid.size // 8
+    zs = [spec.m - s for s in (1.0, 1e-2, 1e-6)]
+    counts = [count_eigenvalues_below(spec, z, ws) for z in zs]
+    assert counts == [count_above(assemble_bs_matrix(spec, z).full(), 1.0) for z in zs]
+    if n == 4:
+        assert counts == direct_count_below(spec, zs)
+    else:
+        assert counts == [_intermediate_count(spec, z) for z in zs]
+    for z in zs:
+        d1, d2 = ws.determinants(z)
+        assert np.max(np.abs(d1 - (1 - spec.mu1 * lambda_on_grid(spec, 1, z)))) <= 1e-12
+        assert np.max(np.abs(d2 - (1 - spec.mu2 * lambda_on_grid(spec, 2, z)))) <= 1e-12
+        sv_sectors = np.sort(np.concatenate(
+            [np.linalg.svd(b, compute_uv=False) for b in ws.sector_blocks_into(z)]))
+        sv_full = np.sort(np.linalg.svd(assemble_bs_matrix(spec, z).block12,
+                                        compute_uv=False))
+        assert np.max(np.abs(sv_sectors - sv_full)) <= 1e-12 * sv_full[-1]
+
+
+def test_no_axis_parity_takes_full_block():
+    # odd under q -> -q but without a parity on any single axis
+    phi1 = form_factor(1, "odd", lambda q: np.sin(q[..., 0] + q[..., 1]))
+    spec = builtin_model(4, 0.0, 0.0, phi1=phi1)
+    spec = spec.with_params(mu1=coupling_threshold(spec, 1),
+                            mu2=coupling_threshold(spec, 2))
+    # tabulated dispersion (nodal values of the cosine band): not separable
+    grid = build_grid(4)
+    tab = make_model(pair_energy_sum(tabulated_dispersion(grid, builtin_epsilon(grid.nodes))),
+                     4, 0.0, 0.0)
+    lam = max(lambda_on_grid(tab, a, tab.m - 0.2).max() for a in (1, 2))
+    tab = tab.with_params(mu1=0.95 / lam, mu2=0.95 / lam)
+    for model, s_values in ((spec, (1.0, 1e-2, 1e-6)), (tab, (1.0, 0.5, 0.2))):
+        ws = _BSWorkspace(model)
+        assert ws.sector_reps is None
+        zs = [model.m - s for s in s_values]
+        counts = [count_eigenvalues_below(model, z, ws) for z in zs]
+        assert counts == direct_count_below(model, zs)
+    assert counts == [0, 1, 8]
 
 
 def test_count_monotone_and_zero_far_below(spec8):
