@@ -246,10 +246,13 @@ def cmd_validate(args) -> int:
 
     def _lambda_max_at_origin():
         from .twobody import lambda_on_grid
-        lam = lambda_on_grid(spec, 1, spec.m - 1e-12 * max(1.0, abs(spec.m)))
-        lam0 = twb.lambda_integral(spec, 1, np.zeros(3), spec.m)
-        return bool(lam.max() < lam0), \
-            f"max_p Lambda(p,m)/Lambda(0,m) = {lam.max() / lam0:.6f}"
+        z = spec.m - 1e-12 * max(1.0, abs(spec.m))
+        pairs = [(lambda_on_grid(spec, alpha, z).max(),
+                  twb.lambda_integral(spec, alpha, np.zeros(3), spec.m)) for alpha in (1, 2)]
+        return all(lam < lam0 for lam, lam0 in pairs), \
+            "max_p Lambda(p,m)/Lambda(0,m) = " + ", ".join(
+                f"{lam / lam0:.6f} (channel {alpha})"
+                for alpha, (lam, lam0) in zip((1, 2), pairs))
     check("Lambda maximum at origin (grid)", _lambda_max_at_origin)
 
     if all(checks):

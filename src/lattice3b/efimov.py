@@ -123,6 +123,9 @@ class ModeTable:
 def mode_table(params: EfimovParams, ell_max: int = ELL_MAX,
                lam_max: float = LAMBDA_MAX, n_lam: int = N_LAMBDA) -> ModeTable:
     """Tabulate all modes; vectorized over the (ell, lambda) product."""
+    if ell_max < 0 or not lam_max > 0 or n_lam < 2:
+        raise ModelDataError(f"mode table needs ell_max >= 0, lam_max > 0 and n_lam >= 2, "
+                             f"got {ell_max}, {lam_max}, {n_lam}")
     lams = np.linspace(0.0, lam_max, n_lam)
     b = np.pi - np.arccos(params.s12 * _GLX)
     ratio = _sinh_ratio(lams[:, None], b[None, :])          # (n_lam, 64)

@@ -12,16 +12,16 @@ counts match dense-Hamiltonian counts exactly at matched discretization.
 
 N(z) is the number of singular values of the N x N cross block above 1
 (within 1e-12 times the largest singular value counts as not above).  The
-shifted grid has no zero coordinate, so the group Z2^3 of per-axis flips acts
-freely on it.  When the pair energy is the builtin separable sum (invariant
-under flipping both momenta on any axis) and both form factors have a
-definite parity on every axis (const, sin_axis, cos_axis; read off the grid
-values), the cross block splits exactly into eight (N/8) x (N/8) sector
-blocks built from the pair energies between positive-octant representatives,
-and the count runs on those.  Any other model (tabulated or custom
-dispersions, form factors without per-axis parity) counts on the full cross
-block.  The full N x N arrays are built only for the HS diagnostics and the
-dense assembly.
+shifted grid has no zero coordinate, so the per-axis flips act freely on it.
+On the flip axes A of a model (`_flip_axes`: the builtin separable pair
+energy, invariant under flipping both momenta on any axis, and form factors
+with a parity on that axis, read off the grid values) T(z) commutes with the
+group Z2^A, and the cross block splits exactly into 2^|A| blocks of N/2^|A|
+rows built from the pair energies between representatives positive on A.
+The count runs on those blocks.  The full cross block is the case A = ():
+one block over all nodes, which is what tabulated or custom dispersions and
+form factors without any axis parity count on, and what the HS diagnostics
+and the dense assembly always use.
 """
 from __future__ import annotations
 
@@ -67,13 +67,13 @@ class BSMatrix:
 
 
 class _BSWorkspace:
-    """Reusable arrays for a z-sweep on one model, each built on first use.
+    """Reusable arrays for a z-sweep on one model, built on first use.
 
-    Counts and determinants run on the eight reflection-sector arrays
-    U_k[i, j] = u(k r_i, r_j) over positive-octant representatives r and
-    flips k when the model splits (`sector_reps` is set), else on the full
-    u-matrix; `block12_into` (HS diagnostics, dense assembly) always works
-    on the full u-matrix plus one scratch block.
+    For flip axes A the cache holds the representatives (nodes positive on
+    every axis of A; all nodes when A = ()), the 2^|A| arrays
+    U_k[i, j] = u(k r_i, r_j) over the flips k on A, and one scratch stack.
+    Counts and determinants use the model's own axes `axes`; the HS
+    diagnostics and the dense assembly use A = (), the full cross block.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -82,49 +82,44 @@ class _BSWorkspace:
         self.f1 = spec.phi_values(1)
         self.f2 = spec.phi_values(2)
         self.w = spec.grid.weight
-        self.sector_reps = _sector_representatives(spec)
-        self._U = self._B = None            # full u-matrix and scratch block
-        self._Uk = self._S = None           # sector arrays and their resolvents
+        self.axes = _flip_axes(spec)
+        self._cache = {}        # axes -> (representatives, U stack, scratch)
 
-    def _full_resolvent(self, z: float) -> np.ndarray:
-        """Scratch block overwritten with 1/(u - z) on all node pairs."""
-        if self._U is None:
-            self._U = pair_matrix(self.spec)    # u(t_i, q_j), rows = first slot
-            self._B = np.empty_like(self._U)
-        np.subtract(self._U, z, out=self._B)
-        if self._B.min() <= 0.0:
-            raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
-        return np.reciprocal(self._B, out=self._B)
+    def _arrays(self, axes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if axes not in self._cache:
+            nodes = self.spec.grid.nodes
+            reps = np.flatnonzero(np.all(nodes[:, list(axes)] > 0.0, axis=1))
+            r = nodes[reps]
+            U = np.empty((2 ** len(axes), reps.size, reps.size))
+            for k, flip in enumerate(np.ndindex((2,) * len(axes))):
+                sign = np.ones(3)
+                sign[list(axes)] = 1 - 2 * np.array(flip)
+                pair_matrix(self.spec, out=U[k], rows=r * sign, cols=r)
+            self._cache[axes] = reps, U, np.empty_like(U)
+        return self._cache[axes]
 
-    def _sector_resolvents(self, z: float) -> np.ndarray:
-        """(8, M, M) character sums S_psi = sum_k psi(k) / (U_k - z) over the
-        flips k; S[0] = sum_k 1/(U_k - z) is the plain sum."""
-        if self._Uk is None:
-            r = self.spec.grid.nodes[self.sector_reps]
-            M = r.shape[0]
-            self._Uk = np.empty((8, M, M))
-            for k, flip in enumerate(np.ndindex(2, 2, 2)):
-                pair_matrix(self.spec, out=self._Uk[k], rows=r * (1 - 2 * np.array(flip)),
-                            cols=r)
-            self._S = np.empty_like(self._Uk)
-        S = self._S
-        np.subtract(self._Uk, z, out=S)
+    def _resolvents(self, z: float, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(representatives, scratch stack overwritten with the character sums
+        S_psi = sum_k psi(k) / (U_k - z) over the flips k on `axes`); S[0] is
+        the plain sum, and for axes = () it is 1/(u - z) on all node pairs."""
+        reps, U, S = self._arrays(axes)
+        np.subtract(U, z, out=S)
         if S.min() <= 0.0:
             raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
         np.reciprocal(S, out=S)
-        # Walsh-Hadamard butterflies, one per flip bit; k and psi both index
-        # (bit0, bit1, bit2) of the flipped axes
-        M = S.shape[1]
-        H = S.reshape(2, 2, 2, M, M)
-        diff = np.empty((M, M))
-        for axis in range(3):
-            for rest in np.ndindex(2, 2):
-                lo = H[rest[:axis] + (0,) + rest[axis:]]
-                hi = H[rest[:axis] + (1,) + rest[axis:]]
+        # Walsh-Hadamard butterflies, one per flip axis; k and psi both index
+        # the flip bits of the axes in order
+        d, M = len(axes), reps.size
+        H = S.reshape((2,) * d + (M, M))
+        diff = np.empty((M, M) if d else 0)     # the full block (d = 0) needs none
+        for a in range(d):
+            for rest in np.ndindex((2,) * (d - 1)):
+                lo = H[rest[:a] + (0,) + rest[a:]]
+                hi = H[rest[:a] + (1,) + rest[a:]]
                 np.subtract(lo, hi, out=diff)
                 lo += hi
                 hi[...] = diff
-        return S
+        return reps, S
 
     def _determinants_from(self, R: np.ndarray, f1: np.ndarray,
                            f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,94 +128,68 @@ class _BSWorkspace:
         lam2 = self.w * (R @ f2 ** 2)
         return 1.0 - self.spec.mu1 * lam1, 1.0 - self.spec.mu2 * lam2
 
-    def _scale_into(self, R: np.ndarray, R0: np.ndarray, f1: np.ndarray,
-                    f2: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
-        """Scale resolvents R[..., t, p] in place into T12 entries; the
-        determinants come from the plain resolvent sum R0.  Returns (d1, d2)."""
-        d1, d2 = self._determinants_from(R0, f1, f2)
+    def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """Delta_alpha(p, z) on all grid nodes; requires z < every u value.
+
+        Computed on the representatives of the model's axes; Delta is
+        invariant under their flips, so each node takes the value of its image.
+        """
+        reps, S = self._resolvents(z, self.axes)
+        d1, d2 = self._determinants_from(S[0], self.f1[reps], self.f2[reps])
+        n, h = self.spec.grid.n, self.spec.grid.n // 2
+        ijk = np.unravel_index(np.arange(self.N), (n,) * 3)
+        fold = np.ravel_multi_index(
+            tuple(np.maximum(i, n - 1 - i) - h if a in self.axes else i
+                  for a, i in enumerate(ijk)),
+            tuple(h if a in self.axes else n for a in range(3)))
+        return d1[fold], d2[fold]
+
+    def blocks_into(self, z: float, axes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Overwrite the scratch stack of `axes` with the 2^|A| blocks of
+        T12(z); returns (stack, d1, d2), the determinants on the representatives.
+
+        Blocks are indexed (t, p), first slot of u first, so for axes = () the
+        cross block T12 is stack[0].T.  With u invariant under every flip k
+        on A and phi_alpha(k q) = chi_alpha(k) phi_alpha(q), T12 maps the
+        sector of the character psi onto that of psi chi_1 chi_2, and on the
+        representatives its block is col(t) row(p) sum_k psi(k) chi_2(k) /
+        (U_k[t, p] - z).  Multiplying by chi_2 only permutes the labels psi,
+        so the blocks are the character sums scaled like the full block.
+        """
+        reps, S = self._resolvents(z, axes)
+        f1, f2 = self.f1[reps], self.f2[reps]
+        d1, d2 = self._determinants_from(S[0], f1, f2)
         if d1.min() <= 0.0 or d2.min() <= 0.0:
             raise InvalidSpectralPointError(
                 f"nonpositive determinant at z = {z} "
                 f"(min d1 = {d1.min():.3e}, min d2 = {d2.min():.3e}); "
                 f"z is not below the channel branches")
         scale = np.sqrt(self.spec.mu1 * self.spec.mu2) * self.w
-        R *= (f1 / np.sqrt(d2))[:, None]            # t: spectator of channel 2
-        R *= (scale * f2 / np.sqrt(d1))[None, :]    # p: spectator of channel 1
-        return d1, d2
-
-    def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
-        """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
-        if self.sector_reps is None:
-            return self._determinants_from(self._full_resolvent(z), self.f1, self.f2)
-        d1, d2 = self._determinants_from(self._sector_resolvents(z)[0],
-                                         self.f1[self.sector_reps],
-                                         self.f2[self.sector_reps])
-        fold = _representative_of_node(self.spec.grid)
-        return d1[fold], d2[fold]
-
-    def block12_into(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Overwrite the scratch block with T12(z); returns (block, d1, d2).
-
-        The scratch is indexed (t, p), first slot of u first; T12 is its
-        transpose view.
-        """
-        B = self._full_resolvent(z)
-        d1, d2 = self._scale_into(B, B, self.f1, self.f2, z)
-        return B.T, d1, d2
-
-    def sector_blocks_into(self, z: float) -> np.ndarray:
-        """Overwrite the sector scratch with the eight (M, M) blocks of T12(z).
-
-        With u invariant under every flip k and phi_alpha(k q) =
-        chi_alpha(k) phi_alpha(q), T12 maps the sector of the character psi
-        onto that of psi chi_1 chi_2, and on the representatives its block is
-        col(t) row(p) sum_k psi(k) chi_2(k) / (U_k[t, p] - z).  Multiplying by
-        chi_2 only permutes the labels psi, so the eight blocks are the plain
-        character sums, scaled like the full block.
-        """
-        S = self._sector_resolvents(z)
-        self._scale_into(S, S[0], self.f1[self.sector_reps],
-                         self.f2[self.sector_reps], z)
-        return S
+        S *= (f1 / np.sqrt(d2))[:, None]            # t: spectator of channel 2
+        S *= (scale * f2 / np.sqrt(d1))[None, :]    # p: spectator of channel 1
+        return S, d1, d2
 
 
-def _check_determinants(d1: np.ndarray, d2: np.ndarray, z: float) -> None:
-    if d1.min() <= 0.0 or d2.min() <= 0.0:
-        raise InvalidSpectralPointError(
-            f"nonpositive determinant at z = {z} "
-            f"(min d1 = {d1.min():.3e}, min d2 = {d2.min():.3e}); "
-            f"z is not below the channel branches")
+def _flip_axes(spec: ModelSpec) -> tuple:
+    """Axes on which T(z) commutes with flipping both momenta.
 
-
-def _sector_representatives(spec: ModelSpec) -> Optional[np.ndarray]:
-    """Node indices of the positive octant when T(z) splits into Z2^3 sectors.
-
-    The shifted grid has no zero coordinate, so the per-axis flips act freely
-    on it.  The split needs a builtin separable pair energy (invariant under
-    flipping both momenta on any axis) and form factors with a definite parity
-    on every axis, read off their grid values with the tolerance of the model's
-    own parity check.  Otherwise None: the full cross block is the only path.
+    The shifted grid has no zero coordinate, so the flips act freely on it.
+    An axis counts when the pair energy is the builtin separable sum
+    (invariant under flipping both momenta on any axis) and both form factors
+    have a parity on that axis, read off their grid values with the tolerance
+    of the model's own parity check.  () for any other model.
     """
     pair = spec.pair
     if not (pair.form == "sum-of-dispersions" and pair.dispersion.separable):
-        return None
-    for alpha in (1, 2):
-        vals = spec.phi_values(alpha)
+        return ()
+
+    def has_parity(vals: np.ndarray, axis: int) -> bool:
+        flipped = vals[spec.grid.reflection_index((axis,))]
         tol = 1e-9 * max(1.0, np.max(np.abs(vals)))
-        for axis in range(3):
-            flipped = vals[spec.grid.reflection_index((axis,))]
-            if min(np.max(np.abs(flipped - vals)), np.max(np.abs(flipped + vals))) > tol:
-                return None
-    return np.flatnonzero(np.all(spec.grid.nodes > 0.0, axis=1))
+        return min(np.max(np.abs(flipped - vals)), np.max(np.abs(flipped + vals))) <= tol
 
-
-def _representative_of_node(grid) -> np.ndarray:
-    """For every node, the index of its positive-octant image among the
-    representatives (ordered as _sector_representatives lists them)."""
-    h = grid.n // 2
-    ijk = np.unravel_index(np.arange(grid.size), (grid.n,) * 3)
-    return np.ravel_multi_index(tuple(np.maximum(i, grid.n - 1 - i) - h for i in ijk),
-                                (h,) * 3)
+    phis = [spec.phi_values(alpha) for alpha in (1, 2)]
+    return tuple(axis for axis in range(3) if all(has_parity(v, axis) for v in phis))
 
 
 def assemble_bs_matrix(spec: ModelSpec, z: float) -> BSMatrix:
@@ -235,9 +204,8 @@ def assemble_bs_matrix(spec: ModelSpec, z: float) -> BSMatrix:
         raise ResourceCapError(
             f"dense T(z) would have dimension {2 * spec.grid.size} > {DENSE_BS_DIM_CAP}; "
             f"use count_eigenvalues_below / count_report, which work blockwise")
-    ws = _BSWorkspace(spec)
-    block, _, _ = ws.block12_into(z)
-    return BSMatrix(z=float(z), block12=block.copy())
+    stack, _, _ = _BSWorkspace(spec).blocks_into(z, ())
+    return BSMatrix(z=float(z), block12=stack[0].T.copy())
 
 
 def count_above(matrix: np.ndarray, lam: float) -> int:
@@ -299,17 +267,14 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
     """N(z) = n(1, T(z)): eigenvalues of H below z, via the sandwich operator.
 
     The spectrum of T is +/- the singular values of its cross block, so this
-    counts block singular values above 1: over the eight reflection sectors
-    when the model splits, else over the full cross block.
+    counts block singular values above 1 over the blocks of the model's flip
+    axes (one full cross block when it has none).
     """
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    if ws.sector_reps is None:
-        block, _, _ = ws.block12_into(z)
-    else:
-        block = ws.sector_blocks_into(z)
-    return _count_block_singular_above(block, 1.0)
+    stack, _, _ = ws.blocks_into(z, ws.axes)
+    return _count_block_singular_above(stack, 1.0)
 
 
 def assemble_direct_hamiltonian(spec: ModelSpec) -> np.ndarray:
@@ -471,7 +436,8 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    block, _, _ = ws.block12_into(z)
+    stack, _, _ = ws.blocks_into(z, ())
+    block = stack[0].T
     hs = np.sqrt(2.0) * float(np.linalg.norm(block))
     s = spec.m - z
     acc = 0.0
@@ -510,9 +476,11 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
     floor = trust_floor(spec.grid.n)
     for i, s in enumerate(s_list):
         z = spec.m - s
-        d1, d2 = ws.determinants(z)
+        # Delta is invariant under the flips, so its minimum over the
+        # representatives is its minimum over all nodes
+        stack, d1, d2 = ws.blocks_into(z, ws.axes)
         detmin[i] = min(float(d1.min()), float(d2.min()))
-        counts[i] = count_eigenvalues_below(spec, z, ws)
+        counts[i] = _count_block_singular_above(stack, 1.0)
         if with_hs:
             hs[i], hsd[i] = hs_diagnostics(spec, z, delta, hess, ws)
     return CountReport(

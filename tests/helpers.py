@@ -3,11 +3,23 @@
 Everything here is deliberately built on different machinery than the package:
 Bessel-function reductions, adaptive quadrature and direct sphere-mesh
 discretizations, so oracle and implementation never share a code path.
+`checkout_env` points subprocess tests at the package under test.
 """
+import os
+from pathlib import Path
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 from scipy.integrate import quad
 from scipy.special import ive
+
+
+def checkout_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, so a
+    subprocess imports this checkout's package whether or not one is installed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def lambda_exact_builtin(s: float, cross_weight: float = 1.0) -> float:

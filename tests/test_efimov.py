@@ -3,7 +3,7 @@ import pytest
 
 from helpers import sphere_nystrom_count
 from lattice3b import (CountReport, DegenerateCouplingError, EfimovParams,
-                       HessianData, InsufficientDataError, asymptotic_slope,
+                       HessianData, ModelDataError, InsufficientDataError, asymptotic_slope,
                        count_sphere_operator, efimov_params, hessian_at_minimum,
                        legendre_mode, mode_table, sobolev_finite, ucoef)
 
@@ -72,6 +72,14 @@ def test_mode_table_decay_at_edges():
     text = tbl.to_csv()
     assert text.splitlines()[0] == "ell,lam,value"
     assert len(text.splitlines()) == 1 + 13 * 3001
+
+
+@pytest.mark.parametrize("args", [dict(ell_max=-1), dict(lam_max=0.0),
+                                  dict(lam_max=-3.0), dict(n_lam=1)])
+def test_mode_table_rejects_bad_range(args):
+    # a one-point lambda grid would make U(mu) a zero-width trapezoid, 0
+    with pytest.raises(ModelDataError):
+        mode_table(BUILTIN, **args)
 
 
 def test_open_channel_mode_exceeds_one():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import checkout_env
 from lattice3b import ModelDataError, builtin_epsilon, build_grid
 from lattice3b.cli import main
 from lattice3b.modelio import load_dispersion_csv, load_model
@@ -221,11 +222,35 @@ def test_cli_validate(tmp_path, capsys):
     assert "[pass]" in out and "[FAIL]" not in out
 
 
+def test_cli_validate_checks_both_channels(tmp_path, capsys):
+    # channel 1 peaks at the origin (ratio 0.986) but channel 2 does not
+    # (1.00047): its determinant turns negative near threshold
+    model = write_model(tmp_path / "m.json", grid_n=6,
+                        dispersion={"kind": "builtin", "axis_weights": [1, 2, 3]},
+                        pair_energy={"form": "sum", "cross_weight": 6.0},
+                        phi1={"kind": "cos_axis", "axis": 1},
+                        phi2={"kind": "sin_axis", "axis": 2})
+    assert main(["count", "--model", model, "--zmin-exp", "3", "--zmax-exp", "3",
+                 "--no-hs"]) == 3
+    assert main(["validate", "--model", model]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] Lambda maximum at origin (grid)" in out
+    assert "1 check(s) failed" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--lmax", "-1"), ("--lambda-max", "-3"),
+                                        ("--lambda-max", "0")])
+def test_cli_efimov_rejects_bad_range(tmp_path, capsys, flag, value):
+    model = write_model(tmp_path / "m.json")
+    assert main(["efimov", "--model", model, "--grid", "6", flag, value]) == 2
+    assert "U(1)" not in capsys.readouterr().out
+
+
 def test_console_entry_point(tmp_path):
     model = write_model(tmp_path / "m.json", mu1=0.0, mu2=0.0)
     proc = subprocess.run(
         [sys.executable, "-m", "lattice3b.cli", "essential", "--model", model,
          "--grid", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0
     assert "band" in proc.stdout

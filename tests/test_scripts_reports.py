@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import checkout_env
 from lattice3b import builtin_model, coupling_threshold, essential_spectrum
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -13,7 +14,8 @@ SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 def run(script, *args):
     return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600,
+                          env=checkout_env())
 
 
 def test_threshold_scan_script():

@@ -167,32 +167,41 @@ def test_intermediate_sandwich_same_counts():
         assert n_direct == n_m == n_t
 
 
-# sin-a-b: phi1 odd on axis a, phi2 odd on axis b
+# sin-a-b: phi1 odd on axis a, phi2 odd on axis b; each model with its flip axes
+SIN_Q1_PLUS_Q2 = form_factor(1, "odd", lambda q: np.sin(q[..., 0] + q[..., 1]))
 SECTOR_MODELS = {
-    "const": {},
-    "sin-0-1": dict(phi1=sin_axis_form_factor(1, 0), phi2=sin_axis_form_factor(2, 1)),
-    "sin-1-2": dict(phi1=sin_axis_form_factor(1, 1), phi2=sin_axis_form_factor(2, 2)),
-    "sin-2-0": dict(phi1=sin_axis_form_factor(1, 2), phi2=sin_axis_form_factor(2, 0)),
-    "cos": dict(phi1=cos_axis_form_factor(1, 1), phi2=cos_axis_form_factor(2, 2)),
-    "axis-weights": dict(axis_weights=(1.0, 2.0, 3.0), phi1=cos_axis_form_factor(1, 0),
-                         phi2=sin_axis_form_factor(2, 1)),
-    "cross-weight": dict(cross_weight=6.0),
+    "const": ({}, (0, 1, 2)),
+    "sin-0-1": (dict(phi1=sin_axis_form_factor(1, 0), phi2=sin_axis_form_factor(2, 1)),
+                (0, 1, 2)),
+    "sin-1-2": (dict(phi1=sin_axis_form_factor(1, 1), phi2=sin_axis_form_factor(2, 2)),
+                (0, 1, 2)),
+    "sin-2-0": (dict(phi1=sin_axis_form_factor(1, 2), phi2=sin_axis_form_factor(2, 0)),
+                (0, 1, 2)),
+    "cos": (dict(phi1=cos_axis_form_factor(1, 1), phi2=cos_axis_form_factor(2, 2)),
+            (0, 1, 2)),
+    "axis-weights": (dict(axis_weights=(1.0, 2.0, 3.0), phi1=cos_axis_form_factor(1, 0),
+                          phi2=sin_axis_form_factor(2, 1)), (0, 1, 2)),
+    "cross-weight": (dict(cross_weight=6.0), (0, 1, 2)),
+    "sin-q1+q2": (dict(phi1=SIN_Q1_PLUS_Q2), (2,)),
+    "sin-q2-q3": (dict(axis_weights=(1.0, 2.0, 3.0), phi2=form_factor(
+        2, "odd", lambda q: np.sin(q[..., 1] - q[..., 2]))), (0,)),
 }
 
 
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("case", sorted(SECTOR_MODELS))
 def test_sector_count_exact(case, n):
-    """The eight reflection sectors reproduce the full cross block exactly:
-    counts equal the dense oracle and the direct Hamiltonian (n = 4; at n = 6
-    the n^6 matrix needs 17 GB, so the sparse M(z) assembly stands in), the
-    sector singular values are those of the full block, and the determinants
-    equal the full-array ones at every node."""
-    spec = builtin_model(n, 0.0, 0.0, **SECTOR_MODELS[case])
+    """The 2^|A| reflection-sector blocks of the flip axes A reproduce the full
+    cross block exactly: counts equal the dense oracle and the direct
+    Hamiltonian (n = 4; at n = 6 the n^6 matrix needs 17 GB, so the sparse
+    M(z) assembly stands in), the sector singular values are those of the
+    full block, and the determinants equal the full-array ones at every node."""
+    kwargs, axes = SECTOR_MODELS[case]
+    spec = builtin_model(n, 0.0, 0.0, **kwargs)
     spec = spec.with_params(mu1=coupling_threshold(spec, 1),
                             mu2=coupling_threshold(spec, 2))
     ws = _BSWorkspace(spec)
-    assert ws.sector_reps is not None and ws.sector_reps.size == spec.grid.size // 8
+    assert ws.axes == axes
     zs = [spec.m - s for s in (1.0, 1e-2, 1e-6)]
     counts = [count_eigenvalues_below(spec, z, ws) for z in zs]
     assert counts == [count_above(assemble_bs_matrix(spec, z).full(), 1.0) for z in zs]
@@ -204,17 +213,19 @@ def test_sector_count_exact(case, n):
         d1, d2 = ws.determinants(z)
         assert np.max(np.abs(d1 - (1 - spec.mu1 * lambda_on_grid(spec, 1, z)))) <= 1e-12
         assert np.max(np.abs(d2 - (1 - spec.mu2 * lambda_on_grid(spec, 2, z)))) <= 1e-12
+        blocks, _, _ = ws.blocks_into(z, ws.axes)
+        assert blocks.shape == (2 ** len(axes),) + (spec.grid.size >> len(axes),) * 2
         sv_sectors = np.sort(np.concatenate(
-            [np.linalg.svd(b, compute_uv=False) for b in ws.sector_blocks_into(z)]))
+            [np.linalg.svd(b, compute_uv=False) for b in blocks]))
         sv_full = np.sort(np.linalg.svd(assemble_bs_matrix(spec, z).block12,
                                         compute_uv=False))
         assert np.max(np.abs(sv_sectors - sv_full)) <= 1e-12 * sv_full[-1]
 
 
 def test_no_axis_parity_takes_full_block():
-    # odd under q -> -q but without a parity on any single axis
-    phi1 = form_factor(1, "odd", lambda q: np.sin(q[..., 0] + q[..., 1]))
-    spec = builtin_model(4, 0.0, 0.0, phi1=phi1)
+    # sin(q1+q2) has a parity on axis 3 only and sin(q2+q3) on axis 1 only
+    phi2 = form_factor(2, "odd", lambda q: np.sin(q[..., 1] + q[..., 2]))
+    spec = builtin_model(4, 0.0, 0.0, phi1=SIN_Q1_PLUS_Q2, phi2=phi2)
     spec = spec.with_params(mu1=coupling_threshold(spec, 1),
                             mu2=coupling_threshold(spec, 2))
     # tabulated dispersion (nodal values of the cosine band): not separable
@@ -225,7 +236,7 @@ def test_no_axis_parity_takes_full_block():
     tab = tab.with_params(mu1=0.95 / lam, mu2=0.95 / lam)
     for model, s_values in ((spec, (1.0, 1e-2, 1e-6)), (tab, (1.0, 0.5, 0.2))):
         ws = _BSWorkspace(model)
-        assert ws.sector_reps is None
+        assert ws.axes == ()
         zs = [model.m - s for s in s_values]
         counts = [count_eigenvalues_below(model, z, ws) for z in zs]
         assert counts == direct_count_below(model, zs)
@@ -295,5 +306,12 @@ def test_count_report_columns_and_trust(spec16_critical):
     assert np.array_equal(rep.trusted, rep.m_minus_z >= floor)
     assert np.all(np.isfinite(rep.hs_norm))
     assert np.all(rep.det_min > 0)
+    # one blocks_into call per row gives the count and det_min of the
+    # standalone counter and of the determinants on every node
+    ws = _BSWorkspace(spec16_critical)
+    for s, count, det_min in zip(rep.m_minus_z, rep.counts, rep.det_min):
+        z = spec16_critical.m - s
+        assert count == count_eigenvalues_below(spec16_critical, z, ws)
+        assert det_min == min(float(d.min()) for d in ws.determinants(z))
     text = rep.to_csv()
     assert text.splitlines()[0] == "m_minus_z,count,det_min,hs_norm,hs_diff,trusted"
