@@ -135,6 +135,14 @@ def cmd_essential(args) -> int:
 
 
 def cmd_efimov(args) -> int:
+    try:
+        r_list = [float(x) for x in args.r.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ModelDataError(f"bad --r list {args.r!r}") from exc
+    if not r_list:
+        raise ModelDataError("empty --r list")
+    if not all(np.isfinite(r) and r > 0 for r in r_list):
+        raise ModelDataError(f"--r values must be finite and positive, got {args.r!r}")
     loaded = load_model(args.model, args.grid)
     spec = loaded.spec
     hess = hessian_at_minimum(spec)
@@ -143,12 +151,6 @@ def cmd_efimov(args) -> int:
     u1 = efi.ucoef(params, args.mu, args.lmax, args.lambda_max, table=table)
     print(f"u12 = {params.u12:.6g}  s12 = {params.s12:.6g}  r12 = {params.r12:.6g}")
     print(f"U({args.mu:g}) = {u1:.6g}")
-    try:
-        r_list = [float(x) for x in args.r.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ModelDataError(f"bad --r list {args.r!r}") from exc
-    if not r_list:
-        raise ModelDataError("empty --r list")
     print("r,n_mu_Sr,half_n_over_r")
     ratios = []
     for r in r_list:
@@ -238,8 +240,9 @@ def cmd_validate(args) -> int:
 
     def _monotone():
         zs = np.sort(spec.m - np.geomspace(1e-3, 1.0, 8))
-        mu_half = 0.5 / twb.lambda_integral(spec, 1, np.zeros(3), float(zs[-1]))
-        vals = [twb.fredholm_det(spec, 1, np.zeros(3), z, mu=mu_half) for z in zs]
+        lams = twb._lambda_line(spec, 1, np.zeros(3), zs)
+        mu_half = 0.5 / lams[-1]
+        vals = [1.0 - mu_half * lam for lam in lams]
         diffs = np.diff(vals)
         return bool(np.all(diffs < 0)), "Delta decreasing along the z-chain"
     check("determinant monotonicity", _monotone)

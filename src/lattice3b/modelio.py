@@ -106,6 +106,9 @@ def load_model(path: str, grid_override: int | None = None) -> LoadedModel:
     if "grid_n" not in cfg and grid_override is None:
         raise ModelDataError(f"{path}: grid_n is required")
     n = int(grid_override if grid_override is not None else cfg["grid_n"])
+    delta = float(cfg.get("delta", 1.0))
+    if not (np.isfinite(delta) and delta > 0):
+        raise ModelDataError(f"{path}: delta must be finite and positive, got {delta}")
 
     disp_cfg = cfg.get("dispersion", {"kind": "builtin"})
     kind = disp_cfg.get("kind", "builtin")
@@ -141,5 +144,4 @@ def load_model(path: str, grid_override: int | None = None) -> LoadedModel:
         mu1 = coupling_threshold(spec, 1) if critical[0] else mu_start[0]
         mu2 = coupling_threshold(spec, 2) if critical[1] else mu_start[1]
         spec = spec.with_params(mu1=mu1, mu2=mu2)
-    return LoadedModel(spec=spec, delta=float(cfg.get("delta", 1.0)),
-                       critical=critical)
+    return LoadedModel(spec=spec, delta=delta, critical=critical)

@@ -423,6 +423,11 @@ def model_kernel_block(spec: ModelSpec, hess: HessianData, s: float,
     return spec.grid.weight * d0 * num_r[:, None] * num_c[None, :] / den
 
 
+def _check_cutoff(delta: float) -> None:
+    if not (np.isfinite(delta) and delta > 0):
+        raise ModelDataError(f"cutoff delta must be finite and positive, got {delta}")
+
+
 def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
                    hess: Optional[HessianData] = None,
                    workspace: Optional[_BSWorkspace] = None) -> tuple[float, float]:
@@ -434,6 +439,7 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
     from .model import hessian_at_minimum
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
+    _check_cutoff(delta)
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     stack, _, _ = ws.blocks_into(z, ())
@@ -463,6 +469,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
     s_list = np.sort(np.unique(np.asarray(m_minus_z, dtype=float)))[::-1]
     if s_list.size == 0 or s_list.min() <= 0:
         raise ModelDataError("m - z values must be positive and nonempty")
+    _check_cutoff(delta)
     ws = _BSWorkspace(spec)
     if with_hs and hess is None:
         try:

@@ -86,21 +86,32 @@ def channel_range(spec: ModelSpec, alpha: int, p: np.ndarray,
     return ChannelRange(m_alpha=lo, M_alpha=hi)
 
 
+def _lambda_line(spec: ModelSpec, alpha: int, p: np.ndarray, z_values) -> list[float]:
+    """Lambda_alpha(p, z) for each z in z_values (see lambda_integral).
+
+    The channel energies, phi^2 and the channel range do not depend on z and
+    are built once; each z then costs one subtraction and one sum.  Both
+    domain checks bound z from above, so they are made on the largest z.
+    """
+    vals = spec.channel_values(alpha, p)
+    z_top = max(z_values)
+    gap = vals.min() - z_top          # == min(vals - z_top): rounding is monotone
+    if gap <= 0.0:
+        raise OutOfDomainError(
+            f"z = {z_top} is not below the channel spectrum (min u - z = {gap:.3e})")
+    m_alpha = channel_range(spec, alpha, p).m_alpha
+    if z_top > m_alpha + 1e-12 * max(1.0, abs(m_alpha)):
+        raise OutOfDomainError(f"z = {z_top} exceeds the channel bottom m_alpha = {m_alpha}")
+    phi2 = spec.phi_values(alpha) ** 2
+    return [float(spec.grid.weight * np.sum(phi2 / (vals - z))) for z in z_values]
+
+
 def lambda_integral(spec: ModelSpec, alpha: int, p: np.ndarray, z: float) -> float:
     """Quadrature of Lambda_alpha(p, z) = int phi^2(t) / (u_p^(alpha)(t) - z) dt.
 
     Defined for real z <= m_alpha(p); strictly positive and increasing in z.
     """
-    vals = spec.channel_values(alpha, p)
-    den = vals - z
-    if den.min() <= 0.0:
-        raise OutOfDomainError(
-            f"z = {z} is not below the channel spectrum (min u - z = {den.min():.3e})")
-    m_alpha = channel_range(spec, alpha, p).m_alpha
-    if z > m_alpha + 1e-12 * max(1.0, abs(m_alpha)):
-        raise OutOfDomainError(f"z = {z} exceeds the channel bottom m_alpha = {m_alpha}")
-    phi2 = spec.phi_values(alpha) ** 2
-    return float(spec.grid.weight * np.sum(phi2 / den))
+    return _lambda_line(spec, alpha, p, (z,))[0]
 
 
 def lambda_on_grid(spec: ModelSpec, alpha: int, z: float,
@@ -242,8 +253,7 @@ def expansion_fit(spec: ModelSpec, alpha: int,
         raise ModelDataError(f"bad fit window {window!r}")
     mu0 = coupling_threshold(spec, alpha)
     s_vals = np.geomspace(lo, hi, npoints)
-    y = np.array([1.0 - mu0 * lambda_integral(spec, alpha, np.zeros(3), spec.m - s)
-                  for s in s_vals])
+    y = 1.0 - mu0 * np.array(_lambda_line(spec, alpha, np.zeros(3), spec.m - s_vals))
     X = np.stack([np.sqrt(s_vals), s_vals, s_vals ** 1.5], axis=1)
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef

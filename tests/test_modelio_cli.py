@@ -246,6 +246,25 @@ def test_cli_efimov_rejects_bad_range(tmp_path, capsys, flag, value):
     assert "U(1)" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("delta", ["-1", "0"])
+def test_cli_count_rejects_bad_cutoff(tmp_path, capsys, delta):
+    model = write_model(tmp_path / "m.json")
+    for hs in ([], ["--no-hs"]):
+        assert main(["count", "--model", model, "--grid", "6", "--zmin-exp", "1",
+                     "--zmax-exp", "2", "--delta", delta, *hs]) == 2
+        assert capsys.readouterr().out == ""
+    bad = write_model(tmp_path / "bad.json", delta=float(delta))
+    with pytest.raises(ModelDataError):
+        load_model(bad)
+
+
+def test_cli_efimov_rejects_bad_radius_before_output(tmp_path, capsys):
+    model = write_model(tmp_path / "m.json")
+    for r in ("-50", "100,-50", "nan", "inf"):
+        assert main(["efimov", "--model", model, "--grid", "6", "--r", r]) == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_console_entry_point(tmp_path):
     model = write_model(tmp_path / "m.json", mu1=0.0, mu2=0.0)
     proc = subprocess.run(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from lattice3b import (OutOfDomainError, ThresholdClass, builtin_model,
                        delta_at_threshold_bounds, expansion_fit, fredholm_det,
                        lambda_integral, lambda_on_grid,
                        resonance_function_norm, sin_axis_form_factor)
-from lattice3b.twobody import expansion_slope_extrapolated
+from lattice3b import twobody
+from lattice3b.model import ModelSpec
+from lattice3b.twobody import _lambda_line, expansion_slope_extrapolated
 
 Z3 = np.zeros(3)
 
@@ -34,6 +38,48 @@ def test_lambda_evenness(spec8):
 def test_lambda_out_of_domain(spec8):
     with pytest.raises(OutOfDomainError):
         lambda_integral(spec8, 1, Z3, spec8.m + 1e-3)
+
+
+def test_lambda_line_equals_pointwise(spec8):
+    zs = spec8.m - np.geomspace(1e-3, 2.0, 7)
+    for alpha in (1, 2):
+        for p in (Z3, spec8.grid.nodes[17]):
+            line = _lambda_line(spec8, alpha, p, zs)
+            assert line == [lambda_integral(spec8, alpha, p, z) for z in zs]
+
+
+def test_lambda_line_out_of_domain(spec8):
+    # at p = 0 the channel bottom m_alpha = m sits below the grid minimum of u
+    vmin = float(spec8.channel_values(1, Z3).min())
+    m_alpha = channel_range(spec8, 1, Z3).m_alpha
+    assert m_alpha + 1e-6 < vmin
+    for bad in (m_alpha + 1e-6, vmin):
+        with pytest.raises(OutOfDomainError, match=re.escape(f"z = {bad} ")):
+            _lambda_line(spec8, 1, Z3, [-1.0, bad, m_alpha - 0.5])
+
+
+def test_expansion_fit_builds_channel_once(monkeypatch):
+    spec = builtin_model(8, 0.0, 0.0)
+    calls = {"values": 0, "range": 0}
+    values, rng = ModelSpec.channel_values, twobody.channel_range
+
+    def count_values(self, alpha, p):
+        calls["values"] += 1
+        return values(self, alpha, p)
+
+    def count_range(*args, **kwargs):
+        calls["range"] += 1
+        return rng(*args, **kwargs)
+
+    monkeypatch.setattr(ModelSpec, "channel_values", count_values)
+    monkeypatch.setattr(twobody, "channel_range", count_range)
+    seen = []
+    for npoints in (5, 25):
+        calls.update(values=0, range=0)
+        expansion_fit(spec, 1, npoints=npoints)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[0]["range"] == 2      # coupling_threshold, then the window line
 
 
 def test_lambda_threshold_richardson_matches_oracle():
