@@ -25,12 +25,11 @@ from .threebody import (BSMatrix, assemble_bs_matrix,
                         count_eigenvalues_below, count_report,
                         direct_count_below, essential_spectrum,
                         finite_dim_bs_identity_check, hs_diagnostics,
-                        trust_floor)
+                        lambda_on_grid, trust_floor)
 from .twobody import (ChannelRange, ExpansionFit, ThresholdClass,
                       channel_eigenvalue, channel_range, classify_threshold,
                       coupling_threshold, delta_at_threshold_bounds,
                       expansion_fit, expansion_slope_extrapolated,
-                      fredholm_det, lambda_integral, lambda_on_grid,
-                      resonance_function_norm)
+                      fredholm_det, lambda_integral, resonance_function_norm)
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=int, default=None, help="override grid_n")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="write the report here")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("threshold", help="critical couplings and classification")
     common(sp)
@@ -68,11 +67,14 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run the model property checks")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
     return p
 
 
 def _z_sweep(args) -> np.ndarray:
     k_lo, k_hi = args.zmin_exp, args.zmax_exp
+    if not (np.isfinite(k_lo) and np.isfinite(k_hi)):
+        raise ModelDataError(f"z exponents must be finite, got {k_lo} and {k_hi}")
     if k_hi < k_lo:
         raise ModelDataError(f"empty z sweep: zmax-exp {k_hi} < zmin-exp {k_lo}")
     if args.zcount is not None:
@@ -141,8 +143,9 @@ def cmd_efimov(args) -> int:
         raise ModelDataError(f"bad --r list {args.r!r}") from exc
     if not r_list:
         raise ModelDataError("empty --r list")
-    if not all(np.isfinite(r) and r > 0 for r in r_list):
-        raise ModelDataError(f"--r values must be finite and positive, got {args.r!r}")
+    if not all(np.isfinite(v) and v > 0 for v in r_list + [args.mu]):
+        raise ModelDataError(f"--r values and --mu must be finite and positive, "
+                             f"got --r {args.r!r} --mu {args.mu}")
     loaded = load_model(args.model, args.grid)
     spec = loaded.spec
     hess = hessian_at_minimum(spec)
@@ -248,9 +251,9 @@ def cmd_validate(args) -> int:
     check("determinant monotonicity", _monotone)
 
     def _lambda_max_at_origin():
-        from .twobody import lambda_on_grid
         z = spec.m - 1e-12 * max(1.0, abs(spec.m))
-        pairs = [(lambda_on_grid(spec, alpha, z).max(),
+        ws = tb._BSWorkspace(spec)      # flip-invariant: max on representatives = on grid
+        pairs = [(ws.lambdas(alpha, z).max(),
                   twb.lambda_integral(spec, alpha, np.zeros(3), spec.m)) for alpha in (1, 2)]
         return all(lam < lam0 for lam, lam0 in pairs), \
             "max_p Lambda(p,m)/Lambda(0,m) = " + ", ".join(

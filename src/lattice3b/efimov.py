@@ -143,7 +143,7 @@ def count_sphere_operator(params: EfimovParams, lam: float, mu: float,
     The two-channel block operator with zero diagonal and cross kernels of
     equal modulus has eigenvalues +/- |shat_l| with multiplicity 2l + 1.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ModelDataError("mu must be positive")
     modes = np.array([legendre_mode(params, l, lam) for l in range(ell_max + 1)])
     return int(np.sum((np.abs(modes) > mu) * (2 * np.arange(ell_max + 1) + 1)))
@@ -157,7 +157,7 @@ def ucoef(params: EfimovParams, mu: float, ell_max: int = ELL_MAX,
     The integrand is even and integer valued with exponentially decaying
     support; trapezoid over [0, lam_max], doubled.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ModelDataError("mu must be positive")
     tbl = table if table is not None else mode_table(params, ell_max, lam_max, n_lam)
     counts = tbl.counts(mu)
@@ -186,7 +186,7 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
     midpoint nodes; its singular values cannot exceed sup_lambda |shat_l|, so
     degrees whose symbol maximum stays below mu are skipped outright.
     """
-    if r <= 0 or mu <= 0:
+    if r <= 0 or not mu > 0:
         raise ModelDataError("r and mu must be positive")
     tbl = table if table is not None else mode_table(params, ell_max)
     sym_max = tbl.mode_max()

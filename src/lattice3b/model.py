@@ -20,6 +20,8 @@ from .grids import TWO_PI, TorusGrid, axis_nodes, build_grid, wrap_to_torus
 # dense product scans above this many pair evaluations fall back to subsampling
 _PAIR_SCAN_CAP = 200_000_000
 _CHUNK_BYTES = 1 << 28
+# chunk size of the (rows, cols, 3) input handed to a generic pair evaluator
+_EVAL_CHUNK_BYTES = 1 << 22
 
 
 def builtin_epsilon(q: np.ndarray) -> np.ndarray:
@@ -248,7 +250,7 @@ def _separable_axis_terms(pair: PairEnergy):
     return term
 
 
-def extrema(pair: PairEnergy, grid: TorusGrid, refine: bool = True):
+def extrema(pair: PairEnergy, grid: TorusGrid):
     """Global (m, M, argmin) of u over the product grid, with local refinement.
 
     Separable sum-form models reduce to three independent 2D scans (exact for
@@ -311,7 +313,7 @@ def extrema(pair: PairEnergy, grid: TorusGrid, refine: bool = True):
         N = scan_nodes.shape[0]
         m = np.inf
         M = -np.inf
-        step = max(1, _CHUNK_BYTES // (8 * N))
+        step = max(1, _EVAL_CHUNK_BYTES // (24 * N))
         for i0 in range(0, N, step):
             block = pair.evaluator(scan_nodes[i0:i0 + step, None, :],
                                    scan_nodes[None, :, :])
@@ -331,7 +333,7 @@ def extrema(pair: PairEnergy, grid: TorusGrid, refine: bool = True):
 
     smooth = (pair.dispersion is not None and pair.dispersion.kind != "tabulated") \
         or pair.form == "custom"
-    if refine and smooth:
+    if smooth:
         def f(v):
             return float(pair.evaluator(v[:3][None, :], v[3:][None, :])[0])
 
@@ -413,7 +415,6 @@ def pair_matrix(spec: ModelSpec, out: Optional[np.ndarray] = None,
     t = spec.grid.nodes if rows is None else rows
     p = spec.grid.nodes if cols is None else cols
     U = np.empty((t.shape[0], p.shape[0])) if out is None else out
-    step = max(1, _CHUNK_BYTES // (8 * p.shape[0]))
     if spec.pair.form == "sum-of-dispersions" and spec.pair.dispersion.separable:
         w = np.array(spec.pair.dispersion.axis_weights)
         c = spec.pair.cross_weight
@@ -424,6 +425,7 @@ def pair_matrix(spec: ModelSpec, out: Optional[np.ndarray] = None,
         et = np.sum(w * (1.0 - np.cos(t)), axis=1)
         ep = np.sum(w * (1.0 - Cu), axis=1)
         wsum = w.sum()
+        step = max(1, _CHUNK_BYTES // (8 * p.shape[0]))
         for i0 in range(0, t.shape[0], step):
             i1 = min(t.shape[0], i0 + step)
             # c * eps(t - p) = c * (wsum - sum_a w_a cos(t_a - p_a))
@@ -431,6 +433,7 @@ def pair_matrix(spec: ModelSpec, out: Optional[np.ndarray] = None,
             U[i0:i1] += et[i0:i1, None]
             U[i0:i1] += ep[None, :]
     else:
+        step = max(1, _EVAL_CHUNK_BYTES // (24 * p.shape[0]))
         for i0 in range(0, t.shape[0], step):
             U[i0:i0 + step] = spec.pair.evaluator(t[i0:i0 + step, None, :],
                                                   p[None, :, :])

@@ -18,10 +18,13 @@ energy, invariant under flipping both momenta on any axis, and form factors
 with a parity on that axis, read off the grid values) T(z) commutes with the
 group Z2^A, and the cross block splits exactly into 2^|A| blocks of N/2^|A|
 rows built from the pair energies between representatives positive on A.
-The count runs on those blocks.  The full cross block is the case A = ():
-one block over all nodes, which is what tabulated or custom dispersions and
-form factors without any axis parity count on, and what the HS diagnostics
-and the dense assembly always use.
+The count runs on those blocks.  Lambda_alpha(p, z) and Delta_alpha(p, z) are
+flip-invariant, so the determinants, `lambda_on_grid`, the essential-spectrum
+bisection and `validate`'s Lambda maximum are summed on the representatives
+from the same resolvent and spread to all nodes.  The full cross block is the
+case A = (): one block over all nodes, which is what tabulated or custom
+dispersions and form factors without any axis parity run on, and what the HS
+diagnostics and the dense assembly always use.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from scipy.sparse.linalg import svds
 
 from .errors import (InvalidSpectralPointError, ModelDataError,
                      OutOfDomainError, ResourceCapError)
+from .grids import TWO_PI
 from .model import HessianData, ModelSpec, pair_matrix
 from .reports import CountReport, EssentialSpectrumReport
 
@@ -72,7 +76,7 @@ class _BSWorkspace:
     For flip axes A the cache holds the representatives (nodes positive on
     every axis of A; all nodes when A = ()), the 2^|A| arrays
     U_k[i, j] = u(k r_i, r_j) over the flips k on A, and one scratch stack.
-    Counts and determinants use the model's own axes `axes`; the HS
+    Counts, determinants and Lambda use the model's own axes `axes`; the HS
     diagnostics and the dense assembly use A = (), the full cross block.
     """
 
@@ -98,14 +102,16 @@ class _BSWorkspace:
             self._cache[axes] = reps, U, np.empty_like(U)
         return self._cache[axes]
 
-    def _resolvents(self, z: float, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    def _resolvents(self, z, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
         """(representatives, scratch stack overwritten with the character sums
         S_psi = sum_k psi(k) / (U_k - z) over the flips k on `axes`); S[0] is
-        the plain sum, and for axes = () it is 1/(u - z) on all node pairs."""
+        the plain sum, and for axes = () it is 1/(u - z) on all node pairs.
+        z is a scalar, or one value per representative shaped (1, M) along the
+        columns p or (M, 1) along the rows t."""
         reps, U, S = self._arrays(axes)
         np.subtract(U, z, out=S)
         if S.min() <= 0.0:
-            raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
+            raise OutOfDomainError(f"z = {np.max(z)} is not below the grid spectrum of u")
         np.reciprocal(S, out=S)
         # Walsh-Hadamard butterflies, one per flip axis; k and psi both index
         # the flip bits of the axes in order
@@ -121,28 +127,39 @@ class _BSWorkspace:
                 hi[...] = diff
         return reps, S
 
-    def _determinants_from(self, R: np.ndarray, f1: np.ndarray,
-                           f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Delta_1, Delta_2) from a resolvent matrix R[t, p] = sum of 1/(u - z)."""
-        lam1 = self.w * (f1 ** 2 @ R)
-        lam2 = self.w * (R @ f2 ** 2)
-        return 1.0 - self.spec.mu1 * lam1, 1.0 - self.spec.mu2 * lam2
+    def _lambda(self, alpha: int, R: np.ndarray, reps: np.ndarray) -> np.ndarray:
+        """Lambda_alpha on the representatives from a plain sum R[t, p] of
+        1/(u - z): channel 1 integrates the first slot, channel 2 the second."""
+        if alpha == 1:
+            return self.w * (self.f1[reps] ** 2 @ R)
+        return self.w * (R @ self.f2[reps] ** 2)
 
-    def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
-        """Delta_alpha(p, z) on all grid nodes; requires z < every u value.
-
-        Computed on the representatives of the model's axes; Delta is
-        invariant under their flips, so each node takes the value of its image.
-        """
+    def lambdas(self, alpha: int, z) -> np.ndarray:
+        """Lambda_alpha(p, z) on the representatives p of the model's axes;
+        z is a scalar or one value per representative."""
+        z = np.asarray(z, dtype=float)
+        if z.ndim:      # p is the second slot of u in channel 1, the first in 2
+            z = z[None, :] if alpha == 1 else z[:, None]
         reps, S = self._resolvents(z, self.axes)
-        d1, d2 = self._determinants_from(S[0], self.f1[reps], self.f2[reps])
+        return self._lambda(alpha, S[0], reps)
+
+    def on_nodes(self, values: np.ndarray) -> np.ndarray:
+        """Values on the representatives of the model's axes spread to all
+        nodes: Lambda and Delta are invariant under the flips, so each node
+        takes the value of its image."""
         n, h = self.spec.grid.n, self.spec.grid.n // 2
         ijk = np.unravel_index(np.arange(self.N), (n,) * 3)
         fold = np.ravel_multi_index(
             tuple(np.maximum(i, n - 1 - i) - h if a in self.axes else i
                   for a, i in enumerate(ijk)),
             tuple(h if a in self.axes else n for a in range(3)))
-        return d1[fold], d2[fold]
+        return values[fold]
+
+    def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
+        reps, S = self._resolvents(z, self.axes)
+        return tuple(self.on_nodes(1.0 - self.spec.mu(a) * self._lambda(a, S[0], reps))
+                     for a in (1, 2))
 
     def blocks_into(self, z: float, axes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Overwrite the scratch stack of `axes` with the 2^|A| blocks of
@@ -158,7 +175,7 @@ class _BSWorkspace:
         """
         reps, S = self._resolvents(z, axes)
         f1, f2 = self.f1[reps], self.f2[reps]
-        d1, d2 = self._determinants_from(S[0], f1, f2)
+        d1, d2 = (1.0 - self.spec.mu(a) * self._lambda(a, S[0], reps) for a in (1, 2))
         if d1.min() <= 0.0 or d2.min() <= 0.0:
             raise InvalidSpectralPointError(
                 f"nonpositive determinant at z = {z} "
@@ -226,8 +243,7 @@ def count_above(matrix: np.ndarray, lam: float) -> int:
     return int(np.sum(ev > lam + tie))
 
 
-def _count_block_singular_above(block: np.ndarray, mu: float, k0: int = 8,
-                                seed: int = 0) -> int:
+def _count_block_singular_above(block: np.ndarray, mu: float) -> int:
     """#{singular values > mu} of one block, or of the block-diagonal sum of a
     stack of blocks.
 
@@ -235,25 +251,25 @@ def _count_block_singular_above(block: np.ndarray, mu: float, k0: int = 8,
     as not above.
     """
     blocks = block[None] if block.ndim == 2 else block
-    sv = [_leading_singular_values(b, mu, k0, seed) for b in blocks]
+    sv = [_leading_singular_values(b, mu) for b in blocks]
     top = max((float(v.max()) for v in sv if v.size), default=0.0)
     return int(sum(np.sum(v > mu + TIE_RTOL * top) for v in sv))
 
 
-def _leading_singular_values(block: np.ndarray, mu: float, k0: int,
-                             seed: int) -> np.ndarray:
+def _leading_singular_values(block: np.ndarray, mu: float) -> np.ndarray:
     """Every singular value of block above mu and at least one that is not
     (or as many as Lanczos can give); empty when ||block||_F <= mu.
 
-    Dense SVD on small blocks, else Lanczos with adaptive k.
+    Dense SVD on small blocks, else Lanczos from k = 8 with a fixed start
+    vector, doubling k until a value at or below mu is in.
     """
     N = min(block.shape)
     if float(np.linalg.norm(block)) <= mu:      # sigma_max <= Frobenius norm
         return np.empty(0)
     if N <= 600:
         return np.linalg.svd(block, compute_uv=False)
-    k = k0
-    v0 = np.random.default_rng(seed).standard_normal(block.shape[1])
+    k = 8
+    v0 = np.random.default_rng(0).standard_normal(block.shape[1])
     while True:
         k_eff = min(k, N - 1)
         sv = svds(block, k=k_eff, v0=v0, return_singular_vectors=False, tol=1e-10)
@@ -308,10 +324,9 @@ def finite_dim_bs_identity_check(spec: ModelSpec, z: float) -> float:
     """Max residual of  I - mu_a Phi_a R0(z) Phi_a* = D_a(z)  at matched quadrature.
 
     The operators are materialized sparsely and multiplied out; the right side
-    is the diagonal of determinant values from the channel module.  Exact up to
-    rounding, for every z below the grid spectrum.
+    is the diagonal of determinant values from lambda_on_grid, the flip-reduced
+    resolvent sums.  Exact up to rounding, for every z below the grid spectrum.
     """
-    from .twobody import lambda_on_grid
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     N = spec.grid.size
@@ -327,9 +342,16 @@ def finite_dim_bs_identity_check(spec: ModelSpec, z: float) -> float:
         else:
             Phi = sp.kron(sp.eye(N), sp.csr_matrix(sw * f[None, :]), format="csr")
         lhs = np.eye(N) - spec.mu(alpha) * (Phi @ R0 @ Phi.T).toarray()
-        rhs = np.diag(1.0 - spec.mu(alpha) * lambda_on_grid(spec, alpha, z, pair_mat=U))
+        rhs = np.diag(1.0 - spec.mu(alpha) * lambda_on_grid(spec, alpha, z))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def lambda_on_grid(spec: ModelSpec, alpha: int, z: float) -> np.ndarray:
+    """Lambda_alpha(p, z) for every grid node p at once, summed on the
+    representatives of the model's flip axes (see _BSWorkspace)."""
+    ws = _BSWorkspace(spec)
+    return ws.on_nodes(ws.lambdas(alpha, z))
 
 
 def essential_spectrum(spec: ModelSpec) -> EssentialSpectrumReport:
@@ -340,12 +362,9 @@ def essential_spectrum(spec: ModelSpec) -> EssentialSpectrumReport:
     lower edge).  Roots inside [m, M] are absorbed by the band and, on a grid,
     are dominated by the nodal-minimum quadrature spike anyway.
     """
-    branches = {}
-    for alpha in (1, 2):
-        vals = np.full(spec.grid.size, np.nan)
-        if spec.mu(alpha) > 0:
-            vals = _channel_roots_on_grid(spec, alpha)
-        branches[alpha] = vals
+    ws = _BSWorkspace(spec)
+    branches = {alpha: _channel_roots_on_grid(ws, alpha) if spec.mu(alpha) > 0
+                else np.full(spec.grid.size, np.nan) for alpha in (1, 2)}
     finite = np.concatenate([b[np.isfinite(b)] for b in branches.values()])
     lower = float(min(spec.m, finite.min())) if finite.size else float(spec.m)
     return EssentialSpectrumReport(
@@ -354,47 +373,34 @@ def essential_spectrum(spec: ModelSpec) -> EssentialSpectrumReport:
         meta={"grid_n": spec.grid.n, "mu1": spec.mu1, "mu2": spec.mu2})
 
 
-def _channel_roots_on_grid(spec: ModelSpec, alpha: int) -> np.ndarray:
-    """Vectorized bisection of Delta_alpha(p, .) = 0 below m, over all nodes p."""
-    from .grids import TWO_PI
-    U = pair_matrix(spec)
-    if alpha == 2:
-        U = np.ascontiguousarray(U.T)   # t-index along rows for both channels
-    w = spec.grid.weight
+def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
+    """Vectorized bisection of Delta_alpha(p, .) = 0 below m over the
+    representatives p of the model's flip axes, spread to all nodes."""
+    spec = ws.spec
     mu = spec.mu(alpha)
-    phi2 = spec.phi_values(alpha) ** 2
-    N = spec.grid.size
-    step = max(1, (1 << 27) // (8 * N))
-
-    def lam(zv):        # zv: (N,) spectator-wise z; chunked over the t-index
-        acc = np.zeros(N)
-        for i0 in range(0, N, step):
-            i1 = min(N, i0 + step)
-            acc += phi2[i0:i1] @ (1.0 / (U[i0:i1] - zv[None, :]))
-        return w * acc
-
-    vals_min = U.min(axis=0)
+    # min over t of u_p(t): t runs over the flips k of every representative,
+    # the first slot (U_k rows) in channel 1 and the second in channel 2
+    _, U, _ = ws._arrays(ws.axes)
+    vals_min = U.min(axis=(0, 1) if alpha == 1 else (0, 2))
     # bracket top just below the three-body threshold: quadrature sums are
     # finite there (every node value exceeds m) and roots above m are not
     # reported (they sit inside the band)
-    tiny = 1e-12 * max(1.0, abs(spec.m))
-    top = np.full(N, spec.m - tiny)
-    lo = vals_min - (spec.M - spec.m) - mu * TWO_PI ** 3 * float(phi2.max())
-    has_root = 1.0 - mu * lam(top) < 0.0
-    out = np.full(N, np.nan)
-    if not has_root.any():
-        return out
-    a = lo.copy()
-    b = top.copy()
-    for _ in range(60):
-        c = 0.5 * (a + b)
-        pos = 1.0 - mu * lam(c) > 0.0
-        a = np.where(pos, c, a)
-        b = np.where(pos, b, c)
-        if float(np.max(b - a)) < 1e-10:
-            break
-    out[has_root] = (0.5 * (a + b))[has_root]
-    return out
+    top = spec.m - 1e-12 * max(1.0, abs(spec.m))
+    phi2max = float(np.max(spec.phi_values(alpha) ** 2))
+    lo = vals_min - (spec.M - spec.m) - mu * TWO_PI ** 3 * phi2max
+    has_root = 1.0 - mu * ws.lambdas(alpha, top) < 0.0
+    out = np.full(vals_min.size, np.nan)
+    if has_root.any():
+        a, b = lo, np.full(vals_min.size, top)
+        for _ in range(60):
+            c = 0.5 * (a + b)
+            pos = 1.0 - mu * ws.lambdas(alpha, c) > 0.0
+            a = np.where(pos, c, a)
+            b = np.where(pos, b, c)
+            if float(np.max(b - a)) < 1e-10:
+                break
+        out[has_root] = (0.5 * (a + b))[has_root]
+    return ws.on_nodes(out)
 
 
 def model_kernel_block(spec: ModelSpec, hess: HessianData, s: float,
@@ -461,8 +467,7 @@ def trust_floor(n: int) -> float:
 
 
 def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
-                 with_hs: bool = True,
-                 hess: Optional[HessianData] = None) -> CountReport:
+                 with_hs: bool = True) -> CountReport:
     """Sweep N(z), determinant minima and HS diagnostics over a z-list."""
     from .errors import NotProductFormError
     from .model import hessian_at_minimum
@@ -471,7 +476,8 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         raise ModelDataError("m - z values must be positive and nonempty")
     _check_cutoff(delta)
     ws = _BSWorkspace(spec)
-    if with_hs and hess is None:
+    hess = None
+    if with_hs:
         try:
             hess = hessian_at_minimum(spec)
         except NotProductFormError:

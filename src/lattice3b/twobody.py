@@ -57,8 +57,7 @@ def _other(alpha: int) -> int:
     return 2 if alpha == 1 else 1
 
 
-def channel_range(spec: ModelSpec, alpha: int, p: np.ndarray,
-                  refine: bool = True) -> ChannelRange:
+def channel_range(spec: ModelSpec, alpha: int, p: np.ndarray) -> ChannelRange:
     """min/max of u_p^(alpha) over the q-grid, with local refinement."""
     vals = spec.channel_values(alpha, p)
     if not np.all(np.isfinite(vals)):
@@ -66,7 +65,7 @@ def channel_range(spec: ModelSpec, alpha: int, p: np.ndarray,
     lo = float(vals.min())
     hi = float(vals.max())
     smooth = spec.pair.dispersion is None or spec.pair.dispersion.kind != "tabulated"
-    if refine and smooth:
+    if smooth:
         p = np.asarray(p, dtype=float).reshape(3)
 
         def f(q):
@@ -112,24 +111,6 @@ def lambda_integral(spec: ModelSpec, alpha: int, p: np.ndarray, z: float) -> flo
     Defined for real z <= m_alpha(p); strictly positive and increasing in z.
     """
     return _lambda_line(spec, alpha, p, (z,))[0]
-
-
-def lambda_on_grid(spec: ModelSpec, alpha: int, z: float,
-                   pair_mat: np.ndarray | None = None) -> np.ndarray:
-    """Lambda_alpha(p, z) for every grid node p at once.
-
-    pair_mat is the dense u(t_i, p_j) matrix; it is built on demand when not
-    supplied.  Values are quadrature sums over the t-index (rows for channel 1,
-    columns for channel 2).
-    """
-    from .model import pair_matrix
-    U = pair_matrix(spec) if pair_mat is None else pair_mat
-    phi2 = spec.phi_values(alpha) ** 2
-    den = U - z
-    if den.min() <= 0:
-        raise OutOfDomainError(f"z = {z} is not below the channel spectrum")
-    subscripts = "i,ij->j" if alpha == 1 else "j,ij->i"
-    return spec.grid.weight * np.einsum(subscripts, phi2, 1.0 / den)
 
 
 def fredholm_det(spec: ModelSpec, alpha: int, p: np.ndarray, z: float,

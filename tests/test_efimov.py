@@ -82,6 +82,18 @@ def test_mode_table_rejects_bad_range(args):
         mode_table(BUILTIN, **args)
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
+def test_level_mu_must_be_positive(mu):
+    # NaN fails every comparison, so it is refused like a nonpositive level
+    tbl = mode_table(BUILTIN, ell_max=2)
+    with pytest.raises(ModelDataError):
+        ucoef(BUILTIN, mu, table=tbl)
+    with pytest.raises(ModelDataError):
+        sobolev_finite(BUILTIN, 10.0, mu, table=tbl)
+    with pytest.raises(ModelDataError):
+        count_sphere_operator(BUILTIN, 0.5, mu, ell_max=2)
+
+
 def test_open_channel_mode_exceeds_one():
     # the degree-0 mode tops 1 for the reference parameters (u12 > 1), which
     # is what makes U(1) positive

@@ -199,3 +199,21 @@ def test_pair_matrix_matches_evaluator(spec8):
     jj = rng.integers(0, nodes.shape[0], size=50)
     direct = spec8.pair(nodes[ii], nodes[jj])
     assert np.allclose(U[ii, jj], direct, atol=1e-12)
+
+
+def test_pair_matrix_generic_chunks_bit_identical(monkeypatch):
+    # the tabulated band takes the generic evaluator path: row chunks of any
+    # size give exactly the one-shot broadcast evaluation
+    from lattice3b import model
+    grid = build_grid(6)
+    spec = make_model(pair_energy_sum(tabulated_dispersion(grid, builtin_epsilon(grid.nodes))),
+                      6, 0.0, 0.0)
+    rng = np.random.default_rng(5)
+    rows, cols = rng.uniform(-np.pi, np.pi, (40, 3)), rng.uniform(-np.pi, np.pi, (30, 3))
+    for chunk in (model._EVAL_CHUNK_BYTES, 24 * 7 * grid.size):     # one chunk; 7 rows
+        monkeypatch.setattr(model, "_EVAL_CHUNK_BYTES", chunk)
+        for t, p in ((None, None), (rows, cols)):
+            tt = grid.nodes if t is None else t
+            pp = grid.nodes if p is None else p
+            direct = spec.pair(tt[:, None, :], pp[None, :, :])
+            assert np.array_equal(pair_matrix(spec, rows=t, cols=p), direct)

@@ -265,6 +265,28 @@ def test_cli_efimov_rejects_bad_radius_before_output(tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_cli_seed_only_on_validate(tmp_path, capsys):
+    # only validate samples at random; every other command refuses --seed
+    model = write_model(tmp_path / "m.json")
+    assert main(["count", "--model", model, "--seed", "1"]) == 2
+    assert main(["validate", "--model", model, "--seed", "1"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--zmin-exp=nan", "--zmax-exp=inf", "--zmin-exp=-inf"])
+def test_cli_count_rejects_nonfinite_exponent(tmp_path, capsys, flag):
+    model = write_model(tmp_path / "m.json")
+    assert main(["count", "--model", model, "--grid", "6", flag]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "0", "-1"])
+def test_cli_efimov_rejects_bad_mu_before_output(tmp_path, capsys, mu):
+    model = write_model(tmp_path / "m.json")
+    assert main(["efimov", "--model", model, "--grid", "6", f"--mu={mu}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_console_entry_point(tmp_path):
     model = write_model(tmp_path / "m.json", mu1=0.0, mu2=0.0)
     proc = subprocess.run(

@@ -58,3 +58,14 @@ def test_essential_report_serialization(tmp_path):
     assert len(payload["rows"]) == rep.branch_points(1).size
     for row in payload["rows"]:
         assert row["branch_value"] < spec.m
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    # every function the benchmark wraps, and the workspace method its count
+    # pass calls, is where the benchmark looks it up
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    import workloads
+    lib = workloads.Lib()
+    for module, attr, _ in workloads.trace_targets(lib):
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    assert callable(lib.threebody._BSWorkspace.determinants)

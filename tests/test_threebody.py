@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
                        ResourceCapError, assemble_bs_matrix,
                        assemble_direct_hamiltonian, build_grid,
-                       builtin_epsilon, builtin_model, cos_axis_form_factor,
-                       count_above, count_eigenvalues_below, count_report,
+                       builtin_epsilon, builtin_model, channel_eigenvalue,
+                       cos_axis_form_factor, count_above,
+                       count_eigenvalues_below, count_report,
                        coupling_threshold, direct_count_below,
                        essential_spectrum, finite_dim_bs_identity_check,
                        form_factor, hs_diagnostics, lambda_on_grid, make_model,
@@ -188,6 +189,13 @@ SECTOR_MODELS = {
 }
 
 
+def _tabulated_band(n):
+    """The cosine band as a tabulated (trilinear) dispersion: not separable."""
+    grid = build_grid(n)
+    return make_model(pair_energy_sum(tabulated_dispersion(grid, builtin_epsilon(grid.nodes))),
+                      n, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("case", sorted(SECTOR_MODELS))
 def test_sector_count_exact(case, n):
@@ -195,7 +203,8 @@ def test_sector_count_exact(case, n):
     cross block exactly: counts equal the dense oracle and the direct
     Hamiltonian (n = 4; at n = 6 the n^6 matrix needs 17 GB, so the sparse
     M(z) assembly stands in), the sector singular values are those of the
-    full block, and the determinants equal the full-array ones at every node."""
+    full block, and the flip-reduced determinants satisfy the sparse identity
+    I - mu Phi R0 Phi* = D at every node."""
     kwargs, axes = SECTOR_MODELS[case]
     spec = builtin_model(n, 0.0, 0.0, **kwargs)
     spec = spec.with_params(mu1=coupling_threshold(spec, 1),
@@ -210,9 +219,7 @@ def test_sector_count_exact(case, n):
     else:
         assert counts == [_intermediate_count(spec, z) for z in zs]
     for z in zs:
-        d1, d2 = ws.determinants(z)
-        assert np.max(np.abs(d1 - (1 - spec.mu1 * lambda_on_grid(spec, 1, z)))) <= 1e-12
-        assert np.max(np.abs(d2 - (1 - spec.mu2 * lambda_on_grid(spec, 2, z)))) <= 1e-12
+        assert finite_dim_bs_identity_check(spec, z) <= 1e-12
         blocks, _, _ = ws.blocks_into(z, ws.axes)
         assert blocks.shape == (2 ** len(axes),) + (spec.grid.size >> len(axes),) * 2
         sv_sectors = np.sort(np.concatenate(
@@ -228,10 +235,7 @@ def test_no_axis_parity_takes_full_block():
     spec = builtin_model(4, 0.0, 0.0, phi1=SIN_Q1_PLUS_Q2, phi2=phi2)
     spec = spec.with_params(mu1=coupling_threshold(spec, 1),
                             mu2=coupling_threshold(spec, 2))
-    # tabulated dispersion (nodal values of the cosine band): not separable
-    grid = build_grid(4)
-    tab = make_model(pair_energy_sum(tabulated_dispersion(grid, builtin_epsilon(grid.nodes))),
-                     4, 0.0, 0.0)
+    tab = _tabulated_band(4)
     lam = max(lambda_on_grid(tab, a, tab.m - 0.2).max() for a in (1, 2))
     tab = tab.with_params(mu1=0.95 / lam, mu2=0.95 / lam)
     for model, s_values in ((spec, (1.0, 1e-2, 1e-6)), (tab, (1.0, 0.5, 0.2))):
@@ -285,6 +289,32 @@ def test_essential_spectrum_overcritical():
     assert rep.branch_points(2).size == 0
     # every branch value lies below its channel bottom, hence below m + band
     assert b1.max() < spec.m
+
+
+@pytest.mark.parametrize("kwargs,axes", [({}, (0, 1, 2)), ({"phi1": SIN_Q1_PLUS_Q2}, (2,)),
+                                         (None, ())], ids=["const", "sin-q1+q2", "tabulated"])
+def test_essential_spectrum_matches_channel_eigenvalue(kwargs, axes):
+    """The bisection on the flip representatives, spread to all nodes, finds a
+    root below m at the same nodes as the pointwise channel_eigenvalue, and
+    the same root to 1e-9, on overcritical models of every reduction."""
+    if kwargs is None:
+        spec = _tabulated_band(4)
+        lam = max(lambda_on_grid(spec, a, spec.m - 0.2).max() for a in (1, 2))
+        spec = spec.with_params(mu1=3 / lam, mu2=2 / lam)
+    else:
+        spec = builtin_model(4, 0.0, 0.0, **kwargs)
+        spec = spec.with_params(mu1=3 * coupling_threshold(spec, 1),
+                                mu2=1.5 * coupling_threshold(spec, 2))
+    assert _BSWorkspace(spec).axes == axes
+    rep = essential_spectrum(spec)
+    for alpha in (1, 2):
+        ref = np.array([np.nan if r is None else r for r in
+                        (channel_eigenvalue(spec, alpha, p) for p in spec.grid.nodes)])
+        got = rep.branch_values[alpha]
+        assert np.array_equal(np.isfinite(got), ref < spec.m)
+        assert np.isfinite(got).any()
+        below = np.isfinite(got)
+        assert np.max(np.abs(got[below] - ref[below])) <= 1e-9
 
 
 def test_hs_diagnostics_delta_limit(spec16_critical):

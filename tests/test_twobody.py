@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from helpers import lambda_exact_builtin, richardson_1_over_n
-from lattice3b import (OutOfDomainError, ThresholdClass, builtin_model,
-                       channel_eigenvalue, channel_range, classify_threshold,
-                       const_form_factor, coupling_threshold,
-                       delta_at_threshold_bounds, expansion_fit, fredholm_det,
-                       lambda_integral, lambda_on_grid,
-                       resonance_function_norm, sin_axis_form_factor)
+from lattice3b import (OutOfDomainError, ThresholdClass, build_grid,
+                       builtin_epsilon, builtin_model, channel_eigenvalue,
+                       channel_range, classify_threshold, const_form_factor,
+                       coupling_threshold, delta_at_threshold_bounds,
+                       expansion_fit, form_factor, fredholm_det,
+                       lambda_integral, lambda_on_grid, make_model,
+                       pair_energy_sum, resonance_function_norm,
+                       sin_axis_form_factor, tabulated_dispersion)
 from lattice3b import twobody
 from lattice3b.model import ModelSpec
+from lattice3b.threebody import _BSWorkspace
 from lattice3b.twobody import _lambda_line, expansion_slope_extrapolated
 
 Z3 = np.zeros(3)
@@ -133,12 +136,21 @@ def test_delta_monotone_in_z_and_mu(spec8):
 
 
 def test_lambda_on_grid_matches_pointwise(spec8):
-    for alpha in (1, 2):
-        vec = lambda_on_grid(spec8, alpha, -0.7)
-        for i in (0, 17, 100):
-            p = spec8.grid.nodes[i]
-            assert vec[i] == pytest.approx(lambda_integral(spec8, alpha, p, -0.7),
-                                           rel=1e-12)
+    # three reductions: the builtin model on flip axes (0, 1, 2), a form
+    # factor sin(q1+q2) on axis 3 only, and a tabulated band on none
+    sin_q1_q2 = builtin_model(8, 0.0, 0.0, phi1=form_factor(
+        1, "odd", lambda q: np.sin(q[..., 0] + q[..., 1])))
+    grid = build_grid(8)
+    tab = make_model(pair_energy_sum(tabulated_dispersion(grid, builtin_epsilon(grid.nodes))),
+                     8, 0.0, 0.0)
+    for spec, axes in ((spec8, (0, 1, 2)), (sin_q1_q2, (2,)), (tab, ())):
+        assert _BSWorkspace(spec).axes == axes
+        for alpha in (1, 2):
+            vec = lambda_on_grid(spec, alpha, -0.7)
+            for i in (0, 17, 100, 300, 511):
+                p = spec.grid.nodes[i]
+                assert vec[i] == pytest.approx(lambda_integral(spec, alpha, p, -0.7),
+                                               rel=1e-12)
 
 
 def test_channel_range_origin(spec8):
