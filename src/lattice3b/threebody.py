@@ -21,10 +21,10 @@ rows built from the pair energies between representatives positive on A.
 The count runs on those blocks.  Lambda_alpha(p, z) and Delta_alpha(p, z) are
 flip-invariant, so the determinants, `lambda_on_grid`, the essential-spectrum
 bisection and `validate`'s Lambda maximum are summed on the representatives
-from the same resolvent and spread to all nodes.  The full cross block is the
-case A = (): one block over all nodes, which is what tabulated or custom
-dispersions and form factors without any axis parity run on, and what the HS
-diagnostics and the dense assembly always use.
+from the same resolvent and spread to all nodes, and the HS diagnostics pair
+the blocks with those of the threshold model kernel.  The full cross block is
+the case A = (): one block over all nodes, which is what tabulated or custom
+dispersions and form factors without any axis parity run on.
 """
 from __future__ import annotations
 
@@ -36,9 +36,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
 from .errors import (InvalidSpectralPointError, ModelDataError,
-                     OutOfDomainError, ResourceCapError)
+                     NotProductFormError, OutOfDomainError, ResourceCapError)
 from .grids import TWO_PI
-from .model import HessianData, ModelSpec, pair_matrix
+from .model import HessianData, ModelSpec, hessian_at_minimum, pair_matrix
 from .reports import CountReport, EssentialSpectrumReport
 
 # dense materialization / direct-Hamiltonian caps
@@ -73,66 +73,56 @@ class BSMatrix:
 class _BSWorkspace:
     """Reusable arrays for a z-sweep on one model, built on first use.
 
-    For flip axes A the cache holds the representatives (nodes positive on
-    every axis of A; all nodes when A = ()), the 2^|A| arrays
+    For the model's flip axes A it holds the representatives (nodes positive
+    on every axis of A; all nodes when A = ()), the 2^|A| arrays
     U_k[i, j] = u(k r_i, r_j) over the flips k on A, and one scratch stack.
-    Counts, determinants and Lambda use the model's own axes `axes`; the HS
-    diagnostics and the dense assembly use A = (), the full cross block.
+    Counts, determinants, Lambda and the HS diagnostics all read this one
+    array set.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.N = spec.grid.size
-        self.f1 = spec.phi_values(1)
-        self.f2 = spec.phi_values(2)
         self.w = spec.grid.weight
-        self.axes = _flip_axes(spec)
-        self._cache = {}        # axes -> (representatives, U stack, scratch)
+        self.axes, self.chi = _flip_axes(spec)
+        reps = np.flatnonzero(np.all(spec.grid.nodes[:, list(self.axes)] > 0.0, axis=1))
+        self.r = spec.grid.nodes[reps]          # the representatives
+        self.f1 = spec.phi_values(1)[reps]
+        self.f2 = spec.phi_values(2)[reps]
+        self._stacks = None     # (U stack, scratch stack)
 
-    def _arrays(self, axes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if axes not in self._cache:
-            nodes = self.spec.grid.nodes
-            reps = np.flatnonzero(np.all(nodes[:, list(axes)] > 0.0, axis=1))
-            r = nodes[reps]
-            U = np.empty((2 ** len(axes), reps.size, reps.size))
-            for k, flip in enumerate(np.ndindex((2,) * len(axes))):
-                sign = np.ones(3)
-                sign[list(axes)] = 1 - 2 * np.array(flip)
-                pair_matrix(self.spec, out=U[k], rows=r * sign, cols=r)
-            self._cache[axes] = reps, U, np.empty_like(U)
-        return self._cache[axes]
+    def flipped(self):
+        """(k, representatives flipped by k) for the flips k in bit order."""
+        for k, flip in enumerate(np.ndindex((2,) * len(self.axes))):
+            sign = np.ones(3)
+            sign[list(self.axes)] = 1 - 2 * np.array(flip)
+            yield k, self.r * sign
 
-    def _resolvents(self, z, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(representatives, scratch stack overwritten with the character sums
-        S_psi = sum_k psi(k) / (U_k - z) over the flips k on `axes`); S[0] is
-        the plain sum, and for axes = () it is 1/(u - z) on all node pairs.
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._stacks is None:
+            M = len(self.r)
+            U = np.empty((2 ** len(self.axes), M, M))
+            for k, t in self.flipped():
+                pair_matrix(self.spec, out=U[k], rows=t, cols=self.r)
+            self._stacks = U, np.empty_like(U)
+        return self._stacks
+
+    def _resolvents(self, z) -> np.ndarray:
+        """The scratch stack overwritten with 1/(U_k - z) over the flips k.
         z is a scalar, or one value per representative shaped (1, M) along the
         columns p or (M, 1) along the rows t."""
-        reps, U, S = self._arrays(axes)
+        U, S = self._arrays()
         np.subtract(U, z, out=S)
         if S.min() <= 0.0:
             raise OutOfDomainError(f"z = {np.max(z)} is not below the grid spectrum of u")
         np.reciprocal(S, out=S)
-        # Walsh-Hadamard butterflies, one per flip axis; k and psi both index
-        # the flip bits of the axes in order
-        d, M = len(axes), reps.size
-        H = S.reshape((2,) * d + (M, M))
-        diff = np.empty((M, M) if d else 0)     # the full block (d = 0) needs none
-        for a in range(d):
-            for rest in np.ndindex((2,) * (d - 1)):
-                lo = H[rest[:a] + (0,) + rest[a:]]
-                hi = H[rest[:a] + (1,) + rest[a:]]
-                np.subtract(lo, hi, out=diff)
-                lo += hi
-                hi[...] = diff
-        return reps, S
+        return S
 
-    def _lambda(self, alpha: int, R: np.ndarray, reps: np.ndarray) -> np.ndarray:
-        """Lambda_alpha on the representatives from a plain sum R[t, p] of
-        1/(u - z): channel 1 integrates the first slot, channel 2 the second."""
+    def _lambda(self, alpha: int, S: np.ndarray) -> np.ndarray:
+        """Lambda_alpha on the representatives from the stack 1/(U_k - z), summed
+        over k: channel 1 integrates the first slot, channel 2 the second."""
         if alpha == 1:
-            return self.w * (self.f1[reps] ** 2 @ R)
-        return self.w * (R @ self.f2[reps] ** 2)
+            return self.w * (self.f1 ** 2 @ S).sum(axis=0)
+        return self.w * (S @ self.f2 ** 2).sum(axis=0)
 
     def lambdas(self, alpha: int, z) -> np.ndarray:
         """Lambda_alpha(p, z) on the representatives p of the model's axes;
@@ -140,15 +130,14 @@ class _BSWorkspace:
         z = np.asarray(z, dtype=float)
         if z.ndim:      # p is the second slot of u in channel 1, the first in 2
             z = z[None, :] if alpha == 1 else z[:, None]
-        reps, S = self._resolvents(z, self.axes)
-        return self._lambda(alpha, S[0], reps)
+        return self._lambda(alpha, self._resolvents(z))
 
     def on_nodes(self, values: np.ndarray) -> np.ndarray:
         """Values on the representatives of the model's axes spread to all
         nodes: Lambda and Delta are invariant under the flips, so each node
         takes the value of its image."""
         n, h = self.spec.grid.n, self.spec.grid.n // 2
-        ijk = np.unravel_index(np.arange(self.N), (n,) * 3)
+        ijk = np.unravel_index(np.arange(self.spec.grid.size), (n,) * 3)
         fold = np.ravel_multi_index(
             tuple(np.maximum(i, n - 1 - i) - h if a in self.axes else i
                   for a, i in enumerate(ijk)),
@@ -157,15 +146,15 @@ class _BSWorkspace:
 
     def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
-        reps, S = self._resolvents(z, self.axes)
-        return tuple(self.on_nodes(1.0 - self.spec.mu(a) * self._lambda(a, S[0], reps))
+        S = self._resolvents(z)
+        return tuple(self.on_nodes(1.0 - self.spec.mu(a) * self._lambda(a, S))
                      for a in (1, 2))
 
-    def blocks_into(self, z: float, axes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Overwrite the scratch stack of `axes` with the 2^|A| blocks of
-        T12(z); returns (stack, d1, d2), the determinants on the representatives.
+    def blocks_into(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Overwrite the scratch stack with the 2^|A| blocks of T12(z);
+        returns (stack, d1, d2), the determinants on the representatives.
 
-        Blocks are indexed (t, p), first slot of u first, so for axes = () the
+        Blocks are indexed (t, p), first slot of u first, so for A = () the
         cross block T12 is stack[0].T.  With u invariant under every flip k
         on A and phi_alpha(k q) = chi_alpha(k) phi_alpha(q), T12 maps the
         sector of the character psi onto that of psi chi_1 chi_2, and on the
@@ -173,44 +162,67 @@ class _BSWorkspace:
         (U_k[t, p] - z).  Multiplying by chi_2 only permutes the labels psi,
         so the blocks are the character sums scaled like the full block.
         """
-        reps, S = self._resolvents(z, axes)
-        f1, f2 = self.f1[reps], self.f2[reps]
-        d1, d2 = (1.0 - self.spec.mu(a) * self._lambda(a, S[0], reps) for a in (1, 2))
+        S = self._resolvents(z)
+        d1, d2 = (1.0 - self.spec.mu(a) * self._lambda(a, S) for a in (1, 2))
         if d1.min() <= 0.0 or d2.min() <= 0.0:
             raise InvalidSpectralPointError(
                 f"nonpositive determinant at z = {z} "
                 f"(min d1 = {d1.min():.3e}, min d2 = {d2.min():.3e}); "
                 f"z is not below the channel branches")
+        _walsh_hadamard(S)
         scale = np.sqrt(self.spec.mu1 * self.spec.mu2) * self.w
-        S *= (f1 / np.sqrt(d2))[:, None]            # t: spectator of channel 2
-        S *= (scale * f2 / np.sqrt(d1))[None, :]    # p: spectator of channel 1
+        S *= (self.f1 / np.sqrt(d2))[:, None]           # t: spectator of channel 2
+        S *= (scale * self.f2 / np.sqrt(d1))[None, :]   # p: spectator of channel 1
         return S, d1, d2
 
 
-def _flip_axes(spec: ModelSpec) -> tuple:
-    """Axes on which T(z) commutes with flipping both momenta.
+def _walsh_hadamard(S: np.ndarray) -> None:
+    """In place, the stack S_k over the flips k becomes the character sums
+    S_psi = sum_k psi(k) S_k: one butterfly per flip axis, with k and psi
+    both indexing the flip bits of the axes in order."""
+    d, shape = len(S).bit_length() - 1, S.shape[1:]
+    H = S.reshape((2,) * d + shape)
+    diff = np.empty(shape if d else 0)      # no butterflies for A = ()
+    for a in range(d):
+        for rest in np.ndindex((2,) * (d - 1)):
+            lo = H[rest[:a] + (0,) + rest[a:]]
+            hi = H[rest[:a] + (1,) + rest[a:]]
+            np.subtract(lo, hi, out=diff)
+            lo += hi
+            hi[...] = diff
+
+
+def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
+    """(A, (c1, c2)): the axes A on which T(z) commutes with flipping both
+    momenta, and the labels of the parity characters chi_alpha of phi_alpha
+    on A, whose flip bits are set on the axes where phi_alpha is odd.
 
     The shifted grid has no zero coordinate, so the flips act freely on it.
     An axis counts when the pair energy is the builtin separable sum
     (invariant under flipping both momenta on any axis) and both form factors
     have a parity on that axis, read off their grid values with the tolerance
-    of the model's own parity check.  () for any other model.
+    of the model's own parity check.  A = () for any other model.
     """
     pair = spec.pair
     if not (pair.form == "sum-of-dispersions" and pair.dispersion.separable):
-        return ()
+        return (), (0, 0)
 
-    def has_parity(vals: np.ndarray, axis: int) -> bool:
+    def parity(vals: np.ndarray, axis: int) -> int:     # +1 even, -1 odd, 0 neither
         flipped = vals[spec.grid.reflection_index((axis,))]
         tol = 1e-9 * max(1.0, np.max(np.abs(vals)))
-        return min(np.max(np.abs(flipped - vals)), np.max(np.abs(flipped + vals))) <= tol
+        return next((sign for sign in (1, -1)
+                     if np.max(np.abs(flipped - sign * vals)) <= tol), 0)
 
-    phis = [spec.phi_values(alpha) for alpha in (1, 2)]
-    return tuple(axis for axis in range(3) if all(has_parity(v, axis) for v in phis))
+    par = np.array([[parity(spec.phi_values(alpha), axis) for axis in range(3)]
+                    for alpha in (1, 2)])
+    axes = tuple(int(a) for a in np.flatnonzero(np.all(par != 0, axis=0)))
+    bits = 1 << np.arange(len(axes))[::-1]      # axis A[0] is the top flip bit
+    return axes, tuple(int((p[list(axes)] < 0) @ bits) for p in par)
 
 
 def assemble_bs_matrix(spec: ModelSpec, z: float) -> BSMatrix:
-    """Build the symmetric Nystrom matrix of T(z) (cross block materialized).
+    """Build the symmetric Nystrom matrix of T(z) (cross block materialized),
+    the dense test oracle: from the full pair matrix, not the workspace.
 
     Requires z < m and positive determinants at every node; raises the
     resource-cap error when the full matrix would exceed the dense cap.
@@ -221,8 +233,15 @@ def assemble_bs_matrix(spec: ModelSpec, z: float) -> BSMatrix:
         raise ResourceCapError(
             f"dense T(z) would have dimension {2 * spec.grid.size} > {DENSE_BS_DIM_CAP}; "
             f"use count_eigenvalues_below / count_report, which work blockwise")
-    stack, _, _ = _BSWorkspace(spec).blocks_into(z, ())
-    return BSMatrix(z=float(z), block12=stack[0].T.copy())
+    R = 1.0 / (pair_matrix(spec) - z)           # R[t, p], first slot of u first
+    w = spec.grid.weight
+    f1, f2 = spec.phi_values(1), spec.phi_values(2)
+    d1 = 1.0 - spec.mu1 * w * (f1 ** 2 @ R)
+    d2 = 1.0 - spec.mu2 * w * (R @ f2 ** 2)
+    if d1.min() <= 0.0 or d2.min() <= 0.0:
+        raise InvalidSpectralPointError(f"nonpositive determinant at z = {z}")
+    row = np.sqrt(spec.mu1 * spec.mu2) * w * f2 / np.sqrt(d1)
+    return BSMatrix(z=float(z), block12=row[:, None] * R.T * (f1 / np.sqrt(d2))[None, :])
 
 
 def count_above(matrix: np.ndarray, lam: float) -> int:
@@ -289,7 +308,7 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    stack, _, _ = ws.blocks_into(z, ws.axes)
+    stack, _, _ = ws.blocks_into(z)
     return _count_block_singular_above(stack, 1.0)
 
 
@@ -380,7 +399,7 @@ def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
     mu = spec.mu(alpha)
     # min over t of u_p(t): t runs over the flips k of every representative,
     # the first slot (U_k rows) in channel 1 and the second in channel 2
-    _, U, _ = ws._arrays(ws.axes)
+    U, _ = ws._arrays()
     vals_min = U.min(axis=(0, 1) if alpha == 1 else (0, 2))
     # bracket top just below the three-body threshold: quadrature sums are
     # finite there (every node value exceeds m) and roots above m are not
@@ -404,26 +423,26 @@ def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
 
 
 def model_kernel_block(spec: ModelSpec, hess: HessianData, s: float,
-                       delta: float = 1.0,
-                       rows: slice | None = None) -> np.ndarray:
+                       delta: float = 1.0, rows: Optional[np.ndarray] = None,
+                       cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Nystrom block of the threshold model kernel T(delta; s), cross entry only.
 
     d0 chi(p) chi(q) (n1 (Up,p) + 2s)^{-1/4} (n2 (Uq,q) + 2s)^{-1/4}
        / (l1 (Up,p) + 2 l (Up,q) + l2 (Uq,q) + 2s),
-    with chi the indicator of |U^{1/2} p| < delta and everything evaluated on
-    the grid nodes (weight-symmetrized).
+    with chi the indicator of |U^{1/2} p| < delta, over the points p (rows)
+    and q (cols), by default the grid nodes, with the grid weight.
     """
-    nodes = spec.grid.nodes
-    r = nodes if rows is None else nodes[rows]
+    r = spec.grid.nodes if rows is None else rows
+    c = spec.grid.nodes if cols is None else cols
     Uh = hess.U
     d0 = np.sqrt(hess.detU) / (2 * np.pi ** 2) * (hess.l1 * hess.l2) ** 0.75
     quad_r = np.einsum("ij,jk,ik->i", r, Uh, r)
-    quad_c = np.einsum("ij,jk,ik->i", nodes, Uh, nodes)
+    quad_c = np.einsum("ij,jk,ik->i", c, Uh, c)
     chi_r = (quad_r < delta * delta).astype(float)
     chi_c = (quad_c < delta * delta).astype(float)
     num_r = chi_r * (hess.n1 * quad_r + 2 * s) ** -0.25
     num_c = chi_c * (hess.n2 * quad_c + 2 * s) ** -0.25
-    cross = (r @ Uh) @ nodes.T
+    cross = (r @ Uh) @ c.T
     den = (hess.l1 * quad_r[:, None] + 2 * hess.l * cross
            + hess.l2 * quad_c[None, :] + 2 * s)
     return spec.grid.weight * d0 * num_r[:, None] * num_c[None, :] / den
@@ -439,26 +458,31 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
                    workspace: Optional[_BSWorkspace] = None) -> tuple[float, float]:
     """(HS norm of T(z), HS norm of T(z) - T(delta; |m-z|)).
 
-    The model kernel uses the Hessian structure at the minimum; extraction is
-    done on demand when `hess` is not supplied.
+    Squared norms are sums over the sector blocks (a unitary change of
+    basis).  The model kernel uses the Hessian structure at the minimum;
+    extraction is done on demand when `hess` is not supplied.
     """
-    from .model import hessian_at_minimum
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     _check_cutoff(delta)
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    stack, _, _ = ws.blocks_into(z, ())
-    block = stack[0].T
-    hs = np.sqrt(2.0) * float(np.linalg.norm(block))
-    s = spec.m - z
-    acc = 0.0
-    step = max(1, (1 << 27) // (8 * ws.N))
-    for i0 in range(0, ws.N, step):
-        rows = slice(i0, min(ws.N, i0 + step))
-        Mblk = model_kernel_block(spec, hess, s, delta, rows=rows)
-        acc += float(np.sum((block[rows] - Mblk) ** 2))
-    return hs, float(np.sqrt(2.0 * acc))
+    S, _, _ = ws.blocks_into(z)
+    # U is diagonal on every model with flip axes (the builtin separable ones:
+    # off-diagonal Hessian entries exactly 0.0), so the model kernel is flip
+    # invariant and keeps every sector.  Its blocks are the character sums of
+    # its flipped blocks, indexed (p, t) where T's are (t, p).
+    W = np.empty_like(S)
+    for k, t in ws.flipped():
+        W[k] = model_kernel_block(spec, hess, spec.m - z, delta, rows=t, cols=ws.r)
+    _walsh_hadamard(W)
+    hs2 = float(np.vdot(S, S))
+    c1, c2 = ws.chi
+    if c1 == c2:    # T keeps every sector psi, under the block label psi chi_2
+        diff2 = sum(float(np.sum((S[psi ^ c2].T - W[psi]) ** 2)) for psi in range(len(W)))
+    else:       # T and the model kernel sit in disjoint sector pairs
+        diff2 = hs2 + float(np.vdot(W, W))
+    return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2))
 
 
 def trust_floor(n: int) -> float:
@@ -469,8 +493,6 @@ def trust_floor(n: int) -> float:
 def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
                  with_hs: bool = True) -> CountReport:
     """Sweep N(z), determinant minima and HS diagnostics over a z-list."""
-    from .errors import NotProductFormError
-    from .model import hessian_at_minimum
     s_list = np.sort(np.unique(np.asarray(m_minus_z, dtype=float)))[::-1]
     if s_list.size == 0 or s_list.min() <= 0:
         raise ModelDataError("m - z values must be positive and nonempty")
@@ -491,7 +513,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         z = spec.m - s
         # Delta is invariant under the flips, so its minimum over the
         # representatives is its minimum over all nodes
-        stack, d1, d2 = ws.blocks_into(z, ws.axes)
+        stack, d1, d2 = ws.blocks_into(z)
         detmin[i] = min(float(d1.min()), float(d2.min()))
         counts[i] = _count_block_singular_above(stack, 1.0)
         if with_hs:

@@ -53,10 +53,6 @@ class ExpansionFit:
     npoints: int
 
 
-def _other(alpha: int) -> int:
-    return 2 if alpha == 1 else 1
-
-
 def channel_range(spec: ModelSpec, alpha: int, p: np.ndarray) -> ChannelRange:
     """min/max of u_p^(alpha) over the q-grid, with local refinement."""
     vals = spec.channel_values(alpha, p)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -62,10 +63,15 @@ def test_essential_report_serialization(tmp_path):
 
 def test_benchmark_trace_targets_exist(monkeypatch):
     # every function the benchmark wraps, and the workspace method its count
-    # pass calls, is where the benchmark looks it up
+    # pass calls, is where the benchmark looks it up and still takes the
+    # positional arguments the benchmark passes
     monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
     import workloads
     lib = workloads.Lib()
     for module, attr, _ in workloads.trace_targets(lib):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
-    assert callable(lib.threebody._BSWorkspace.determinants)
+    tb = lib.threebody
+    spec, z, delta, hess, ws = "spec", 0.0, 1.0, "hess", "ws"
+    inspect.signature(tb.hs_diagnostics).bind(spec, z, delta, hess, ws)
+    inspect.signature(tb.count_eigenvalues_below).bind(spec, z, ws)
+    inspect.signature(tb._BSWorkspace.determinants).bind(ws, z)    # ws.determinants(z)

@@ -6,16 +6,17 @@ from hypothesis import strategies as st
 from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
                        ResourceCapError, assemble_bs_matrix,
                        assemble_direct_hamiltonian, build_grid,
-                       builtin_epsilon, builtin_model, channel_eigenvalue,
-                       cos_axis_form_factor, count_above,
+                       builtin_dispersion, builtin_epsilon, builtin_model,
+                       channel_eigenvalue, cos_axis_form_factor, count_above,
                        count_eigenvalues_below, count_report,
-                       coupling_threshold, direct_count_below,
+                       coupling_threshold, custom_pair_energy, direct_count_below,
                        essential_spectrum, finite_dim_bs_identity_check,
                        form_factor, hs_diagnostics, lambda_on_grid, make_model,
                        pair_energy_sum, sin_axis_form_factor,
                        tabulated_dispersion, trust_floor)
 from lattice3b.model import hessian_at_minimum, pair_matrix
-from lattice3b.threebody import _BSWorkspace, _count_block_singular_above
+from lattice3b.threebody import (_BSWorkspace, _count_block_singular_above,
+                                 model_kernel_block)
 
 
 def test_count_above_examples():
@@ -170,6 +171,7 @@ def test_intermediate_sandwich_same_counts():
 
 # sin-a-b: phi1 odd on axis a, phi2 odd on axis b; each model with its flip axes
 SIN_Q1_PLUS_Q2 = form_factor(1, "odd", lambda q: np.sin(q[..., 0] + q[..., 1]))
+SIN_Q2_PLUS_Q3 = form_factor(2, "odd", lambda q: np.sin(q[..., 1] + q[..., 2]))
 SECTOR_MODELS = {
     "const": ({}, (0, 1, 2)),
     "sin-0-1": (dict(phi1=sin_axis_form_factor(1, 0), phi2=sin_axis_form_factor(2, 1)),
@@ -220,7 +222,7 @@ def test_sector_count_exact(case, n):
         assert counts == [_intermediate_count(spec, z) for z in zs]
     for z in zs:
         assert finite_dim_bs_identity_check(spec, z) <= 1e-12
-        blocks, _, _ = ws.blocks_into(z, ws.axes)
+        blocks, _, _ = ws.blocks_into(z)
         assert blocks.shape == (2 ** len(axes),) + (spec.grid.size >> len(axes),) * 2
         sv_sectors = np.sort(np.concatenate(
             [np.linalg.svd(b, compute_uv=False) for b in blocks]))
@@ -231,8 +233,7 @@ def test_sector_count_exact(case, n):
 
 def test_no_axis_parity_takes_full_block():
     # sin(q1+q2) has a parity on axis 3 only and sin(q2+q3) on axis 1 only
-    phi2 = form_factor(2, "odd", lambda q: np.sin(q[..., 1] + q[..., 2]))
-    spec = builtin_model(4, 0.0, 0.0, phi1=SIN_Q1_PLUS_Q2, phi2=phi2)
+    spec = builtin_model(4, 0.0, 0.0, phi1=SIN_Q1_PLUS_Q2, phi2=SIN_Q2_PLUS_Q3)
     spec = spec.with_params(mu1=coupling_threshold(spec, 1),
                             mu2=coupling_threshold(spec, 2))
     tab = _tabulated_band(4)
@@ -325,6 +326,55 @@ def test_hs_diagnostics_delta_limit(spec16_critical):
     hs2, diff1 = hs_diagnostics(spec16_critical, z, delta=1.0, hess=hess)
     assert hs2 == pytest.approx(hs, rel=1e-12)
     assert diff1 < hs
+
+
+# flip axes and the labels (c1, c2) of the form factors' parity characters
+# on them: T keeps every sector when c1 == c2, else it moves each one
+HS_MODELS = {
+    "const": ({}, (0, 1, 2), (0, 0)),
+    "sin-1-1": (dict(phi1=sin_axis_form_factor(1, 0), phi2=sin_axis_form_factor(2, 0)),
+                (0, 1, 2), (4, 4)),
+    "cos-2-sin-3": (dict(phi1=cos_axis_form_factor(1, 1), phi2=sin_axis_form_factor(2, 2)),
+                    (0, 1, 2), (0, 1)),
+    "weights-cross-6": (dict(axis_weights=(1.0, 2.0, 3.0), cross_weight=6.0),
+                        (0, 1, 2), (0, 0)),
+    "sin-q1+q2": (dict(phi1=SIN_Q1_PLUS_Q2), (2,), (0, 0)),
+    "no-parity": (dict(phi1=SIN_Q1_PLUS_Q2, phi2=SIN_Q2_PLUS_Q3), (), (0, 0)),
+    # u(t, p) != u(p, t): l1 != l2, so neither kernel is symmetric in (t, p)
+    "custom-asymmetric": (None, (), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("case", sorted(HS_MODELS))
+def test_hs_diagnostics_match_dense_block(case, n):
+    """The HS norm of T(z) and its distance to the model kernel, summed over
+    the sector blocks, equal the dense computation on the full cross block
+    and the full model-kernel block, for both parity-character branches."""
+    kwargs, axes, chi = HS_MODELS[case]
+    if kwargs is None:
+        eps = builtin_dispersion().fn
+        spec = make_model(custom_pair_energy(
+            lambda t, p: eps(t) + eps(t - p) + 2.0 * eps(p)), n, 0.0, 0.0)
+    else:
+        spec = builtin_model(n, 0.0, 0.0, **kwargs)
+    spec = spec.with_params(mu1=coupling_threshold(spec, 1),
+                            mu2=coupling_threshold(spec, 2))
+    hess = hessian_at_minimum(spec)
+    ws = _BSWorkspace(spec)
+    assert (ws.axes, ws.chi) == (axes, chi)
+    for s in (1e-1, 1e-2, 1e-4):
+        bs = assemble_bs_matrix(spec, spec.m - s)
+        # at n <= 8 the cutoffs 1 and 0.5 keep at most the 8 innermost nodes;
+        # 3 keeps about half the grid
+        for delta in (1.0, 0.5, 3.0):
+            hs, diff = hs_diagnostics(spec, spec.m - s, delta, hess, ws)
+            ref = np.linalg.norm(bs.block12 - model_kernel_block(spec, hess, s, delta))
+            assert hs == pytest.approx(bs.hs_norm(), rel=1e-12)
+            assert diff == pytest.approx(np.sqrt(2.0) * ref, rel=1e-12)
+    # the workspace holds the model's sector stacks only, never a full block
+    blocks = (2 ** len(axes),) + (spec.grid.size >> len(axes),) * 2
+    assert [a.shape for a in ws._arrays()] == [blocks, blocks]
 
 
 def test_count_report_columns_and_trust(spec16_critical):
