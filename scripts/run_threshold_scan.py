@@ -9,9 +9,8 @@ import argparse
 
 import numpy as np
 
-from lattice3b import (builtin_model, classify_threshold, coupling_threshold,
-                       expansion_fit, hessian_at_minimum,
-                       sin_axis_form_factor)
+from lattice3b import (builtin_model, classify_threshold, expansion_fit,
+                       hessian_at_minimum, sin_axis_form_factor)
 from lattice3b.twobody import expansion_slope_extrapolated
 
 
@@ -31,11 +30,10 @@ def main():
     mu0s = []
     for n in ns:
         spec = make(n)
-        mu0 = coupling_threshold(spec, 1)
-        mu0s.append(mu0)
         fit = expansion_fit(spec, 1)
-        cls = classify_threshold(spec, 1, mu=mu0)
-        print(f"n={n:3d}: mu0={mu0:.7f}  class={cls.value}  "
+        mu0s.append(fit.mu0)
+        cls = classify_threshold(spec, 1, mu=fit.mu0)
+        print(f"n={n:3d}: mu0={fit.mu0:.7f}  class={cls.value}  "
               f"sqrt-slope={fit.sqrt_slope:.5f}  residual={fit.residual:.2e}")
 
     A = np.stack([np.ones(len(ns)), 1.0 / np.asarray(ns, float)], axis=1)

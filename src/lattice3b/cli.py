@@ -92,13 +92,12 @@ def cmd_threshold(args) -> int:
     lines = []
     mu0s = []
     for alpha in (1, 2):
-        mu0 = twb.coupling_threshold(spec, alpha)
-        mu0s.append(mu0)
         cls = twb.classify_threshold(spec, alpha)
         fit = twb.expansion_fit(spec, alpha)
+        mu0s.append(fit.mu0)
         norms = twb.resonance_function_norm(spec, alpha)
         trend = "diverging" if norms[-1] > 1.5 * norms[0] else "bounded"
-        lines.append(f"channel {alpha}: mu0 = {mu0:.6g}  mu = {spec.mu(alpha):.6g}  "
+        lines.append(f"channel {alpha}: mu0 = {fit.mu0:.6g}  mu = {spec.mu(alpha):.6g}  "
                      f"class = {cls.value}")
         lines.append(f"  sqrt-slope = {fit.sqrt_slope:.6g} (residual {fit.residual:.2e})  "
                      f"norm trend = {trend} {['%.4g' % v for v in norms]}")

@@ -231,8 +231,10 @@ class ModelSpec:
         p = np.asarray(p, dtype=float).reshape(3)
         t = self.grid.nodes
         pb = np.broadcast_to(p, t.shape)
-        vals = self.pair(t, pb) if alpha == 1 else self.pair(pb, t)
-        return np.asarray(vals, dtype=float)
+        vals = np.asarray(self.pair(t, pb) if alpha == 1 else self.pair(pb, t), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ModelDataError("channel energies contain non-finite values")
+        return vals
 
     def with_params(self, **kw) -> "ModelSpec":
         return replace(self, **kw)
@@ -361,8 +363,8 @@ def make_model(pair: PairEnergy, n: int, mu1: float, mu2: float,
     grid = build_grid(n)
     phi1 = phi1 if phi1 is not None else const_form_factor(1)
     phi2 = phi2 if phi2 is not None else const_form_factor(2)
-    if float(mu1) < 0 or float(mu2) < 0:
-        raise ModelDataError("couplings must be nonnegative")
+    if not all(np.isfinite(float(mu)) and float(mu) >= 0 for mu in (mu1, mu2)):
+        raise ModelDataError(f"couplings must be finite and nonnegative, got {mu1}, {mu2}")
     m, M, argmin = extrema(pair, grid)
     if not M > m:
         raise DegenerateModelError(f"degenerate pair energy: m = M = {m}")

@@ -83,14 +83,30 @@ def load_dispersion_csv(path: str, n: int) -> Dispersion:
     return tabulated_dispersion(grid, ordered)
 
 
+def _number(value, name: str, integer: bool = False):
+    """A finite JSON number from a model file; an integer field takes only
+    integral values (16 or 16.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelDataError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = np.inf
+    if not np.isfinite(x) or (integer and not x.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise ModelDataError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else x
+
+
 def _form_factor_from(cfg: dict, channel: int) -> FormFactor:
     kind = cfg.get("kind", "const")
     if kind == "const":
-        return const_form_factor(channel, float(cfg.get("value", 1.0)))
+        return const_form_factor(channel, _number(cfg.get("value", 1.0), f"phi{channel} value"))
+    axis = _number(cfg.get("axis", 1), f"phi{channel} axis", integer=True) - 1
     if kind == "sin_axis":
-        return sin_axis_form_factor(channel, int(cfg.get("axis", 1)) - 1)
+        return sin_axis_form_factor(channel, axis)
     if kind == "cos_axis":
-        return cos_axis_form_factor(channel, int(cfg.get("axis", 1)) - 1)
+        return cos_axis_form_factor(channel, axis)
     raise ModelDataError(f"unknown form factor kind {kind!r}")
 
 
@@ -105,15 +121,19 @@ def load_model(path: str, grid_override: int | None = None) -> LoadedModel:
         raise ModelDataError(f"{path}: not valid JSON ({exc})") from exc
     if "grid_n" not in cfg and grid_override is None:
         raise ModelDataError(f"{path}: grid_n is required")
-    n = int(grid_override if grid_override is not None else cfg["grid_n"])
-    delta = float(cfg.get("delta", 1.0))
-    if not (np.isfinite(delta) and delta > 0):
+    n = int(grid_override) if grid_override is not None \
+        else _number(cfg["grid_n"], "grid_n", integer=True)
+    delta = _number(cfg.get("delta", 1.0), "delta")
+    if not delta > 0:
         raise ModelDataError(f"{path}: delta must be finite and positive, got {delta}")
 
     disp_cfg = cfg.get("dispersion", {"kind": "builtin"})
     kind = disp_cfg.get("kind", "builtin")
     if kind == "builtin":
-        disp = builtin_dispersion(disp_cfg.get("axis_weights", (1.0, 1.0, 1.0)))
+        weights = disp_cfg.get("axis_weights", [1.0, 1.0, 1.0])
+        if not isinstance(weights, list):
+            raise ModelDataError(f"axis_weights must be a list, got {weights!r}")
+        disp = builtin_dispersion([_number(w, "axis weight") for w in weights])
     elif kind == "tabulated":
         csv_path = disp_cfg.get("csv")
         if not csv_path:
@@ -127,17 +147,15 @@ def load_model(path: str, grid_override: int | None = None) -> LoadedModel:
     pair_cfg = cfg.get("pair_energy", {"form": "sum"})
     if pair_cfg.get("form", "sum") not in ("sum", "sum-of-dispersions"):
         raise ModelDataError(f"unsupported pair energy form {pair_cfg.get('form')!r}")
-    pair = pair_energy_sum(disp, float(pair_cfg.get("cross_weight", 1.0)))
+    pair = pair_energy_sum(disp, _number(pair_cfg.get("cross_weight", 1.0), "cross_weight"))
 
     phi1 = _form_factor_from(cfg.get("phi1", {}), 1)
     phi2 = _form_factor_from(cfg.get("phi2", {}), 2)
 
     mu_cfg = (cfg.get("mu1", 0.0), cfg.get("mu2", 0.0))
     critical = tuple(isinstance(v, str) and v == "critical" for v in mu_cfg)
-    for v in mu_cfg:
-        if isinstance(v, str) and v != "critical":
-            raise ModelDataError(f"coupling must be a number or 'critical', got {v!r}")
-    mu_start = [0.0 if c else float(v) for v, c in zip(mu_cfg, critical)]
+    mu_start = [0.0 if c else _number(v, f"mu{a} (a number or 'critical')")
+                for a, (v, c) in enumerate(zip(mu_cfg, critical), 1)]
 
     spec = make_model(pair, n, mu_start[0], mu_start[1], phi1, phi2)
     if any(critical):

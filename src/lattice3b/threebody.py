@@ -467,7 +467,13 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
     _check_cutoff(delta)
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    S, _, _ = ws.blocks_into(z)
+    return _hs_of_stack(ws, ws.blocks_into(z)[0], z, delta, hess)
+
+
+def _hs_of_stack(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
+                 hess: HessianData) -> tuple[float, float]:
+    """hs_diagnostics from the sector stack S = ws.blocks_into(z)[0]."""
+    spec = ws.spec
     # U is diagonal on every model with flip axes (the builtin separable ones:
     # off-diagonal Hessian entries exactly 0.0), so the model kernel is flip
     # invariant and keeps every sector.  Its blocks are the character sums of
@@ -517,7 +523,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         detmin[i] = min(float(d1.min()), float(d2.min()))
         counts[i] = _count_block_singular_above(stack, 1.0)
         if with_hs:
-            hs[i], hsd[i] = hs_diagnostics(spec, z, delta, hess, ws)
+            hs[i], hsd[i] = _hs_of_stack(ws, stack, z, delta, hess)
     return CountReport(
         m_minus_z=s_list, counts=counts, det_min=detmin, hs_norm=hs, hs_diff=hsd,
         trusted=s_list >= floor,

@@ -51,40 +51,41 @@ class ExpansionFit:
     residual: float
     window: tuple[float, float]
     npoints: int
+    mu0: float      # the critical coupling, from the fit's own channel line
+
+
+def _refined_extremum(spec: ModelSpec, alpha: int, p: np.ndarray,
+                      vals: np.ndarray, sign: float) -> float:
+    """Minimum (sign = 1) or maximum (sign = -1) of u_p^(alpha) from its grid
+    values vals, refined by one Nelder-Mead run from the extremal node on
+    smooth models; tabulated models keep the grid value."""
+    i = int(np.argmin(sign * vals))
+    best = sign * float(vals[i])
+    if spec.pair.dispersion is None or spec.pair.dispersion.kind != "tabulated":
+        pp = np.asarray(p, dtype=float).reshape(1, 3)
+
+        def f(q):
+            q = q[None, :]
+            v = spec.pair(q, pp) if alpha == 1 else spec.pair(pp, q)
+            return sign * float(v[0])
+
+        res = minimize(f, spec.grid.nodes[i], method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
+        best = min(best, float(res.fun))
+    return sign * best
 
 
 def channel_range(spec: ModelSpec, alpha: int, p: np.ndarray) -> ChannelRange:
     """min/max of u_p^(alpha) over the q-grid, with local refinement."""
     vals = spec.channel_values(alpha, p)
-    if not np.all(np.isfinite(vals)):
-        raise ModelDataError("channel energies contain non-finite values")
-    lo = float(vals.min())
-    hi = float(vals.max())
-    smooth = spec.pair.dispersion is None or spec.pair.dispersion.kind != "tabulated"
-    if smooth:
-        p = np.asarray(p, dtype=float).reshape(3)
-
-        def f(q):
-            q = q[None, :]
-            pp = p[None, :]
-            v = spec.pair(q, pp) if alpha == 1 else spec.pair(pp, q)
-            return float(v[0])
-
-        q0 = spec.grid.nodes[int(np.argmin(vals))]
-        res = minimize(f, q0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-        lo = min(lo, float(res.fun))
-        q0 = spec.grid.nodes[int(np.argmax(vals))]
-        res = minimize(lambda q: -f(q), q0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-        hi = max(hi, float(-res.fun))
-    return ChannelRange(m_alpha=lo, M_alpha=hi)
+    return ChannelRange(m_alpha=_refined_extremum(spec, alpha, p, vals, 1.0),
+                        M_alpha=_refined_extremum(spec, alpha, p, vals, -1.0))
 
 
 def _lambda_line(spec: ModelSpec, alpha: int, p: np.ndarray, z_values) -> list[float]:
     """Lambda_alpha(p, z) for each z in z_values (see lambda_integral).
 
-    The channel energies, phi^2 and the channel range do not depend on z and
+    The channel energies, phi^2 and the channel bottom do not depend on z and
     are built once; each z then costs one subtraction and one sum.  Both
     domain checks bound z from above, so they are made on the largest z.
     """
@@ -94,7 +95,7 @@ def _lambda_line(spec: ModelSpec, alpha: int, p: np.ndarray, z_values) -> list[f
     if gap <= 0.0:
         raise OutOfDomainError(
             f"z = {z_top} is not below the channel spectrum (min u - z = {gap:.3e})")
-    m_alpha = channel_range(spec, alpha, p).m_alpha
+    m_alpha = _refined_extremum(spec, alpha, p, vals, 1.0)
     if z_top > m_alpha + 1e-12 * max(1.0, abs(m_alpha)):
         raise OutOfDomainError(f"z = {z_top} exceeds the channel bottom m_alpha = {m_alpha}")
     phi2 = spec.phi_values(alpha) ** 2
@@ -116,21 +117,26 @@ def fredholm_det(spec: ModelSpec, alpha: int, p: np.ndarray, z: float,
     return 1.0 - mu * lambda_integral(spec, alpha, p, z)
 
 
-def coupling_threshold(spec: ModelSpec, alpha: int) -> float:
-    """Critical coupling mu0 = 1 / Lambda_alpha(0, m).
-
-    Tabulated (trilinear) models whose interpolated minimum is attained at a
-    node make the threshold integral diverge on the grid; that surfaces as the
-    degenerate-model error.
+def _threshold_line(spec: ModelSpec, alpha: int, s_values=()) -> tuple[float, list[float]]:
+    """mu0 = 1 / Lambda_alpha(0, m) and Lambda_alpha(0, m - s) for s in
+    s_values, from one channel line.  Tabulated (trilinear) models whose
+    interpolated minimum is attained at a node make the threshold integral
+    diverge on the grid; that surfaces as the degenerate-model error.
     """
     try:
-        lam = lambda_integral(spec, alpha, np.zeros(3), spec.m)
+        lam0, *lams = _lambda_line(spec, alpha, np.zeros(3),
+                                   [spec.m, *(spec.m - np.asarray(s_values))])
     except OutOfDomainError as exc:
         raise DegenerateModelError(
             f"threshold integral diverges on this grid ({exc})") from exc
-    if not np.isfinite(lam) or lam <= 0:
-        raise DegenerateModelError(f"Lambda_alpha(0, m) = {lam} is not positive finite")
-    return 1.0 / lam
+    if not np.isfinite(lam0) or lam0 <= 0:
+        raise DegenerateModelError(f"Lambda_alpha(0, m) = {lam0} is not positive finite")
+    return 1.0 / lam0, lams
+
+
+def coupling_threshold(spec: ModelSpec, alpha: int) -> float:
+    """Critical coupling mu0 = 1 / Lambda_alpha(0, m)."""
+    return _threshold_line(spec, alpha)[0]
 
 
 def channel_eigenvalue(spec: ModelSpec, alpha: int, p: np.ndarray,
@@ -145,13 +151,10 @@ def channel_eigenvalue(spec: ModelSpec, alpha: int, p: np.ndarray,
         raise ModelDataError("coupling must be nonnegative")
     if mu == 0.0:
         return None
-    rng_a = channel_range(spec, alpha, p)
-    top = rng_a.m_alpha
-    phi2max = float(np.max(spec.phi_values(alpha) ** 2))
-    z_lo = top - (spec.M - spec.m) - mu * TWO_PI ** 3 * phi2max
-
     vals = spec.channel_values(alpha, p)
+    top = _refined_extremum(spec, alpha, p, vals, 1.0)
     phi2 = spec.phi_values(alpha) ** 2
+    z_lo = top - (spec.M - spec.m) - mu * TWO_PI ** 3 * float(np.max(phi2))
     w = spec.grid.weight
 
     def delta(z):
@@ -202,14 +205,9 @@ def resonance_function_norm(spec: ModelSpec, alpha: int,
     """
     out = []
     for n in n_sequence:
-        grid = build_grid(n)
-        t = grid.nodes
-        p0 = np.zeros((1, 3))
-        pb = np.broadcast_to(p0, t.shape)
-        vals = spec.pair(t, pb) if alpha == 1 else spec.pair(pb, t)
-        phi = spec.phi(alpha)(t)
-        f = phi / (vals - spec.m)
-        out.append(float(grid.weight * np.sum(f * f)))
+        spec_n = spec.with_params(grid=build_grid(n))
+        f = spec_n.phi_values(alpha) / (spec_n.channel_values(alpha, np.zeros(3)) - spec.m)
+        out.append(float(spec_n.grid.weight * np.sum(f * f)))
     return out
 
 
@@ -228,9 +226,9 @@ def expansion_fit(spec: ModelSpec, alpha: int,
     lo, hi = window
     if not 0 < lo < hi:
         raise ModelDataError(f"bad fit window {window!r}")
-    mu0 = coupling_threshold(spec, alpha)
     s_vals = np.geomspace(lo, hi, npoints)
-    y = 1.0 - mu0 * np.array(_lambda_line(spec, alpha, np.zeros(3), spec.m - s_vals))
+    mu0, lams = _threshold_line(spec, alpha, s_vals)
+    y = 1.0 - mu0 * np.array(lams)
     X = np.stack([np.sqrt(s_vals), s_vals, s_vals ** 1.5], axis=1)
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef
@@ -239,7 +237,7 @@ def expansion_fit(spec: ModelSpec, alpha: int,
         raise ExpansionMismatchError(
             f"threshold expansion fit residual {rel:.3e} exceeds {residual_tol}")
     return ExpansionFit(sqrt_slope=float(coef[0]), linear_coef=float(coef[1]),
-                        residual=rel, window=(lo, hi), npoints=npoints)
+                        residual=rel, window=(lo, hi), npoints=npoints, mu0=mu0)
 
 
 def expansion_slope_extrapolated(make_spec, ns: tuple[int, ...] = (32, 48, 64),

@@ -44,6 +44,14 @@ def test_constant_pair_energy_rejected():
         make_model(pair, 4, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1.0])
+def test_make_model_rejects_bad_coupling(mu):
+    pair = pair_energy_sum(builtin_dispersion())
+    for mu1, mu2 in ((mu, 0.0), (0.0, mu)):
+        with pytest.raises(ModelDataError, match="finite and nonnegative"):
+            make_model(pair, 4, mu1, mu2)
+
+
 def test_extrema_custom_matches_separable():
     disp = builtin_dispersion()
     pair_c = custom_pair_energy(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,63 @@ def test_cli_threshold_classification(tmp_path, capsys):
     assert main(["threshold", "--model", model_half]) == 0
     out = capsys.readouterr().out
     assert out.count("class = Regular") == 2
+
+
+def test_cli_threshold_builds_each_channel_line_once(tmp_path, monkeypatch, capsys):
+    # per channel: classify_threshold's mu0 line and the fit's line (which
+    # also gives the printed mu0); load_model's critical couplings add one each
+    from lattice3b import cli
+    from lattice3b.model import ModelSpec
+    grids, loaded = [], []
+    values, load = ModelSpec.channel_values, cli.load_model
+
+    def count_values(self, alpha, p):
+        grids.append(self.grid)
+        return values(self, alpha, p)
+
+    def keep_loaded(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(ModelSpec, "channel_values", count_values)
+    monkeypatch.setattr(cli, "load_model", keep_loaded)
+    model = str(Path(__file__).parent.parent / "models" / "builtin_critical.json")
+    assert main(["threshold", "--model", model, "--grid", "16"]) == 0
+    assert "class = Resonance" in capsys.readouterr().out
+    own = loaded[0].spec.grid
+    assert own.n == 16
+    assert sum(g is own for g in grids) == 6
+
+
+BAD_NUMBERS = [
+    {"grid_n": 8.7}, {"grid_n": "8"}, {"grid_n": [8]}, {"grid_n": True},
+    {"delta": "1"}, {"delta": [1.0]}, {"delta": float("nan")},
+    {"pair_energy": {"form": "sum", "cross_weight": "2"}},
+    {"pair_energy": {"form": "sum", "cross_weight": [2.0]}},
+    {"dispersion": {"kind": "builtin", "axis_weights": 1.0}},
+    {"dispersion": {"kind": "builtin", "axis_weights": [1.0, "1", 1.0]}},
+    {"mu1": "0.01"}, {"mu1": [0.01]}, {"mu1": float("nan")}, {"mu1": float("inf")},
+    {"mu1": -1.0},
+    {"phi1": {"kind": "sin_axis", "axis": "1"}},
+    {"phi1": {"kind": "cos_axis", "axis": 1.5}},
+    {"phi1": {"kind": "const", "value": "1"}},
+    {"phi1": {"kind": "const", "value": [1.0]}},
+]
+
+
+@pytest.mark.parametrize("command,overrides", [
+    *(("validate", o) for o in BAD_NUMBERS),
+    ("threshold", {"mu1": float("nan")}), ("count", {"mu1": float("nan")}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_cli_bad_numbers_in_model_file(tmp_path, capsys, command, overrides):
+    model = write_model(tmp_path / "m.json", **{"mu1": 0.01, "mu2": 0.01, **overrides})
+    assert main([command, "--model", model]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_integral_float_grid_accepted(tmp_path):
+    loaded = load_model(write_model(tmp_path / "m.json", grid_n=8.0))
+    assert loaded.spec.grid.n == 8
 
 
 def test_cli_count_deterministic_and_trusted(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import subprocess
@@ -62,9 +63,9 @@ def test_essential_report_serialization(tmp_path):
 
 
 def test_benchmark_trace_targets_exist(monkeypatch):
-    # every function the benchmark wraps, and the workspace method its count
-    # pass calls, is where the benchmark looks it up and still takes the
-    # positional arguments the benchmark passes
+    # every function the benchmark wraps or calls, and the workspace method its
+    # count pass calls, is where the benchmark looks it up and still takes the
+    # arguments the benchmark passes
     monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
     import workloads
     lib = workloads.Lib()
@@ -75,3 +76,14 @@ def test_benchmark_trace_targets_exist(monkeypatch):
     inspect.signature(tb.hs_diagnostics).bind(spec, z, delta, hess, ws)
     inspect.signature(tb.count_eigenvalues_below).bind(spec, z, ws)
     inspect.signature(tb._BSWorkspace.determinants).bind(ws, z)    # ws.determinants(z)
+    # the set-up loads and the threshold_efimov pass
+    path, n, params, mu, r, table = "path", 16, "params", 1.0, 100.0, "table"
+    inspect.signature(lib.modelio.load_model).bind(path, n)
+    inspect.signature(lib.twobody.expansion_fit).bind(spec, 1)
+    inspect.signature(lib.model.hessian_at_minimum).bind(spec)
+    inspect.signature(lib.efimov.efimov_params).bind(hess)
+    inspect.signature(lib.efimov.mode_table).bind(params)
+    inspect.signature(lib.efimov.ucoef).bind(params, mu, table=table)
+    inspect.signature(lib.efimov.sobolev_finite).bind(params, r, mu, table=table)
+    inspect.signature(lib.reports.write_report).bind("report", path, "csv")
+    assert "sqrt_slope" in {f.name for f in dataclasses.fields(lib.twobody.ExpansionFit)}

@@ -377,21 +377,34 @@ def test_hs_diagnostics_match_dense_block(case, n):
     assert [a.shape for a in ws._arrays()] == [blocks, blocks]
 
 
-def test_count_report_columns_and_trust(spec16_critical):
+def test_count_report_columns_and_trust(spec16_critical, monkeypatch):
     s_vals = np.geomspace(1e-3, 1e-1, 5)
+    blocks_into = _BSWorkspace.blocks_into
+    calls = []
+
+    def count_blocks(self, z):
+        calls.append(z)
+        return blocks_into(self, z)
+
+    monkeypatch.setattr(_BSWorkspace, "blocks_into", count_blocks)
     rep = count_report(spec16_critical, s_vals, with_hs=True)
+    assert len(calls) == len(s_vals)        # the count and HS share each row's stack
+    monkeypatch.undo()
     assert rep.m_minus_z[0] > rep.m_minus_z[-1]
     assert np.all(np.diff(rep.counts) >= 0)            # counts grow toward threshold
     floor = trust_floor(16)
     assert np.array_equal(rep.trusted, rep.m_minus_z >= floor)
     assert np.all(np.isfinite(rep.hs_norm))
     assert np.all(rep.det_min > 0)
-    # one blocks_into call per row gives the count and det_min of the
-    # standalone counter and of the determinants on every node
+    # one blocks_into call per row gives the count, det_min and HS columns of
+    # the standalone counter, the determinants on every node and hs_diagnostics
     ws = _BSWorkspace(spec16_critical)
-    for s, count, det_min in zip(rep.m_minus_z, rep.counts, rep.det_min):
+    hess = hessian_at_minimum(spec16_critical)
+    for s, count, det_min, hs, hsd in zip(rep.m_minus_z, rep.counts, rep.det_min,
+                                          rep.hs_norm, rep.hs_diff):
         z = spec16_critical.m - s
         assert count == count_eigenvalues_below(spec16_critical, z, ws)
         assert det_min == min(float(d.min()) for d in ws.determinants(z))
+        assert (hs, hsd) == hs_diagnostics(spec16_critical, z, 1.0, hess, ws)
     text = rep.to_csv()
     assert text.splitlines()[0] == "m_minus_z,count,det_min,hs_norm,hs_diff,trusted"

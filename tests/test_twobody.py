@@ -62,27 +62,33 @@ def test_lambda_line_out_of_domain(spec8):
 
 
 def test_expansion_fit_builds_channel_once(monkeypatch):
+    # mu0 and the window come from one channel line: one channel build and
+    # one Nelder-Mead refinement of its bottom, whatever the number of points
     spec = builtin_model(8, 0.0, 0.0)
-    calls = {"values": 0, "range": 0}
-    values, rng = ModelSpec.channel_values, twobody.channel_range
+    calls = {"values": 0, "minimize": 0}
+    values, minimize = ModelSpec.channel_values, twobody.minimize
 
     def count_values(self, alpha, p):
         calls["values"] += 1
         return values(self, alpha, p)
 
-    def count_range(*args, **kwargs):
-        calls["range"] += 1
-        return rng(*args, **kwargs)
+    def count_minimize(*args, **kwargs):
+        calls["minimize"] += 1
+        return minimize(*args, **kwargs)
 
     monkeypatch.setattr(ModelSpec, "channel_values", count_values)
-    monkeypatch.setattr(twobody, "channel_range", count_range)
-    seen = []
+    monkeypatch.setattr(twobody, "minimize", count_minimize)
     for npoints in (5, 25):
-        calls.update(values=0, range=0)
+        calls.update(values=0, minimize=0)
         expansion_fit(spec, 1, npoints=npoints)
-        seen.append(dict(calls))
-    assert seen[0] == seen[1]
-    assert seen[0]["range"] == 2      # coupling_threshold, then the window line
+        assert calls == {"values": 1, "minimize": 1}
+
+
+@pytest.mark.parametrize("phi1", [None, sin_axis_form_factor(1, 0)], ids=["const", "sin"])
+def test_expansion_fit_mu0_is_coupling_threshold(phi1):
+    spec = builtin_model(16, 0.0, 0.0, phi1=phi1)
+    for alpha in (1, 2):
+        assert expansion_fit(spec, alpha).mu0 == coupling_threshold(spec, alpha)
 
 
 def test_lambda_threshold_richardson_matches_oracle():
