@@ -150,13 +150,13 @@ def cmd_efimov(args) -> int:
     hess = hessian_at_minimum(spec)
     params = efi.efimov_params(hess)
     table = efi.mode_table(params, args.lmax, args.lambda_max)
-    u1 = efi.ucoef(params, args.mu, args.lmax, args.lambda_max, table=table)
+    u1 = efi.ucoef(params, args.mu, table=table)
     print(f"u12 = {params.u12:.6g}  s12 = {params.s12:.6g}  r12 = {params.r12:.6g}")
     print(f"U({args.mu:g}) = {u1:.6g}")
     print("r,n_mu_Sr,half_n_over_r")
     ratios = []
     for r in r_list:
-        nr = efi.sobolev_finite(params, r, args.mu, args.lmax, table=table)
+        nr = efi.sobolev_finite(params, r, args.mu, table=table)
         ratios.append(0.5 * nr / r)
         print(f"{r:g},{nr},{0.5 * nr / r:.6g}")
     if args.count_report:

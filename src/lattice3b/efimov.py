@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legval
+from numpy.polynomial.legendre import leggauss, legvander
+from scipy.linalg import hankel
 
-from .errors import DegenerateCouplingError, InsufficientDataError, ModelDataError
+from .errors import (DegenerateCouplingError, InsufficientDataError, ModelDataError,
+                     ResourceCapError)
 from .model import HessianData
 from .reports import CountReport
 
@@ -28,6 +30,9 @@ ELL_MAX = 40
 LAMBDA_MAX = 50.0
 N_LAMBDA = 20001
 GL_NODES = 64
+NODES_PER_UNIT = 8          # S_r Nystrom nodes per unit length
+SLOPE_MIN_POINTS = 4        # trusted rows asymptotic_slope needs
+MAX_ENTRIES = 2 ** 28       # largest S_r block (r <= 2048) or mode table
 
 
 @dataclass(frozen=True)
@@ -60,39 +65,24 @@ def efimov_params(h: HessianData) -> EfimovParams:
 _GLX, _GLW = leggauss(GL_NODES)
 
 
+def _require_entries(entries: int, what: str) -> None:
+    if entries > MAX_ENTRIES:
+        raise ResourceCapError(f"{what} needs {entries} entries, above the cap of "
+                               f"{MAX_ENTRIES}")
+
+
 def _legendre_rows(ell_max: int) -> np.ndarray:
-    eye = np.eye(ell_max + 1)
-    return np.stack([legval(_GLX, eye[l]) for l in range(ell_max + 1)])
+    return legvander(_GLX, ell_max).T
 
 
 def _sinh_ratio(lam, b):
-    """sinh(lam b)/sinh(lam pi) for b in (0, pi), stable for any lam >= 0."""
-    lam = np.asarray(lam, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """sinh(lam b)/sinh(lam pi) for b in (0, pi), stable for any lam >= 0 (arrays)."""
     lam_b = lam * b
     lam_pi = lam * np.pi
     small = lam_pi < 1e-8
     safe = np.where(small, 1.0, lam_pi)
     out = np.exp(lam_b - safe) * (-np.expm1(-2 * lam_b)) / (-np.expm1(-2 * safe))
     return np.where(small, b / np.pi, out)
-
-
-def legendre_mode(params: EfimovParams, ell: int, lam: float) -> float:
-    """Degree-ell eigenvalue of the off-diagonal sphere-operator block.
-
-    2 pi int P_ell(t) (2 pi)^{-1} u12 sinh[lam(pi - arccos(s12 t))] /
-    (sqrt(1 - s12^2 t^2) sinh(pi lam)) dt by 64-node Gauss-Legendre; the phase
-    e^{i r12 lam} is carried separately since only |mode| enters any count.
-    lam = 0 takes the limit value (pi - arccos(s t))/pi of the sinh ratio.
-    """
-    if ell < 0:
-        raise ModelDataError("ell must be nonnegative")
-    if lam < 0:
-        raise ModelDataError("lam must be nonnegative (modes are even in lambda)")
-    P = legval(_GLX, np.eye(ell + 1)[ell])
-    b = np.pi - np.arccos(params.s12 * _GLX)
-    integ = P * _sinh_ratio(lam, b) / np.sqrt(1.0 - params.s12 ** 2 * _GLX ** 2)
-    return float(params.u12 * np.sum(_GLW * integ))
 
 
 @dataclass(frozen=True)
@@ -120,13 +110,14 @@ class ModeTable:
         return "\n".join(lines) + "\n"
 
 
-def mode_table(params: EfimovParams, ell_max: int = ELL_MAX,
-               lam_max: float = LAMBDA_MAX, n_lam: int = N_LAMBDA) -> ModeTable:
-    """Tabulate all modes; vectorized over the (ell, lambda) product."""
-    if ell_max < 0 or not lam_max > 0 or n_lam < 2:
-        raise ModelDataError(f"mode table needs ell_max >= 0, lam_max > 0 and n_lam >= 2, "
-                             f"got {ell_max}, {lam_max}, {n_lam}")
-    lams = np.linspace(0.0, lam_max, n_lam)
+def _modes(params: EfimovParams, lams: np.ndarray, ell_max: int) -> ModeTable:
+    """All modes l = 0..ell_max at the given lambdas.
+
+    shat_l(lambda) = 2 pi int P_l(t) (2 pi)^{-1} u12 sinh[lambda(pi - arccos(s12 t))]
+    / (sqrt(1 - s12^2 t^2) sinh(pi lambda)) dt by 64-node Gauss-Legendre (lambda = 0
+    takes the limit (pi - arccos(s t))/pi of the sinh ratio); the phase
+    e^{i r12 lambda} is dropped since only |mode| enters any count.
+    """
     b = np.pi - np.arccos(params.s12 * _GLX)
     ratio = _sinh_ratio(lams[:, None], b[None, :])          # (n_lam, 64)
     integ = ratio / np.sqrt(1.0 - params.s12 ** 2 * _GLX ** 2)
@@ -134,6 +125,34 @@ def mode_table(params: EfimovParams, ell_max: int = ELL_MAX,
     values = params.u12 * np.einsum("lk,nk->ln", P, integ)
     return ModeTable(params=params, ells=np.arange(ell_max + 1), lams=lams,
                      values=values)
+
+
+def _column(params: EfimovParams, lam: float, ell_max: int) -> ModeTable:
+    """The mode table at the single lambda lam."""
+    if ell_max < 0:
+        raise ModelDataError("ell must be nonnegative")
+    if not lam >= 0:
+        raise ModelDataError("lam must be nonnegative (modes are even in lambda)")
+    _require_entries((ell_max + 1) * GL_NODES, "mode column")
+    return _modes(params, np.array([float(lam)]), ell_max)
+
+
+def legendre_mode(params: EfimovParams, ell: int, lam: float) -> float:
+    """Degree-ell eigenvalue of the off-diagonal sphere-operator block: the
+    (ell, lam) entry of the mode table."""
+    return float(_column(params, lam, ell).values[ell, 0])
+
+
+def mode_table(params: EfimovParams, ell_max: int = ELL_MAX,
+               lam_max: float = LAMBDA_MAX, n_lam: int = N_LAMBDA) -> ModeTable:
+    """Tabulate all modes on n_lam equispaced lambdas in [0, lam_max]; the table,
+    its Legendre rows and its integrand each fit in the capped size
+    max(ell_max + 1, 64) * max(n_lam, 64)."""
+    if ell_max < 0 or not 0 < lam_max < np.inf or n_lam < 2:
+        raise ModelDataError(f"mode table needs ell_max >= 0, finite lam_max > 0 and "
+                             f"n_lam >= 2, got {ell_max}, {lam_max}, {n_lam}")
+    _require_entries(max(ell_max + 1, GL_NODES) * max(n_lam, GL_NODES), "mode table")
+    return _modes(params, np.linspace(0.0, lam_max, n_lam), ell_max)
 
 
 def count_sphere_operator(params: EfimovParams, lam: float, mu: float,
@@ -145,8 +164,16 @@ def count_sphere_operator(params: EfimovParams, lam: float, mu: float,
     """
     if not mu > 0:
         raise ModelDataError("mu must be positive")
-    modes = np.array([legendre_mode(params, l, lam) for l in range(ell_max + 1)])
-    return int(np.sum((np.abs(modes) > mu) * (2 * np.arange(ell_max + 1) + 1)))
+    return int(_column(params, lam, ell_max).counts(mu)[0])
+
+
+def _table_for(params: EfimovParams, table: ModeTable | None, *grid) -> ModeTable:
+    """The given table, which must belong to params, else mode_table(params, *grid)."""
+    if table is None:
+        return mode_table(params, *grid)
+    if table.params != params:
+        raise ModelDataError(f"mode table was built for {table.params}, not {params}")
+    return table
 
 
 def ucoef(params: EfimovParams, mu: float, ell_max: int = ELL_MAX,
@@ -155,13 +182,12 @@ def ucoef(params: EfimovParams, mu: float, ell_max: int = ELL_MAX,
     """U(mu) = (4 pi)^{-1} int_R n(mu, Shat(lambda)) dlambda.
 
     The integrand is even and integer valued with exponentially decaying
-    support; trapezoid over [0, lam_max], doubled.
+    support; trapezoid over [0, lam_max], doubled, on the table's lambdas.
     """
     if not mu > 0:
         raise ModelDataError("mu must be positive")
-    tbl = table if table is not None else mode_table(params, ell_max, lam_max, n_lam)
-    counts = tbl.counts(mu)
-    return float(2.0 * np.trapezoid(counts, tbl.lams) / (4 * np.pi))
+    tbl = _table_for(params, table, ell_max, lam_max, n_lam)
+    return float(2.0 * np.trapezoid(tbl.counts(mu), tbl.lams) / (4 * np.pi))
 
 
 def sobolev_1d_kernel(params: EfimovParams, ell: int, y: np.ndarray) -> np.ndarray:
@@ -170,7 +196,7 @@ def sobolev_1d_kernel(params: EfimovParams, ell: int, y: np.ndarray) -> np.ndarr
     S(y, t) = (2 pi)^{-2} u12 / (cosh(y + r12) + s12 t); Gauss-Legendre in t.
     """
     y = np.asarray(y, dtype=float)
-    P = legval(_GLX, np.eye(ell + 1)[ell]) * _GLW
+    P = _legendre_rows(ell)[ell] * _GLW
     # cosh overflows beyond ~710; the kernel is ~1e-300 there, clip instead
     arg = np.minimum(np.abs(y + params.r12), 700.0)
     den = np.cosh(arg)[..., None] + params.s12 * _GLX
@@ -178,46 +204,43 @@ def sobolev_1d_kernel(params: EfimovParams, ell: int, y: np.ndarray) -> np.ndarr
 
 
 def sobolev_finite(params: EfimovParams, r: float, mu: float,
-                   ell_max: int = ELL_MAX, nodes_per_unit: int = 8,
-                   table: ModeTable | None = None) -> int:
+                   ell_max: int = ELL_MAX, table: ModeTable | None = None) -> int:
     """n(mu, S_r): total count of singular values of the finite operator above mu.
 
-    Per degree l the 1D block on (0, r) is Nystrom-discretized with ceil(8 r)
-    midpoint nodes; its singular values cannot exceed sup_lambda |shat_l|, so
-    degrees whose symbol maximum stays below mu are skipped outright.
+    Per degree l of the table the block K_ij = h s_l(x_i - x_j) is taken on the
+    nn = ceil(8 r) midpoints x_i of (0, r), step h.  As x_{nn-1-i} = r - x_i, its
+    reversed rows h s_l(r - x_i - x_j) form a symmetric Hankel matrix for every
+    r12 whose eigenvalue moduli are the singular values of K.  These cannot
+    exceed sup_lambda |shat_l|, so degrees whose symbol maximum stays below mu
+    are skipped outright.
     """
-    if r <= 0 or not mu > 0:
-        raise ModelDataError("r and mu must be positive")
-    tbl = table if table is not None else mode_table(params, ell_max)
-    sym_max = tbl.mode_max()
-    nn = int(np.ceil(nodes_per_unit * r))
+    if not 0 < r < np.inf or not mu > 0:
+        raise ModelDataError("r must be finite and positive, and mu positive")
+    nn = int(np.ceil(NODES_PER_UNIT * r))
+    _require_entries(nn * nn, f"S_r block at r = {r:g}")
+    tbl = _table_for(params, table, ell_max)
     step = r / nn
     x = (np.arange(nn) + 0.5) * step
     diffs = np.concatenate([x - x[-1], (x - x[0])[1:]])     # all distinct x_i - x_j
     total = 0
-    for ell in range(ell_max + 1):
-        if sym_max[ell] <= mu * (1.0 - 1e-9):
+    for ell, top in zip(tbl.ells.tolist(), tbl.mode_max()):
+        if top <= mu * (1.0 - 1e-9):
             continue
-        vals = sobolev_1d_kernel(params, ell, diffs)
-        idx = np.arange(nn)
-        K = step * vals[(nn - 1) + (idx[:, None] - idx[None, :])]
-        if abs(params.r12) < 1e-14:
-            sv = np.abs(np.linalg.eigvalsh(K))
-        else:
-            sv = np.linalg.svd(K, compute_uv=False)
+        vals = step * sobolev_1d_kernel(params, ell, diffs)[::-1]
+        sv = np.abs(np.linalg.eigvalsh(hankel(vals[:nn], vals[nn - 1:])))
         total += (2 * ell + 1) * int(np.sum(sv > mu))
     return total
 
 
-def asymptotic_slope(report: CountReport, min_points: int = 4) -> tuple[float, float]:
+def asymptotic_slope(report: CountReport) -> tuple[float, float]:
     """Least-squares slope of N(z) against |log(m - z)| over trusted rows.
 
     Returns (slope, rms residual); the natural comparison target is U(1).
     """
     mask = np.asarray(report.trusted, dtype=bool)
-    if int(mask.sum()) < min_points:
+    if int(mask.sum()) < SLOPE_MIN_POINTS:
         raise InsufficientDataError(
-            f"need at least {min_points} trusted points, have {int(mask.sum())}")
+            f"need at least {SLOPE_MIN_POINTS} trusted points, have {int(mask.sum())}")
     x = np.abs(np.log(report.m_minus_z[mask]))
     y = report.counts[mask].astype(float)
     A = np.stack([x, np.ones_like(x)], axis=1)

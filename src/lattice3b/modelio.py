@@ -98,7 +98,15 @@ def _number(value, name: str, integer: bool = False):
     return int(value) if integer else x
 
 
+def _section(value, name: str) -> dict:
+    """A model-file section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ModelDataError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _form_factor_from(cfg: dict, channel: int) -> FormFactor:
+    cfg = _section(cfg, f"phi{channel}")
     kind = cfg.get("kind", "const")
     if kind == "const":
         return const_form_factor(channel, _number(cfg.get("value", 1.0), f"phi{channel} value"))
@@ -119,6 +127,7 @@ def load_model(path: str, grid_override: int | None = None) -> LoadedModel:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelDataError(f"{path}: not valid JSON ({exc})") from exc
+    cfg = _section(cfg, path)
     if "grid_n" not in cfg and grid_override is None:
         raise ModelDataError(f"{path}: grid_n is required")
     n = int(grid_override) if grid_override is not None \
@@ -127,7 +136,7 @@ def load_model(path: str, grid_override: int | None = None) -> LoadedModel:
     if not delta > 0:
         raise ModelDataError(f"{path}: delta must be finite and positive, got {delta}")
 
-    disp_cfg = cfg.get("dispersion", {"kind": "builtin"})
+    disp_cfg = _section(cfg.get("dispersion", {"kind": "builtin"}), "dispersion")
     kind = disp_cfg.get("kind", "builtin")
     if kind == "builtin":
         weights = disp_cfg.get("axis_weights", [1.0, 1.0, 1.0])
@@ -136,15 +145,15 @@ def load_model(path: str, grid_override: int | None = None) -> LoadedModel:
         disp = builtin_dispersion([_number(w, "axis weight") for w in weights])
     elif kind == "tabulated":
         csv_path = disp_cfg.get("csv")
-        if not csv_path:
-            raise ModelDataError("tabulated dispersion needs a csv path")
+        if not csv_path or not isinstance(csv_path, str):
+            raise ModelDataError(f"tabulated dispersion needs a csv path, got {csv_path!r}")
         if not os.path.isabs(csv_path):
             csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), csv_path)
         disp = load_dispersion_csv(csv_path, n)
     else:
         raise ModelDataError(f"unknown dispersion kind {kind!r}")
 
-    pair_cfg = cfg.get("pair_energy", {"form": "sum"})
+    pair_cfg = _section(cfg.get("pair_energy", {"form": "sum"}), "pair_energy")
     if pair_cfg.get("form", "sum") not in ("sum", "sum-of-dispersions"):
         raise ModelDataError(f"unsupported pair energy form {pair_cfg.get('form')!r}")
     pair = pair_energy_sum(disp, _number(pair_cfg.get("cross_weight", 1.0), "cross_weight"))

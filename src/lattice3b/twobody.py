@@ -28,6 +28,8 @@ ROOT_ATOL = 1e-10
 # window sits above the coarsest grid scale this toolkit targets (n >= 32)
 FIT_WINDOW = (3e-2, 3e-1)
 FIT_POINTS = 25
+# refining grids of resonance_function_norm
+NORM_GRIDS = (16, 32, 64)
 
 
 class ThresholdClass(enum.Enum):
@@ -196,15 +198,14 @@ def classify_threshold(spec: ModelSpec, alpha: int,
     return ThresholdClass.THRESHOLD_EIGENVALUE
 
 
-def resonance_function_norm(spec: ModelSpec, alpha: int,
-                            n_sequence: tuple[int, ...] = (16, 32, 64)) -> list[float]:
+def resonance_function_norm(spec: ModelSpec, alpha: int) -> list[float]:
     """Quadrature of  int f^2  with f = phi/(u_0^(alpha) - m) on refining grids.
 
     A diverging sequence marks a threshold resonance (f not square integrable),
     a bounded one a threshold eigenvalue.
     """
     out = []
-    for n in n_sequence:
+    for n in NORM_GRIDS:
         spec_n = spec.with_params(grid=build_grid(n))
         f = spec_n.phi_values(alpha) / (spec_n.channel_values(alpha, np.zeros(3)) - spec.m)
         out.append(float(spec_n.grid.weight * np.sum(f * f)))

@@ -6,11 +6,13 @@ discretizations, so oracle and implementation never share a code path.
 `checkout_env` points subprocess tests at the package under test.
 """
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 from scipy.integrate import quad
+from scipy.linalg import svdvals, toeplitz
 from scipy.special import ive
 
 
@@ -84,8 +86,39 @@ def sphere_nystrom_count(params, lam: float, mu: float,
     return int(np.sum(sv > mu))
 
 
-def legendre_projection(fn, ell: int, npts: int = 400) -> float:
-    """2 pi int_-1^1 P_ell(t) fn(t) dt by dense Gauss-Legendre (oracle grade)."""
-    x, w = leggauss(npts)
+@lru_cache(maxsize=None)
+def _gauss(npts: int):
+    return leggauss(npts)
+
+
+def legendre_projection(fn, ell: int, npts: int = 400):
+    """2 pi int_-1^1 P_ell(t) fn(t) dt by dense Gauss-Legendre (oracle grade).
+
+    fn(t) may carry leading axes before the t axis; the result keeps them.
+    """
+    x, w = _gauss(npts)
     P = legval(x, np.eye(ell + 1)[ell])
-    return float(2 * np.pi * np.sum(w * P * fn(x)))
+    return 2 * np.pi * np.sum(w * P * fn(x), axis=-1)
+
+
+def sobolev_toeplitz_count(params, r: float, mu: float, ell_max: int):
+    """n(mu, S_r) from the Toeplitz Nystrom blocks and their singular values.
+
+    Per degree l, K_ij = h s_l(x_i - x_j) on the ceil(8 r) midpoints x_i of
+    (0, r) with step h, where s_l(y) is the dense Legendre projection of
+    S(y, t) = (2 pi)^{-2} u12 / (cosh(y + r12) + s12 t).  Every degree up to
+    ell_max is counted.  Returns (count, margin), margin being the smallest
+    |sigma - mu| / mu over all singular values, the distance from a tie.
+    """
+    nn = int(np.ceil(8 * r))
+    h = r / nn
+    y = np.arange(-(nn - 1), nn) * h                 # x_i - x_j, i - j = -(nn-1)..nn-1
+    count, margin = 0, np.inf
+    for ell in range(ell_max + 1):
+        s = legendre_projection(
+            lambda t: params.u12 / (2 * np.pi) ** 2
+            / (np.cosh(y + params.r12)[:, None] + params.s12 * t), ell)
+        sv = svdvals(h * toeplitz(s[nn - 1:], s[nn - 1::-1]))
+        count += (2 * ell + 1) * int(np.sum(sv > mu))
+        margin = min(margin, float(np.min(np.abs(sv - mu))) / mu)
+    return count, margin

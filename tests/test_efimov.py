@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import sphere_nystrom_count
+from helpers import sobolev_toeplitz_count, sphere_nystrom_count
 from lattice3b import (CountReport, DegenerateCouplingError, EfimovParams,
-                       HessianData, ModelDataError, InsufficientDataError, asymptotic_slope,
+                       HessianData, ModelDataError, InsufficientDataError,
+                       ResourceCapError, asymptotic_slope,
                        count_sphere_operator, efimov_params, hessian_at_minimum,
                        legendre_mode, mode_table, sobolev_finite, ucoef)
 
@@ -75,11 +76,42 @@ def test_mode_table_decay_at_edges():
 
 
 @pytest.mark.parametrize("args", [dict(ell_max=-1), dict(lam_max=0.0),
-                                  dict(lam_max=-3.0), dict(n_lam=1)])
+                                  dict(lam_max=-3.0), dict(n_lam=1),
+                                  dict(lam_max=np.inf)])
 def test_mode_table_rejects_bad_range(args):
-    # a one-point lambda grid would make U(mu) a zero-width trapezoid, 0
+    # a one-point lambda grid would make U(mu) a zero-width trapezoid, 0; an
+    # infinite lam_max would make it nan
     with pytest.raises(ModelDataError):
         mode_table(BUILTIN, **args)
+
+
+def test_oversized_requests_refused_before_allocation():
+    tbl = mode_table(BUILTIN, ell_max=2)
+    with pytest.raises(ResourceCapError):
+        sobolev_finite(BUILTIN, 1e12, 1.0, table=tbl)
+    with pytest.raises(ResourceCapError):
+        mode_table(BUILTIN, ell_max=10 ** 7)
+    with pytest.raises(ResourceCapError):
+        legendre_mode(BUILTIN, 10 ** 7, 0.5)
+
+
+def test_legendre_mode_is_a_table_entry():
+    tbl = mode_table(BUILTIN)
+    for j in (0, 1, 137, 2000, 20000):
+        for ell in range(tbl.ells.size):
+            assert legendre_mode(BUILTIN, ell, tbl.lams[j]) == tbl.values[ell, j]
+
+
+def test_table_fixes_params_and_degrees():
+    other = EfimovParams(u12=1.5, r12=0.0, s12=0.3)
+    tbl = mode_table(BUILTIN, ell_max=2)
+    with pytest.raises(ModelDataError):
+        ucoef(other, 1.0, table=mode_table(BUILTIN))
+    with pytest.raises(ModelDataError):
+        sobolev_finite(other, 10.0, 0.3, table=tbl)
+    # a table with fewer degrees than ell_max's default bounds the loop
+    assert sobolev_finite(BUILTIN, 10.0, 0.1, table=tbl) == \
+        sobolev_finite(BUILTIN, 10.0, 0.1, ell_max=2)
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
@@ -161,6 +193,16 @@ def test_sobolev_linear_growth_and_limit():
     assert abs(seq[2] / seq[1] - 1.0) <= 0.05
     u1 = ucoef(BUILTIN, 1.0, table=tbl)
     assert abs(0.5 * n400 / 400.0 - u1) / u1 < 0.1
+
+
+@pytest.mark.parametrize("r12", [0.0, 0.4, -0.4])
+def test_sobolev_matches_toeplitz_oracle(r12):
+    p = EfimovParams(u12=BUILTIN.u12, r12=r12, s12=BUILTIN.s12)
+    for r in (5.0, 10.0, 20.0):
+        for mu in (1.0, 0.3, 0.1):
+            oracle, margin = sobolev_toeplitz_count(p, r, mu, ell_max=3)
+            assert margin > 1e-6, (r, mu)
+            assert sobolev_finite(p, r, mu, ell_max=3) == oracle, (r, mu)
 
 
 def test_sobolev_phase_irrelevance():

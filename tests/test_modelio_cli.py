@@ -176,6 +176,19 @@ def test_cli_bad_numbers_in_model_file(tmp_path, capsys, command, overrides):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("body", [
+    {"grid_n": 8, "phi1": 5}, {"grid_n": 8, "dispersion": "builtin"}, [1, 2],
+    {"grid_n": 8, "pair_energy": []},
+    {"grid_n": 8, "dispersion": {"kind": "tabulated", "csv": 5}},
+], ids=json.dumps)
+def test_cli_model_sections_must_be_objects(tmp_path, capsys, body):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(body))
+    assert main(["validate", "--model", str(model), "--grid", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_integral_float_grid_accepted(tmp_path):
     loaded = load_model(write_model(tmp_path / "m.json", grid_n=8.0))
     assert loaded.spec.grid.n == 8
@@ -297,7 +310,7 @@ def test_cli_validate_checks_both_channels(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--lmax", "-1"), ("--lambda-max", "-3"),
-                                        ("--lambda-max", "0")])
+                                        ("--lambda-max", "0"), ("--lambda-max", "inf")])
 def test_cli_efimov_rejects_bad_range(tmp_path, capsys, flag, value):
     model = write_model(tmp_path / "m.json")
     assert main(["efimov", "--model", model, "--grid", "6", flag, value]) == 2
@@ -321,6 +334,12 @@ def test_cli_efimov_rejects_bad_radius_before_output(tmp_path, capsys):
     for r in ("-50", "100,-50", "nan", "inf"):
         assert main(["efimov", "--model", model, "--grid", "6", "--r", r]) == 2
         assert capsys.readouterr().out == ""
+
+
+def test_cli_efimov_radius_over_cap_exit4(tmp_path, capsys):
+    model = write_model(tmp_path / "m.json")
+    assert main(["efimov", "--model", model, "--grid", "6", "--r", "1e12"]) == 4
+    assert capsys.readouterr().err.startswith("resource error:")
 
 
 def test_cli_seed_only_on_validate(tmp_path, capsys):

@@ -207,7 +207,7 @@ def test_classification_triple(spec16_critical):
 
 
 def test_resonance_norm_divergence(critical8):
-    norms = resonance_function_norm(critical8, 1, (16, 32, 64))
+    norms = resonance_function_norm(critical8, 1)
     assert norms[0] < norms[1] < norms[2]
     assert 1.6 < norms[1] / norms[0] < 2.4
     assert 1.6 < norms[2] / norms[1] < 2.4
@@ -215,15 +215,15 @@ def test_resonance_norm_divergence(critical8):
 
 def test_resonance_norm_convergence_sin():
     spec = builtin_model(8, 0.0, 0.0, phi1=sin_axis_form_factor(1, 0))
-    norms = resonance_function_norm(spec, 1, (16, 32, 64))
+    norms = resonance_function_norm(spec, 1)
     assert abs(norms[2] / norms[1] - 1.0) < 0.1
     assert abs(norms[2] / norms[0] - 1.0) < 0.25
 
 
 def test_resonance_norm_zero_form_factor():
     spec = builtin_model(8, 0.0, 0.0, phi1=const_form_factor(1, 0.0))
-    norms = resonance_function_norm(spec, 1, (16, 32))
-    assert norms == [0.0, 0.0]
+    norms = resonance_function_norm(spec, 1)
+    assert norms == [0.0, 0.0, 0.0]
 
 
 def test_expansion_fit_machinery_on_exact_data():
