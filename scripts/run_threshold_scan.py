@@ -29,7 +29,7 @@ def main():
         fit = expansion_fit(spec, 1)
         mu0s.append(fit.mu0)
         slopes.append(fit.sqrt_slope)
-        cls = classify_threshold(spec, 1, mu=fit.mu0)
+        cls = classify_threshold(spec, 1, mu=fit.mu0, mu0=fit.mu0)
         print(f"n={n:3d}: mu0={fit.mu0:.7f}  class={cls.value}  "
               f"sqrt-slope={fit.sqrt_slope:.5f}  residual={fit.residual:.2e}")
 

@@ -92,8 +92,8 @@ def cmd_threshold(args) -> int:
     lines = []
     mu0s = []
     for alpha in (1, 2):
-        cls = twb.classify_threshold(spec, alpha)
         fit = twb.expansion_fit(spec, alpha)
+        cls = twb.classify_threshold(spec, alpha, mu0=fit.mu0)
         mu0s.append(fit.mu0)
         norms = twb.resonance_function_norm(spec, alpha)
         trend = "diverging" if norms[-1] > 1.5 * norms[0] else "bounded"
@@ -151,14 +151,14 @@ def cmd_efimov(args) -> int:
     params = efi.efimov_params(hess)
     table = efi.mode_table(params, args.lmax, args.lambda_max)
     u1 = efi.ucoef(params, args.mu, table=table)
+    # every S_r row, and so its size cap, comes before the first line of output
+    counts = [efi.sobolev_finite(params, r, args.mu, table=table) for r in r_list]
+    ratios = [0.5 * nr / r for nr, r in zip(counts, r_list)]
     print(f"u12 = {params.u12:.6g}  s12 = {params.s12:.6g}  r12 = {params.r12:.6g}")
     print(f"U({args.mu:g}) = {u1:.6g}")
     print("r,n_mu_Sr,half_n_over_r")
-    ratios = []
-    for r in r_list:
-        nr = efi.sobolev_finite(params, r, args.mu, table=table)
-        ratios.append(0.5 * nr / r)
-        print(f"{r:g},{nr},{0.5 * nr / r:.6g}")
+    for r, nr, ratio in zip(r_list, counts, ratios):
+        print(f"{r:g},{nr},{ratio:.6g}")
     if args.count_report:
         rep = CountReport.from_file(args.count_report)
         try:
@@ -179,6 +179,8 @@ def cmd_efimov(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.seed < 0:
+        raise ModelDataError(f"--seed must be nonnegative, got {args.seed}")
     loaded = load_model(args.model, args.grid)
     spec = loaded.spec
     checks = []

@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 
 from .errors import (DegenerateModelError, HypothesisViolationError,
                      ModelDataError, NotProductFormError)
-from .grids import TWO_PI, TorusGrid, axis_nodes, build_grid, wrap_to_torus
+from .grids import TWO_PI, TorusGrid, build_grid, wrap_to_torus
 
 # dense product scans above this many pair evaluations fall back to subsampling
 _PAIR_SCAN_CAP = 200_000_000
@@ -240,44 +240,24 @@ class ModelSpec:
         return replace(self, **kw)
 
 
-def _separable_axis_terms(pair: PairEnergy):
-    """Per-axis 2D energy g_a(x, y) for separable sum-form pair energies."""
-    eps = pair.dispersion
-    w = eps.axis_weights
-    c = pair.cross_weight
-
-    def term(axis, x, y):
-        return w[axis] * ((1 - np.cos(x)) + c * (1 - np.cos(x - y)) + (1 - np.cos(y)))
-
-    return term
-
-
 def extrema(pair: PairEnergy, grid: TorusGrid):
-    """Global (m, M, argmin) of u over the product grid, with local refinement.
+    """Global (m, M, argmin) of u.
 
-    Separable sum-form models reduce to three independent 2D scans (exact for
-    any n); other forms use a chunked full scan up to a pair cap and a coarse
-    subsampled scan beyond it.
+    The builtin cosine band is u = sum_a w_a g(p_a, q_a) with
+    g(x, y) = (1 - cos x) + c (1 - cos(x - y)) + (1 - cos y), so m = 0 at the
+    origin and M = (sum_a w_a) g_max in closed form: g_max = 2 + 2c + 1/(2c),
+    at x = -y = arccos(-1/(2c)), for c > 1/2, and g_max = 4, at x = y = pi,
+    otherwise.  Other sum forms scan the product grid through its difference
+    structure, custom pair energies take a chunked full scan up to a pair cap
+    and a coarse subsampled scan beyond it; smooth ones are then refined by
+    Nelder-Mead.
     """
-    nodes = grid.nodes
     if pair.form == "sum-of-dispersions" and pair.dispersion.separable:
-        term = _separable_axis_terms(pair)
-        x = axis_nodes(grid.n)
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        m = M = 0.0
-        pmin = np.empty(3)
-        qmin = np.empty(3)
-        pmax = np.empty(3)
-        qmax = np.empty(3)
-        for axis in range(3):
-            g = term(axis, X, Y)
-            imin = np.unravel_index(np.argmin(g), g.shape)
-            imax = np.unravel_index(np.argmax(g), g.shape)
-            m += g[imin]
-            M += g[imax]
-            pmin[axis], qmin[axis] = x[imin[0]], x[imin[1]]
-            pmax[axis], qmax[axis] = x[imax[0]], x[imax[1]]
-    elif pair.form == "sum-of-dispersions":
+        c = pair.cross_weight
+        g_max = 2.0 + 2.0 * c + 0.5 / c if c > 0.5 else 4.0
+        return 0.0, sum(pair.dispersion.axis_weights) * g_max, (np.zeros(3), np.zeros(3))
+    nodes = grid.nodes
+    if pair.form == "sum-of-dispersions":
         # exact grid scan through the difference structure: u(p_i, q_j) only
         # depends on (j, i - j) and node differences live on the plain lattice
         n = grid.n
@@ -349,10 +329,6 @@ def extrema(pair: PairEnergy, grid: TorusGrid):
         if -res.fun > M:
             M = float(-res.fun)
 
-    # the builtin family attains its minimum exactly at the origin; snap
-    if np.linalg.norm(pmin) < 1e-6 and np.linalg.norm(qmin) < 1e-6:
-        pmin = np.zeros(3)
-        qmin = np.zeros(3)
     return float(m), float(M), (pmin, qmin)
 
 

@@ -89,7 +89,8 @@ def _lambda_line(spec: ModelSpec, alpha: int, p: np.ndarray, z_values) -> list[f
 
     The channel energies, phi^2 and the channel bottom do not depend on z and
     are built once; each z then costs one subtraction and one sum.  Both
-    domain checks bound z from above, so they are made on the largest z.
+    domain checks bound z from above, so they are made on the largest z; as
+    m <= m_alpha(p), the bottom is refined only when that z is above m.
     """
     vals = spec.channel_values(alpha, p)
     z_top = max(z_values)
@@ -97,7 +98,7 @@ def _lambda_line(spec: ModelSpec, alpha: int, p: np.ndarray, z_values) -> list[f
     if gap <= 0.0:
         raise OutOfDomainError(
             f"z = {z_top} is not below the channel spectrum (min u - z = {gap:.3e})")
-    m_alpha = _refined_extremum(spec, alpha, p, vals, 1.0)
+    m_alpha = _refined_extremum(spec, alpha, p, vals, 1.0) if z_top > spec.m else spec.m
     if z_top > m_alpha + 1e-12 * max(1.0, abs(m_alpha)):
         raise OutOfDomainError(f"z = {z_top} exceeds the channel bottom m_alpha = {m_alpha}")
     phi2 = spec.phi_values(alpha) ** 2
@@ -179,16 +180,18 @@ def channel_eigenvalue(spec: ModelSpec, alpha: int, p: np.ndarray,
     return 0.5 * (a + b)
 
 
-def classify_threshold(spec: ModelSpec, alpha: int,
-                       mu: float | None = None) -> ThresholdClass:
+def classify_threshold(spec: ModelSpec, alpha: int, mu: float | None = None,
+                       mu0: float | None = None) -> ThresholdClass:
     """Resonance / threshold eigenvalue / regular, per the determinant criterion.
 
     Critical coupling with phi(0) != 0 is a resonance; with phi(0) = 0 a
     threshold eigenvalue; anything off-critical is regular.  Declared parity is
-    used as exact ground truth for phi(0) when the form factor is odd.
+    used as exact ground truth for phi(0) when the form factor is odd.  mu0
+    defaults to coupling_threshold; a caller holding an expansion fit passes
+    its mu0 and builds no second channel line.
     """
     mu = spec.mu(alpha) if mu is None else float(mu)
-    mu0 = coupling_threshold(spec, alpha)
+    mu0 = coupling_threshold(spec, alpha) if mu0 is None else float(mu0)
     if abs(mu - mu0) > CLASSIFY_RTOL * mu0:
         return ThresholdClass.REGULAR
     phi = spec.phi(alpha)

@@ -28,8 +28,8 @@ def test_pair_energy_sum_values():
 
 
 def test_global_max_grid_oracle():
-    # exhaustive separable scan at n=48 plus refinement must land on 13.5
-    # at p = (2pi/3,)*3, q = -p
+    # the closed-form maximum of the builtin band, W (2 + 2c + 1/(2c)) at c = 1,
+    # is 13.5, attained at p = (2pi/3,)*3, q = -p
     pair = pair_energy_sum(builtin_dispersion())
     m, M, _ = extrema(pair, build_grid(48))
     assert m == pytest.approx(0.0, abs=1e-12)
@@ -52,12 +52,17 @@ def test_make_model_rejects_bad_coupling(mu):
             make_model(pair, 4, mu1, mu2)
 
 
-def test_extrema_custom_matches_separable():
-    disp = builtin_dispersion()
-    pair_c = custom_pair_energy(
-        lambda p, q: builtin_epsilon(p) + builtin_epsilon(p - q) + builtin_epsilon(q))
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)],
+                         ids=["w111", "w123"])
+@pytest.mark.parametrize("c", [0.25, 0.5, 0.75, 1.0, 6.0])
+def test_extrema_custom_matches_separable(c, weights):
+    # oracle: the same band through the custom path (grid scan + Nelder-Mead)
+    eps = builtin_dispersion(weights)
+    pair_c = custom_pair_energy(lambda p, q: eps(p) + c * eps(p - q) + eps(q))
     m1, M1, _ = extrema(pair_c, build_grid(8))
-    m2, M2, _ = extrema(pair_energy_sum(disp), build_grid(8))
+    m2, M2, (p2, q2) = extrema(pair_energy_sum(eps, c), build_grid(8))
+    assert m2 == 0.0
+    assert np.array_equal(p2, np.zeros(3)) and np.array_equal(q2, np.zeros(3))
     assert m1 == pytest.approx(m2, abs=1e-9)
     assert M1 == pytest.approx(M2, abs=1e-7)
 

@@ -125,8 +125,8 @@ def test_cli_threshold_classification(tmp_path, capsys):
 
 
 def test_cli_threshold_builds_each_channel_line_once(tmp_path, monkeypatch, capsys):
-    # per channel: classify_threshold's mu0 line and the fit's line (which
-    # also gives the printed mu0); load_model's critical couplings add one each
+    # per channel: the fit's line, which gives the printed and classified mu0;
+    # load_model's critical couplings add one each
     from lattice3b import cli
     from lattice3b.model import ModelSpec
     grids, loaded = [], []
@@ -147,7 +147,25 @@ def test_cli_threshold_builds_each_channel_line_once(tmp_path, monkeypatch, caps
     assert "class = Resonance" in capsys.readouterr().out
     own = loaded[0].spec.grid
     assert own.n == 16
-    assert sum(g is own for g in grids) == 6
+    assert sum(g is own for g in grids) == 4
+
+
+@pytest.mark.parametrize("grid", [None, 10, 14, 32, 48, 64])
+@pytest.mark.parametrize("name", ["builtin_critical", "eigenvalue_case",
+                                  "resonance_strong"])
+def test_load_model_runs_no_nelder_mead(monkeypatch, name, grid):
+    # m and M of the builtin band are closed form, and the critical couplings
+    # read Lambda at z = m, which no channel bottom lies below
+    from lattice3b import model, twobody
+
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("Nelder-Mead called")
+
+    monkeypatch.setattr(model, "minimize", no_minimize)
+    monkeypatch.setattr(twobody, "minimize", no_minimize)
+    path = Path(__file__).parent.parent / "models" / f"{name}.json"
+    spec = load_model(str(path), grid).spec
+    assert spec.m == 0.0 and spec.mu1 > 0 and spec.mu2 > 0
 
 
 BAD_NUMBERS = [
@@ -337,9 +355,13 @@ def test_cli_efimov_rejects_bad_radius_before_output(tmp_path, capsys):
 
 
 def test_cli_efimov_radius_over_cap_exit4(tmp_path, capsys):
+    # every S_r row is sized before the first line of output
     model = write_model(tmp_path / "m.json")
-    assert main(["efimov", "--model", model, "--grid", "6", "--r", "1e12"]) == 4
-    assert capsys.readouterr().err.startswith("resource error:")
+    for r in ("1e12", "100,1e12"):
+        assert main(["efimov", "--model", model, "--grid", "6", "--r", r]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource error:")
 
 
 def test_cli_seed_only_on_validate(tmp_path, capsys):
@@ -348,6 +370,14 @@ def test_cli_seed_only_on_validate(tmp_path, capsys):
     assert main(["count", "--model", model, "--seed", "1"]) == 2
     assert main(["validate", "--model", model, "--seed", "1"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_cli_validate_rejects_negative_seed(tmp_path, capsys):
+    model = write_model(tmp_path / "m.json")
+    assert main(["validate", "--model", model, "--grid", "6", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --seed")
 
 
 @pytest.mark.parametrize("flag", ["--zmin-exp=nan", "--zmax-exp=inf", "--zmin-exp=-inf"])
