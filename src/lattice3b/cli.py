@@ -145,6 +145,7 @@ def cmd_efimov(args) -> int:
     if not all(np.isfinite(v) and v > 0 for v in r_list + [args.mu]):
         raise ModelDataError(f"--r values and --mu must be finite and positive, "
                              f"got --r {args.r!r} --mu {args.mu}")
+    rep = CountReport.from_file(args.count_report) if args.count_report else None
     loaded = load_model(args.model, args.grid)
     spec = loaded.spec
     hess = hessian_at_minimum(spec)
@@ -159,8 +160,7 @@ def cmd_efimov(args) -> int:
     print("r,n_mu_Sr,half_n_over_r")
     for r, nr, ratio in zip(r_list, counts, ratios):
         print(f"{r:g},{nr},{ratio:.6g}")
-    if args.count_report:
-        rep = CountReport.from_file(args.count_report)
+    if rep is not None:
         try:
             slope, resid = efi.asymptotic_slope(rep)
             rel = abs(slope - u1) / u1 if u1 > 0 else float("inf")

@@ -8,8 +8,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-
 import numpy as np
+
+from .errors import ModelDataError
 
 
 def _fmt(x) -> str:
@@ -61,31 +62,30 @@ class CountReport:
 
     @classmethod
     def from_file(cls, path: str) -> "CountReport":
-        text = open(path).read()
-        if text.lstrip().startswith("{"):
-            payload = json.loads(text)
-            rows = payload["rows"]
-            get = lambda k: np.array([r[k] for r in rows])
-            return cls(m_minus_z=get("m_minus_z").astype(float),
-                       counts=get("count").astype(int),
-                       det_min=get("det_min").astype(float),
-                       hs_norm=get("hs_norm").astype(float),
-                       hs_diff=get("hs_diff").astype(float),
-                       trusted=get("trusted").astype(bool),
-                       meta=payload.get("meta", {}))
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split(",")
-        cols = {name: [] for name in header}
-        for ln in lines[1:]:
-            for name, val in zip(header, ln.split(",")):
-                cols[name].append(val)
-        return cls(m_minus_z=np.array(cols["m_minus_z"], dtype=float),
-                   counts=np.array(cols["count"], dtype=int),
-                   det_min=np.array(cols["det_min"], dtype=float),
-                   hs_norm=np.array(cols["hs_norm"], dtype=float),
-                   hs_diff=np.array(cols["hs_diff"], dtype=float),
-                   trusted=np.array([v == "true" for v in cols["trusted"]]),
-                   meta={})
+        """Read a report written by to_csv or to_json; a file without the
+        report's rows or columns raises ModelDataError."""
+        try:
+            with open(path) as fh:
+                text = fh.read()
+            if text.lstrip().startswith("{"):
+                payload = json.loads(text)
+                rows, meta = payload["rows"], payload.get("meta", {})
+                cols = {name: [r[name] for r in rows] for name in cls.COLUMNS}
+            else:
+                lines = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+                header, meta = lines[0], {}
+                cols = {name: [row[header.index(name)] for row in lines[1:]]
+                        for name in cls.COLUMNS}
+                cols["trusted"] = [v == "true" for v in cols["trusted"]]
+            return cls(m_minus_z=np.array(cols["m_minus_z"], dtype=float),
+                       counts=np.array(cols["count"], dtype=int),
+                       det_min=np.array(cols["det_min"], dtype=float),
+                       hs_norm=np.array(cols["hs_norm"], dtype=float),
+                       hs_diff=np.array(cols["hs_diff"], dtype=float),
+                       trusted=np.array(cols["trusted"], dtype=bool),
+                       meta=meta)
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ModelDataError(f"{path} is not a count report ({exc!r})") from exc
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,9 @@ DENSE_BS_DIM_CAP = 16384
 DIRECT_DIM_CAP = 50000
 # eigenvalues this close to the counting threshold (relative to ||B||) count as below
 TIE_RTOL = 1e-12
+# Lanczos for k singular values needs this many rows per value, else the dense
+# SVD is cheaper: k = 8 beats it from 150-170 rows on (measured, one BLAS thread)
+LANCZOS_ROWS_PER_VALUE = 20
 
 
 @dataclass(frozen=True)
@@ -106,30 +109,25 @@ class _BSWorkspace:
             self._stacks = U, np.empty_like(U)
         return self._stacks
 
-    def _resolvents(self, z) -> np.ndarray:
-        """The scratch stack overwritten with 1/(U_k - z) over the flips k.
-        z is a scalar, or one value per representative shaped (1, M) along the
-        columns p or (M, 1) along the rows t."""
+    def _resolvents(self, z: float) -> np.ndarray:
+        """The scratch stack overwritten with 1/(U_k - z) over the flips k."""
         U, S = self._arrays()
         np.subtract(U, z, out=S)
         if S.min() <= 0.0:
-            raise OutOfDomainError(f"z = {np.max(z)} is not below the grid spectrum of u")
+            raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
         np.reciprocal(S, out=S)
         return S
 
     def _lambda(self, alpha: int, S: np.ndarray) -> np.ndarray:
         """Lambda_alpha on the representatives from the stack 1/(U_k - z), summed
-        over k: channel 1 integrates the first slot, channel 2 the second."""
+        over k: channel 1 sums the rows and leaves p on the columns, channel 2
+        the reverse, so a stack cut to some p gives Lambda on those p."""
         if alpha == 1:
             return self.w * (self.f1 ** 2 @ S).sum(axis=0)
         return self.w * (S @ self.f2 ** 2).sum(axis=0)
 
-    def lambdas(self, alpha: int, z) -> np.ndarray:
-        """Lambda_alpha(p, z) on the representatives p of the model's axes;
-        z is a scalar or one value per representative."""
-        z = np.asarray(z, dtype=float)
-        if z.ndim:      # p is the second slot of u in channel 1, the first in 2
-            z = z[None, :] if alpha == 1 else z[:, None]
+    def lambdas(self, alpha: int, z: float) -> np.ndarray:
+        """Lambda_alpha(p, z) on the representatives p of the model's axes."""
         return self._lambda(alpha, self._resolvents(z))
 
     def on_nodes(self, values: np.ndarray) -> np.ndarray:
@@ -276,25 +274,20 @@ def _count_block_singular_above(block: np.ndarray, mu: float) -> int:
 
 
 def _leading_singular_values(block: np.ndarray, mu: float) -> np.ndarray:
-    """Every singular value of block above mu and at least one that is not
-    (or as many as Lanczos can give); empty when ||block||_F <= mu.
-
-    Dense SVD on small blocks, else Lanczos from k = 8 with a fixed start
-    vector, doubling k until a value at or below mu is in.
-    """
-    N = min(block.shape)
+    """Every singular value of block above mu and at least one that is not, or
+    the whole spectrum; none when ||block||_F <= mu.  Lanczos from k = 8 with a
+    fixed start vector, doubling k while no value at or below mu is in and the
+    block has LANCZOS_ROWS_PER_VALUE * k rows; then the dense spectrum."""
     if float(np.linalg.norm(block)) <= mu:      # sigma_max <= Frobenius norm
         return np.empty(0)
-    if N <= 600:
-        return np.linalg.svd(block, compute_uv=False)
     k = 8
-    v0 = np.random.default_rng(0).standard_normal(block.shape[1])
-    while True:
-        k_eff = min(k, N - 1)
-        sv = svds(block, k=k_eff, v0=v0, return_singular_vectors=False, tol=1e-10)
-        if sv.min() <= mu + TIE_RTOL * sv.max() or k_eff == N - 1:
+    while min(block.shape) >= LANCZOS_ROWS_PER_VALUE * k:
+        v0 = np.random.default_rng(0).standard_normal(block.shape[1])
+        sv = svds(block, k=k, v0=v0, return_singular_vectors=False, tol=1e-10)
+        if sv.min() <= mu + TIE_RTOL * sv.max():
             return sv
         k *= 2
+    return np.linalg.svd(block, compute_uv=False)
 
 
 def count_eigenvalues_below(spec: ModelSpec, z: float,
@@ -410,15 +403,21 @@ def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
     has_root = 1.0 - mu * ws.lambdas(alpha, top) < 0.0
     out = np.full(vals_min.size, np.nan)
     if has_root.any():
+        # Delta_alpha(p, .) > 0 below a bracket without a root, so only the
+        # columns (channel 1) or rows (channel 2) of roots p are evaluated
+        roots = np.flatnonzero(has_root)
+        U_open = U[:, :, roots] if alpha == 1 else U[:, roots, :]
         a, b = lo, np.full(vals_min.size, top)
         for _ in range(60):
             c = 0.5 * (a + b)
-            pos = 1.0 - mu * ws.lambdas(alpha, c) > 0.0
+            zc = c[roots][None, :] if alpha == 1 else c[roots][:, None]
+            pos = np.ones(vals_min.size, dtype=bool)
+            pos[roots] = 1.0 - mu * ws._lambda(alpha, 1.0 / (U_open - zc)) > 0.0
             a = np.where(pos, c, a)
             b = np.where(pos, b, c)
             if float(np.max(b - a)) < 1e-10:
                 break
-        out[has_root] = (0.5 * (a + b))[has_root]
+        out[roots] = (0.5 * (a + b))[roots]
     return ws.on_nodes(out)
 
 

@@ -279,6 +279,24 @@ def test_cli_efimov_with_count_report(tmp_path, capsys):
     assert "asymptotic slope" in out
 
 
+@pytest.mark.parametrize("name,text", [
+    ("empty.csv", ""),
+    ("other.csv", "a,b\n1,2\n"),
+    ("norows.json", '{"meta": {}}'),
+], ids=["empty", "csv-without-columns", "json-without-rows"])
+def test_cli_efimov_rejects_malformed_count_report(tmp_path, capsys, name, text):
+    # the report is read before the first line of output
+    model = write_model(tmp_path / "m.json")
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ModelDataError):
+        CountReport.from_file(str(tmp_path / name))
+    assert main(["efimov", "--model", model, "--grid", "6", "--r", "50",
+                 "--count-report", str(tmp_path / name)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cli_efimov_exit3_on_degenerate_coupling(tmp_path):
     # cross_weight can't be zero, but a pair energy without cross term has l=0:
     # build it through a custom dispersion trick: eps(p-q) constant is not

@@ -15,7 +15,7 @@ from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
                        pair_energy_sum, sin_axis_form_factor,
                        tabulated_dispersion, trust_floor)
 from lattice3b.model import hessian_at_minimum, pair_matrix
-from lattice3b.threebody import (_BSWorkspace, _count_block_singular_above,
+from lattice3b.threebody import (TIE_RTOL, _BSWorkspace, _count_block_singular_above,
                                  model_kernel_block)
 
 
@@ -257,11 +257,44 @@ def test_count_monotone_and_zero_far_below(spec8):
 
 
 def test_block_counter_matches_dense(spec8):
+    """The counting kernel equals dense counts with its tie rule: on the full
+    512-row block of spec8 (Frobenius norm below 1, so skipped) against the
+    eigenvalues of T(z), and on sector stacks of 216, 343 and 512 rows
+    (Lanczos at k = 8) and the full 512-row block of the tabulated band (8
+    values above 1, so Lanczos doubles to k = 16) against their dense
+    singular values."""
     for z in (-0.9, -0.2):
         bs = assemble_bs_matrix(spec8, z)
         dense = count_above(bs.full(), 1.0)
         blockwise = _count_block_singular_above(bs.block12, 1.0)
         assert dense == blockwise
+    tab = _tabulated_band(8)
+    lam = max(lambda_on_grid(tab, a, tab.m - 0.05).max() for a in (1, 2))
+    cases = [(tab.with_params(mu1=0.95 / lam, mu2=0.95 / lam), (1.0, 0.2, 0.1, 0.05))]
+    for n, cross_weight in ((12, 6.0), (14, 6.0), (16, 1.0)):
+        spec = builtin_model(n, cross_weight=cross_weight)
+        spec = spec.with_params(mu1=coupling_threshold(spec, 1),
+                                mu2=coupling_threshold(spec, 2))
+        cases.append((spec, (1.0, 1e-1, 1e-2, 1e-4, 1e-8)))
+    counts = []
+    for spec, s_values in cases:
+        ws = _BSWorkspace(spec)
+        for s in s_values:
+            stack = ws.blocks_into(spec.m - s)[0]
+            sv = np.linalg.svd(stack, compute_uv=False)
+            dense = int(np.sum(sv > 1.0 + TIE_RTOL * sv.max()))
+            assert _count_block_singular_above(stack, 1.0) == dense, (spec.grid.n, s)
+            counts.append(dense)
+    # the tabulated block reaches 8 values above 1, the cross-weight-6 stacks 9
+    assert counts[3] == 8 and max(counts[4:]) == 9
+
+
+@pytest.mark.parametrize("rows", [601, 700])
+def test_block_counter_counts_a_whole_large_block(rows):
+    """Every singular value above mu counts: the Lanczos doubling ends in the
+    dense spectrum, not in a spectrum cut at k = rows - 1."""
+    block = np.diag(np.linspace(1.5, 2.5, rows))
+    assert _count_block_singular_above(block, 1.0) == rows
 
 
 def test_essential_spectrum_critical(spec16_critical):
