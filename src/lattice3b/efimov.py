@@ -12,6 +12,12 @@ and its degree-l eigenvalue (Funk-Hecke) is 2 pi int P_l(t) shat(lambda; t) dt
 with multiplicity 2l + 1.  Counting uses only the modulus, so the phase and the
 sign convention of s12 (arccos(-s t) = pi - arccos(s t) and Legendre parity)
 never enter.
+
+n(mu, S_r) is an inertia count at r12 = 0, where each degree's block K is
+symmetric Toeplitz: by Sylvester's law, #{|eig K| > mu} follows from the signs
+of the Levinson-Durbin prediction errors of K -/+ mu I, with no nn x nn matrix.
+At r12 != 0, and for a degree whose smallest pivot falls below PIVOT_RTOL, one
+dense eigvalsh of the block's Hankel form counts it instead.
 """
 from __future__ import annotations
 
@@ -33,6 +39,9 @@ GL_NODES = 64
 NODES_PER_UNIT = 8          # S_r Nystrom nodes per unit length
 SLOPE_MIN_POINTS = 4        # trusted rows asymptotic_slope needs
 MAX_ENTRIES = 2 ** 28       # largest S_r block (r <= 2048) or mode table
+# smallest Levinson pivot, relative to |h s_l(0)| + mu, that the inertia count
+# of sobolev_finite trusts; below it the degree is counted densely
+PIVOT_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -203,16 +212,60 @@ def sobolev_1d_kernel(params: EfimovParams, ell: int, y: np.ndarray) -> np.ndarr
     return (params.u12 / (2 * np.pi)) * (1.0 / den) @ P
 
 
+def _dense_count(vals: np.ndarray, nn: int, mu: float) -> int:
+    """#{singular values of K > mu} from vals = h s_l at the lags nn-1 .. -(nn-1):
+    the reversed rows of K form the symmetric Hankel matrix with entries
+    vals[i + j], whose eigenvalue moduli are the singular values of K."""
+    sv = np.abs(np.linalg.eigvalsh(hankel(vals[:nn], vals[nn - 1:])))
+    return int(np.sum(sv > mu))
+
+
+def _negative_pivots(col: np.ndarray, diag: float, floor: float) -> int | None:
+    """#neg of the symmetric Toeplitz matrix with first column col and its
+    diagonal replaced by diag, or None when a pivot comes within floor of zero.
+
+    One Levinson-Durbin pass: the prediction errors E_0 = diag and
+    E_k = E_{k-1} (1 - kappa_k^2) are the LDL^T pivots det T_{k+1} / det T_k,
+    so by Sylvester's law of inertia the negative E_k number the negative
+    eigenvalues.  Each E_k is checked before anything is divided by it.
+    """
+    n = col.size
+    rev = col[::-1].copy()              # rev[n-k:n-1] = c_{k-1}, ..., c_1
+    a = np.zeros(n)                     # predictor a_1 .. a_k in a[1:k+1]
+    err = float(diag)
+    if not abs(err) > floor:
+        return None
+    neg = int(err < 0)
+    for k in range(1, n):
+        kappa = -float(col[k] + a[1:k] @ rev[n - k:n - 1]) / err
+        a[1:k] += kappa * a[k - 1:0:-1]
+        a[k] = kappa
+        err *= 1.0 - kappa * kappa
+        if not abs(err) > floor:
+            return None
+        neg += err < 0
+    return neg
+
+
 def sobolev_finite(params: EfimovParams, r: float, mu: float,
                    ell_max: int = ELL_MAX, table: ModeTable | None = None) -> int:
     """n(mu, S_r): total count of singular values of the finite operator above mu.
 
     Per degree l of the table the block K_ij = h s_l(x_i - x_j) is taken on the
-    nn = ceil(8 r) midpoints x_i of (0, r), step h.  As x_{nn-1-i} = r - x_i, its
-    reversed rows h s_l(r - x_i - x_j) form a symmetric Hankel matrix for every
-    r12 whose eigenvalue moduli are the singular values of K.  These cannot
-    exceed sup_lambda |shat_l|, so degrees whose symbol maximum stays below mu
-    are skipped outright.
+    nn = ceil(8 r) midpoints x_i of (0, r), step h.  Degrees whose symbol
+    maximum sup_lambda |shat_l| stays below mu are skipped outright, since no
+    singular value of K exceeds it.
+
+    At r12 = 0 the kernel is even, so K is symmetric Toeplitz and its singular
+    values are its eigenvalue moduli.  The count is then an inertia count,
+    #{|eig K| > mu} = (nn - #neg(K - mu I)) + #neg(K + mu I), each #neg read off
+    the Levinson-Durbin prediction errors of the first column h s_l(d h),
+    d = 0..nn-1: O(nn^2) work and O(nn) memory.  Two cases take one dense
+    eigvalsh instead: every degree at r12 != 0, and a degree where a pivot of
+    either shift comes within PIVOT_RTOL of zero, relative to the diagonal's
+    scale |h s_l(0)| + mu.  There, as x_{nn-1-i} = r - x_i, the reversed
+    rows h s_l(r - x_i - x_j) form a symmetric Hankel matrix whose eigenvalue
+    moduli are the singular values of K.
     """
     if not 0 < r < np.inf or not mu > 0:
         raise ModelDataError("r must be finite and positive, and mu positive")
@@ -221,14 +274,24 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
     tbl = _table_for(params, table, ell_max)
     step = r / nn
     x = (np.arange(nn) + 0.5) * step
-    diffs = np.concatenate([x - x[-1], (x - x[0])[1:]])     # all distinct x_i - x_j
+    lags = x - x[0]
+    diffs = np.concatenate([x - x[-1], lags[1:]])           # all distinct x_i - x_j
     total = 0
     for ell, top in zip(tbl.ells.tolist(), tbl.mode_max()):
         if top <= mu * (1.0 - 1e-9):
             continue
-        vals = step * sobolev_1d_kernel(params, ell, diffs)[::-1]
-        sv = np.abs(np.linalg.eigvalsh(hankel(vals[:nn], vals[nn - 1:])))
-        total += (2 * ell + 1) * int(np.sum(sv > mu))
+        if params.r12 == 0.0:
+            col = step * sobolev_1d_kernel(params, ell, lags)
+            floor = PIVOT_RTOL * (abs(col[0]) + mu)
+            below = _negative_pivots(col, col[0] - mu, floor)
+            above = _negative_pivots(col, col[0] + mu, floor)
+            if below is not None and above is not None:
+                count = nn - below + above
+            else:
+                count = _dense_count(np.concatenate([col[:0:-1], col]), nn, mu)
+        else:
+            count = _dense_count(step * sobolev_1d_kernel(params, ell, diffs)[::-1], nn, mu)
+        total += (2 * ell + 1) * count
     return total
 
 

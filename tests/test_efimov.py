@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from helpers import sobolev_toeplitz_count, sphere_nystrom_count
+from lattice3b import efimov
 from lattice3b import (CountReport, DegenerateCouplingError, EfimovParams,
                        HessianData, ModelDataError, InsufficientDataError,
                        ResourceCapError, asymptotic_slope,
@@ -198,11 +200,51 @@ def test_sobolev_linear_growth_and_limit():
 @pytest.mark.parametrize("r12", [0.0, 0.4, -0.4])
 def test_sobolev_matches_toeplitz_oracle(r12):
     p = EfimovParams(u12=BUILTIN.u12, r12=r12, s12=BUILTIN.s12)
-    for r in (5.0, 10.0, 20.0):
+    for r in (5.0, 10.0, 20.0, 50.0, 100.0):
         for mu in (1.0, 0.3, 0.1):
             oracle, margin = sobolev_toeplitz_count(p, r, mu, ell_max=3)
             assert margin > 1e-6, (r, mu)
             assert sobolev_finite(p, r, mu, ell_max=3) == oracle, (r, mu)
+
+
+def test_sobolev_pinned_counts_monotone_in_mu():
+    # the counts of the dense eigvalsh path on the builtin parameters
+    tbl = mode_table(BUILTIN)
+    pinned = {100.0: 13, 150.0: 20, 200.0: 26, 400.0: 52, 800.0: 105}
+    assert {r: sobolev_finite(BUILTIN, r, 1.0, table=tbl) for r in pinned} == pinned
+    counts = [sobolev_finite(BUILTIN, 150.0, mu, table=tbl)
+              for mu in (0.3, 0.5, 0.9, 1.0, 1.1, 1.2)]
+    assert counts[:2] == [66, 48]
+    assert counts == sorted(counts, reverse=True)
+
+
+def _sobolev_column(params, ell, r):
+    """h s_l(d h), d = 0..nn-1: the first column of the degree-l block of S_r."""
+    nn = int(np.ceil(8 * r))
+    step = r / nn
+    x = (np.arange(nn) + 0.5) * step
+    return step * efimov.sobolev_1d_kernel(params, ell, x - x[0])
+
+
+@pytest.mark.parametrize("case", ["diagonal", "near_diagonal", "leading_minor"])
+def test_sobolev_pivot_guard_counts_densely(monkeypatch, case):
+    # mu = h s_0(0) makes E_0 of K - mu I exactly 0 and mu = h s_0(0) (1 + 1e-12)
+    # makes it a rounding error; mu = c_0 + |c_1| zeroes the leading 2 x 2
+    # minor, so E_1 is a rounding error.  Degree 0 must go to eigvalsh.
+    r, ell_max = 20.0, 3
+    c = _sobolev_column(BUILTIN, 0, r)
+    mu = float({"diagonal": c[0], "near_diagonal": c[0] * (1.0 + 1e-12),
+                "leading_minor": c[0] + abs(c[1])}[case])
+    dense, calls = efimov._dense_count, []
+    monkeypatch.setattr(efimov, "_dense_count", lambda *a: calls.append(a) or dense(*a))
+    with np.errstate(divide="raise", invalid="raise"):
+        got = sobolev_finite(BUILTIN, r, mu, ell_max=ell_max)
+    assert len(calls) == 1 and type(got) is int
+    eigs = [np.linalg.eigvalsh(toeplitz(_sobolev_column(BUILTIN, ell, r)))
+            for ell in range(ell_max + 1)]
+    assert min(np.min(np.abs(np.abs(e) - mu)) for e in eigs) > 1e-9 * mu
+    assert got == sum((2 * ell + 1) * int(np.sum(np.abs(e) > mu))
+                      for ell, e in enumerate(eigs))
 
 
 def test_sobolev_phase_irrelevance():

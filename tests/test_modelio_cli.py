@@ -168,6 +168,19 @@ def test_load_model_runs_no_nelder_mead(monkeypatch, name, grid):
     assert spec.m == 0.0 and spec.mu1 > 0 and spec.mu2 > 0
 
 
+@pytest.mark.parametrize("grid", [8, 14, 32, 64])
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "models")
+                                        .glob("*.json")), ids=lambda p: p.stem)
+def test_channel_values_equal_generic_evaluator(path, grid):
+    # the builtin sum form takes per-axis cosines; the bits must not change
+    spec = load_model(str(path), grid).spec
+    t = spec.grid.nodes
+    for p in (np.zeros(3), np.random.default_rng(grid).uniform(-np.pi, np.pi, 3)):
+        pb = np.broadcast_to(p, t.shape)
+        assert np.array_equal(spec.channel_values(1, p), spec.pair(t, pb))
+        assert np.array_equal(spec.channel_values(2, p), spec.pair(pb, t))
+
+
 BAD_NUMBERS = [
     {"grid_n": 8.7}, {"grid_n": "8"}, {"grid_n": [8]}, {"grid_n": True},
     {"delta": "1"}, {"delta": [1.0]}, {"delta": float("nan")},
