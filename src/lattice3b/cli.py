@@ -188,6 +188,8 @@ def cmd_validate(args) -> int:
     def check(name, fn):
         try:
             ok, detail = fn()
+        except ResourceCapError:
+            raise
         except ToolkitError as exc:
             ok, detail = False, str(exc)
         checks.append(ok)
@@ -287,16 +289,13 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidSpectralPointError as exc:
-        # couplings put channel branches below the requested sweep
+    except (InvalidSpectralPointError, HypothesisViolationError, DegenerateModelError) as exc:
+        # a broken hypothesis, or couplings that put channel branches below the sweep
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except (ModelDataError, InvalidResolutionError, OutOfDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (HypothesisViolationError, DegenerateModelError) as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
     except ResourceCapError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -22,13 +22,14 @@ dense eigvalsh of the block's Hankel form counts it instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.linalg import hankel
 
 from .errors import (DegenerateCouplingError, InsufficientDataError, ModelDataError,
-                     ResourceCapError)
+                     require_memory)
 from .model import HessianData
 from .reports import CountReport
 
@@ -38,7 +39,6 @@ N_LAMBDA = 20001
 GL_NODES = 64
 NODES_PER_UNIT = 8          # S_r Nystrom nodes per unit length
 SLOPE_MIN_POINTS = 4        # trusted rows asymptotic_slope needs
-MAX_ENTRIES = 2 ** 28       # largest S_r block (r <= 2048) or mode table
 # smallest Levinson pivot, relative to |h s_l(0)| + mu, that the inertia count
 # of sobolev_finite trusts; below it the degree is counted densely
 PIVOT_RTOL = 1e-8
@@ -74,12 +74,6 @@ def efimov_params(h: HessianData) -> EfimovParams:
 _GLX, _GLW = leggauss(GL_NODES)
 
 
-def _require_entries(entries: int, what: str) -> None:
-    if entries > MAX_ENTRIES:
-        raise ResourceCapError(f"{what} needs {entries} entries, above the cap of "
-                               f"{MAX_ENTRIES}")
-
-
 def _legendre_rows(ell_max: int) -> np.ndarray:
     return legvander(_GLX, ell_max).T
 
@@ -108,7 +102,9 @@ class ModeTable:
         mult = (2 * self.ells + 1)[:, None]
         return ((np.abs(self.values) > mu) * mult).sum(axis=0)
 
+    @cached_property
     def mode_max(self) -> np.ndarray:
+        """sup_lambda |shat_l| per degree, computed once per table."""
         return np.abs(self.values).max(axis=1)
 
     def to_csv(self) -> str:
@@ -142,7 +138,7 @@ def _column(params: EfimovParams, lam: float, ell_max: int) -> ModeTable:
         raise ModelDataError("ell must be nonnegative")
     if not lam >= 0:
         raise ModelDataError("lam must be nonnegative (modes are even in lambda)")
-    _require_entries((ell_max + 1) * GL_NODES, "mode column")
+    require_memory(8 * (ell_max + 1) * GL_NODES, "mode column")
     return _modes(params, np.array([float(lam)]), ell_max)
 
 
@@ -155,12 +151,12 @@ def legendre_mode(params: EfimovParams, ell: int, lam: float) -> float:
 def mode_table(params: EfimovParams, ell_max: int = ELL_MAX,
                lam_max: float = LAMBDA_MAX, n_lam: int = N_LAMBDA) -> ModeTable:
     """Tabulate all modes on n_lam equispaced lambdas in [0, lam_max]; the table,
-    its Legendre rows and its integrand each fit in the capped size
-    max(ell_max + 1, 64) * max(n_lam, 64)."""
+    its Legendre rows and its integrand each fit in the checked size of
+    max(ell_max + 1, 64) * max(n_lam, 64) doubles."""
     if ell_max < 0 or not 0 < lam_max < np.inf or n_lam < 2:
         raise ModelDataError(f"mode table needs ell_max >= 0, finite lam_max > 0 and "
                              f"n_lam >= 2, got {ell_max}, {lam_max}, {n_lam}")
-    _require_entries(max(ell_max + 1, GL_NODES) * max(n_lam, GL_NODES), "mode table")
+    require_memory(8 * max(ell_max + 1, GL_NODES) * max(n_lam, GL_NODES), "mode table")
     return _modes(params, np.linspace(0.0, lam_max, n_lam), ell_max)
 
 
@@ -270,14 +266,15 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
     if not 0 < r < np.inf or not mu > 0:
         raise ModelDataError("r must be finite and positive, and mu positive")
     nn = int(np.ceil(NODES_PER_UNIT * r))
-    _require_entries(nn * nn, f"S_r block at r = {r:g}")
+    # the dense path's nn x nn block; the bound also caps the O(nn^2) pivot work
+    require_memory(8 * nn * nn, f"S_r block at r = {r:g}")
     tbl = _table_for(params, table, ell_max)
     step = r / nn
     x = (np.arange(nn) + 0.5) * step
     lags = x - x[0]
     diffs = np.concatenate([x - x[-1], lags[1:]])           # all distinct x_i - x_j
     total = 0
-    for ell, top in zip(tbl.ells.tolist(), tbl.mode_max()):
+    for ell, top in zip(tbl.ells.tolist(), tbl.mode_max):
         if top <= mu * (1.0 - 1e-9):
             continue
         if params.r12 == 0.0:

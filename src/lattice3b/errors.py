@@ -38,7 +38,16 @@ class InvalidSpectralPointError(OutOfDomainError):
 
 
 class ResourceCapError(ToolkitError):
-    """Requested dense object exceeds the configured size cap."""
+    """Requested arrays exceed the memory limit (see require_memory)."""
+
+
+MEMORY_LIMIT_BYTES = 2 ** 31    # the one size limit on the arrays of a request
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Refuse `what` before it allocates its nbytes when they exceed the limit."""
+    if nbytes > MEMORY_LIMIT_BYTES:
+        raise ResourceCapError(f"{what} needs {nbytes} bytes, above {MEMORY_LIMIT_BYTES}")
 
 
 class InsufficientDataError(ToolkitError, ValueError):

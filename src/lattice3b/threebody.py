@@ -36,14 +36,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
 from .errors import (InvalidSpectralPointError, ModelDataError,
-                     NotProductFormError, OutOfDomainError, ResourceCapError)
+                     NotProductFormError, OutOfDomainError, require_memory)
 from .grids import TWO_PI
 from .model import HessianData, ModelSpec, hessian_at_minimum, pair_matrix
 from .reports import CountReport, EssentialSpectrumReport
 
-# dense materialization / direct-Hamiltonian caps
-DENSE_BS_DIM_CAP = 16384
-DIRECT_DIM_CAP = 50000
 # eigenvalues this close to the counting threshold (relative to ||B||) count as below
 TIE_RTOL = 1e-12
 # Lanczos for k singular values needs this many rows per value, else the dense
@@ -88,6 +85,8 @@ class _BSWorkspace:
         self.w = spec.grid.weight
         self.axes, self.chi = _flip_axes(spec)
         reps = np.flatnonzero(np.all(spec.grid.nodes[:, list(self.axes)] > 0.0, axis=1))
+        require_memory(2 * 2 ** len(self.axes) * len(reps) ** 2 * 8,     # U and scratch
+                       f"count workspace on the {spec.grid.n}^3 grid")
         self.r = spec.grid.nodes[reps]          # the representatives
         self.f1 = spec.phi_values(1)[reps]
         self.f2 = spec.phi_values(2)[reps]
@@ -222,15 +221,13 @@ def assemble_bs_matrix(spec: ModelSpec, z: float) -> BSMatrix:
     """Build the symmetric Nystrom matrix of T(z) (cross block materialized),
     the dense test oracle: from the full pair matrix, not the workspace.
 
-    Requires z < m and positive determinants at every node; raises the
-    resource-cap error when the full matrix would exceed the dense cap.
+    Requires z < m and positive determinants at every node; sized as the
+    2N x 2N doubles of its full() matrix.
     """
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
-    if 2 * spec.grid.size > DENSE_BS_DIM_CAP:
-        raise ResourceCapError(
-            f"dense T(z) would have dimension {2 * spec.grid.size} > {DENSE_BS_DIM_CAP}; "
-            f"use count_eigenvalues_below / count_report, which work blockwise")
+    require_memory(8 * (2 * spec.grid.size) ** 2,
+                   "dense T(z) (count_report works blockwise)")
     R = 1.0 / (pair_matrix(spec) - z)           # R[t, p], first slot of u first
     w = spec.grid.weight
     f1, f2 = spec.phi_values(1), spec.phi_values(2)
@@ -313,9 +310,7 @@ def assemble_direct_hamiltonian(spec: ModelSpec) -> np.ndarray:
     exactly on the same grid.
     """
     N = spec.grid.size
-    if N * N > DIRECT_DIM_CAP:
-        raise ResourceCapError(
-            f"direct Hamiltonian dimension {N * N} exceeds cap {DIRECT_DIM_CAP}")
+    require_memory(3 * 8 * N ** 4, "direct Hamiltonian (H and its two np.kron terms)")
     U = pair_matrix(spec)
     H = np.diag(U.ravel())      # row-major: index = (t-slot, q-slot)
     w = spec.grid.weight
@@ -342,8 +337,9 @@ def finite_dim_bs_identity_check(spec: ModelSpec, z: float) -> float:
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     N = spec.grid.size
-    if N * N > 4_000_000:
-        raise ResourceCapError(f"identity check materializes N^2 = {N * N} resolvent entries")
+    # per pair entry: U and R0 (8 bytes each), Phi, Phi R0 and Phi R0 Phi* in
+    # CSR (12 each: value and index) and the four dense N x N sides (8 each)
+    require_memory((2 * 8 + 3 * 12 + 4 * 8) * N * N, "identity check")
     U = pair_matrix(spec)
     sw = np.sqrt(spec.grid.weight)
     R0 = sp.diags(1.0 / (U.ravel() - z))

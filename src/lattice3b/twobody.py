@@ -58,9 +58,18 @@ class ExpansionFit:
 
 def _refined_extremum(spec: ModelSpec, alpha: int, p: np.ndarray,
                       vals: np.ndarray, sign: float) -> float:
-    """Minimum (sign = 1) or maximum (sign = -1) of u_p^(alpha) from its grid
-    values vals, refined by one Nelder-Mead run from the extremal node on
-    smooth models; tabulated models keep the grid value."""
+    """Minimum (sign = 1) or maximum (sign = -1) of u_p^(alpha).
+
+    On the builtin band both channels read sum_a w_a [(1 - cos p_a) + g(x)]
+    in each variable x = q_a, with g(x) = (1 - cos x) + c (1 - cos(x - p_a)),
+    whose extrema are (1 + c) -/+ |1 + c e^{i p_a}|: closed form.  Otherwise
+    the grid values vals are refined by one Nelder-Mead run from the extremal
+    node on smooth models; tabulated models keep the grid value."""
+    pair = spec.pair
+    if pair.form == "sum-of-dispersions" and pair.dispersion.separable:
+        c, p = pair.cross_weight, np.asarray(p, dtype=float).reshape(3)
+        g = (1.0 + c) - sign * np.abs(1.0 + c * np.exp(1j * p))
+        return float(pair.dispersion.fn(p) + np.dot(pair.dispersion.axis_weights, g))
     i = int(np.argmin(sign * vals))
     best = sign * float(vals[i])
     if spec.pair.dispersion is None or spec.pair.dispersion.kind != "tabulated":

@@ -3,9 +3,11 @@
 Everything here is deliberately built on different machinery than the package:
 Bessel-function reductions, adaptive quadrature and direct sphere-mesh
 discretizations, so oracle and implementation never share a code path.
-`checkout_env` points subprocess tests at the package under test.
+`checkout_env` points subprocess tests at the package under test, and
+`traced_peak` measures what a call allocates.
 """
 import os
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,6 +24,18 @@ def checkout_env() -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc, numpy buffers included, while fn()
+    runs; fn's exceptions propagate."""
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
 
 
 def lambda_exact_builtin(s: float, cross_weight: float = 1.0) -> float:
@@ -101,24 +115,30 @@ def legendre_projection(fn, ell: int, npts: int = 400):
     return 2 * np.pi * np.sum(w * P * fn(x), axis=-1)
 
 
-def sobolev_toeplitz_count(params, r: float, mu: float, ell_max: int):
-    """n(mu, S_r) from the Toeplitz Nystrom blocks and their singular values.
-
-    Per degree l, K_ij = h s_l(x_i - x_j) on the ceil(8 r) midpoints x_i of
-    (0, r) with step h, where s_l(y) is the dense Legendre projection of
-    S(y, t) = (2 pi)^{-2} u12 / (cosh(y + r12) + s12 t).  Every degree up to
-    ell_max is counted.  Returns (count, margin), margin being the smallest
-    |sigma - mu| / mu over all singular values, the distance from a tie.
-    """
+@lru_cache(maxsize=None)
+def _toeplitz_singular_values(params, r: float, ell: int) -> np.ndarray:
+    """Singular values of the degree-ell block K_ij = h s_l(x_i - x_j) on the
+    ceil(8 r) midpoints x_i of (0, r) with step h, where s_l(y) is the dense
+    Legendre projection of S(y, t) = (2 pi)^{-2} u12 / (cosh(y + r12) + s12 t).
+    They do not depend on mu, so each (params, r, ell) is built once."""
     nn = int(np.ceil(8 * r))
     h = r / nn
     y = np.arange(-(nn - 1), nn) * h                 # x_i - x_j, i - j = -(nn-1)..nn-1
+    s = legendre_projection(
+        lambda t: params.u12 / (2 * np.pi) ** 2
+        / (np.cosh(y + params.r12)[:, None] + params.s12 * t), ell)
+    return svdvals(h * toeplitz(s[nn - 1:], s[nn - 1::-1]))
+
+
+def sobolev_toeplitz_count(params, r: float, mu: float, ell_max: int):
+    """n(mu, S_r) from the Toeplitz Nystrom blocks and their singular values
+    (see _toeplitz_singular_values).  Every degree up to ell_max is counted.
+    Returns (count, margin), margin being the smallest |sigma - mu| / mu over
+    all singular values, the distance from a tie.
+    """
     count, margin = 0, np.inf
     for ell in range(ell_max + 1):
-        s = legendre_projection(
-            lambda t: params.u12 / (2 * np.pi) ** 2
-            / (np.cosh(y + params.r12)[:, None] + params.s12 * t), ell)
-        sv = svdvals(h * toeplitz(s[nn - 1:], s[nn - 1::-1]))
+        sv = _toeplitz_singular_values(params, r, ell)
         count += (2 * ell + 1) * int(np.sum(sv > mu))
         margin = min(margin, float(np.min(np.abs(sv - mu))) / mu)
     return count, margin

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import checkout_env
+from helpers import checkout_env, traced_peak
 from lattice3b import ModelDataError, builtin_epsilon, build_grid
 from lattice3b.cli import main
 from lattice3b.modelio import load_dispersion_csv, load_model
@@ -393,6 +393,22 @@ def test_cli_efimov_radius_over_cap_exit4(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("resource error:")
+
+
+@pytest.mark.parametrize("command", ["count", "essential", "validate"])
+def test_cli_workspace_over_limit_exit4(capsys, command):
+    # the n = 34 workspace (3.1 GB of sector stacks) is refused before it exists
+    model = str(Path(__file__).resolve().parent.parent / "models" / "builtin_critical.json")
+    codes = []
+    peak = traced_peak(lambda: codes.append(main([command, "--model", model, "--grid", "34"])))
+    out, err = capsys.readouterr()
+    assert codes == [4]
+    assert peak < 2 ** 23          # loading the model, well below the 3.1 GB refused
+    assert err.startswith("resource error:") and "count workspace" in err
+    if command == "validate":
+        assert "FAIL" not in out       # the refusal is an exit, not a failed check
+    else:
+        assert out == ""
 
 
 def test_cli_seed_only_on_validate(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
 from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
                        ResourceCapError, assemble_bs_matrix,
                        assemble_direct_hamiltonian, build_grid,
@@ -14,6 +15,7 @@ from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
                        form_factor, hs_diagnostics, lambda_on_grid, make_model,
                        pair_energy_sum, sin_axis_form_factor,
                        tabulated_dispersion, trust_floor)
+from lattice3b.errors import MEMORY_LIMIT_BYTES, require_memory
 from lattice3b.model import hessian_at_minimum, pair_matrix
 from lattice3b.threebody import (TIE_RTOL, _BSWorkspace, _count_block_singular_above,
                                  model_kernel_block)
@@ -121,6 +123,35 @@ def test_bs_dense_cap():
     spec = builtin_model(24, 0.0, 0.0)
     with pytest.raises(ResourceCapError):
         assemble_bs_matrix(spec, -1.0)
+
+
+def test_memory_limit_is_inclusive():
+    assert MEMORY_LIMIT_BYTES == 2 ** 31
+    require_memory(2 ** 31, "exactly the limit")
+    with pytest.raises(ResourceCapError):
+        require_memory(2 ** 31 + 1, "one byte over")
+
+
+def _refused(fn, *args):
+    with pytest.raises(ResourceCapError):
+        fn(*args)
+
+
+def test_direct_hamiltonian_n6_refused_before_allocation():
+    # H and its two kron terms at n = 6 would take 3 * 46656^2 * 8 bytes = 52 GB
+    spec = builtin_model(6, 0.0, 0.0)
+    assert traced_peak(lambda: _refused(assemble_direct_hamiltonian, spec)) < 2 ** 22
+
+
+@pytest.mark.parametrize("n,fits", [(32, True), (34, False)])
+def test_workspace_limit_on_three_axes(n, fits):
+    # two stacks of 8 blocks of (n^3/8)^2 doubles: exactly 2^31 bytes at n = 32,
+    # 3.1 GB at n = 34; both are decided before any stack exists
+    spec = builtin_model(n, 0.0, 0.0)
+    if fits:
+        assert traced_peak(lambda: _BSWorkspace(spec)) < 2 ** 22
+    else:
+        assert traced_peak(lambda: _refused(_BSWorkspace, spec)) < 2 ** 22
 
 
 @pytest.mark.parametrize("phi1_sin", [False, True])

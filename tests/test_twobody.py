@@ -5,9 +5,10 @@ import pytest
 
 from helpers import lambda_exact_builtin, richardson_1_over_n
 from lattice3b import (OutOfDomainError, ThresholdClass, build_grid,
-                       builtin_epsilon, builtin_model, channel_eigenvalue,
-                       channel_range, classify_threshold, const_form_factor,
-                       coupling_threshold, delta_at_threshold_bounds,
+                       builtin_dispersion, builtin_epsilon, builtin_model,
+                       channel_eigenvalue, channel_range, classify_threshold,
+                       const_form_factor, coupling_threshold,
+                       custom_pair_energy, delta_at_threshold_bounds,
                        expansion_fit, form_factor, fredholm_det,
                        lambda_integral, lambda_on_grid, make_model,
                        pair_energy_sum, resonance_function_norm,
@@ -171,6 +172,24 @@ def test_channel_range_corner_constant(spec8):
     rng_a = channel_range(spec8, 2, p)
     assert rng_a.m_alpha == pytest.approx(12.0, abs=1e-10)
     assert rng_a.M_alpha == pytest.approx(12.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)],
+                         ids=["unit", "weighted"])
+@pytest.mark.parametrize("c", [0.25, 1.0, 6.0])
+def test_channel_range_closed_form_matches_custom(c, weights):
+    # oracle: the same band through a custom pair energy (grid values refined
+    # by Nelder-Mead), as test_extrema_custom_matches_separable does for m, M
+    eps = builtin_dispersion(weights)
+    builtin = make_model(pair_energy_sum(eps, c), 8, 0.0, 0.0)
+    custom = make_model(custom_pair_energy(lambda p, q: eps(p) + c * eps(p - q) + eps(q)),
+                        8, 0.0, 0.0)
+    points = np.random.default_rng(7).uniform(-np.pi, np.pi, size=(4, 3))
+    for p in [Z3, np.array([np.pi, -0.5, 2.0]), *points]:
+        for alpha in (1, 2):
+            got, ref = channel_range(builtin, alpha, p), channel_range(custom, alpha, p)
+            assert got.m_alpha == pytest.approx(ref.m_alpha, abs=1e-10)
+            assert got.M_alpha == pytest.approx(ref.M_alpha, abs=1e-10)
 
 
 def test_channel_bottom_quadratic_expansion(spec16_critical):
