@@ -34,10 +34,9 @@ def builtin_epsilon(q: np.ndarray) -> np.ndarray:
 class Dispersion:
     """A single-particle dispersion on the torus.
 
-    kind is one of "builtin" (cosine family, optionally axis-weighted),
-    "tabulated" (periodic trilinear interpolation of nodal values) or
-    "custom" (arbitrary vectorized evaluator).  Only the builtin family
-    supports the exact separable extrema/pair fast paths.
+    kind is one of "builtin" (cosine family, optionally axis-weighted, with
+    the exact fast paths of PairEnergy.separable), "tabulated" (periodic
+    trilinear interpolation of nodal values) or "custom" (arbitrary evaluator).
     """
 
     kind: str
@@ -46,10 +45,6 @@ class Dispersion:
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         return self.fn(q)
-
-    @property
-    def separable(self) -> bool:
-        return self.kind == "builtin"
 
 
 def builtin_dispersion(axis_weights: Sequence[float] = (1.0, 1.0, 1.0)) -> Dispersion:
@@ -116,6 +111,11 @@ class PairEnergy:
 
     def __call__(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self.evaluator(p, q)
+
+    @property
+    def separable(self) -> bool:
+        """The builtin cosine sum form, which has the exact separable fast paths."""
+        return self.form == "sum-of-dispersions" and self.dispersion.kind == "builtin"
 
 
 def pair_energy_sum(dispersion: Dispersion, cross_weight: float = 1.0) -> PairEnergy:
@@ -229,7 +229,7 @@ class ModelSpec:
         if alpha not in (1, 2):
             raise ModelDataError(f"channel must be 1 or 2, got {alpha}")
         p = np.asarray(p, dtype=float).reshape(3)
-        if self.pair.form == "sum-of-dispersions" and self.pair.dispersion.separable:
+        if self.pair.separable:
             vals = _separable_channel_values(self.pair, self.grid.n, alpha, p)
         else:
             t = self.grid.nodes
@@ -277,7 +277,7 @@ def extrema(pair: PairEnergy, grid: TorusGrid):
     and a coarse subsampled scan beyond it; smooth ones are then refined by
     Nelder-Mead.
     """
-    if pair.form == "sum-of-dispersions" and pair.dispersion.separable:
+    if pair.separable:
         c = pair.cross_weight
         g_max = 2.0 + 2.0 * c + 0.5 / c if c > 0.5 else 4.0
         return 0.0, sum(pair.dispersion.axis_weights) * g_max, (np.zeros(3), np.zeros(3))
@@ -418,7 +418,7 @@ def pair_matrix(spec: ModelSpec, out: Optional[np.ndarray] = None,
     t = spec.grid.nodes if rows is None else rows
     p = spec.grid.nodes if cols is None else cols
     U = np.empty((t.shape[0], p.shape[0])) if out is None else out
-    if spec.pair.form == "sum-of-dispersions" and spec.pair.dispersion.separable:
+    if spec.pair.separable:
         w = np.array(spec.pair.dispersion.axis_weights)
         c = spec.pair.cross_weight
         C = np.cos(t) * w

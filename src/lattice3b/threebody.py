@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .errors import (InvalidSpectralPointError, ModelDataError,
                      NotProductFormError, OutOfDomainError, require_memory)
@@ -75,9 +75,9 @@ class _BSWorkspace:
 
     For the model's flip axes A it holds the representatives (nodes positive
     on every axis of A; all nodes when A = ()), the 2^|A| arrays
-    U_k[i, j] = u(k r_i, r_j) over the flips k on A, and one scratch stack.
-    Counts, determinants, Lambda and the HS diagnostics all read this one
-    array set.
+    U_k[i, j] = u(k r_i, r_j) over the flips k on A and one scratch stack, of
+    nbytes in all.  Counts, determinants, Lambda, the HS diagnostics and the
+    essential bisection work in this one array set, with M x M temporaries.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -85,8 +85,8 @@ class _BSWorkspace:
         self.w = spec.grid.weight
         self.axes, self.chi = _flip_axes(spec)
         reps = np.flatnonzero(np.all(spec.grid.nodes[:, list(self.axes)] > 0.0, axis=1))
-        require_memory(2 * 2 ** len(self.axes) * len(reps) ** 2 * 8,     # U and scratch
-                       f"count workspace on the {spec.grid.n}^3 grid")
+        self.nbytes = 2 * 2 ** len(self.axes) * len(reps) ** 2 * 8    # U and scratch
+        require_memory(self.nbytes, f"count workspace on the {spec.grid.n}^3 grid")
         self.r = spec.grid.nodes[reps]          # the representatives
         self.f1 = spec.phi_values(1)[reps]
         self.f2 = spec.phi_values(2)[reps]
@@ -200,8 +200,7 @@ def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
     have a parity on that axis, read off their grid values with the tolerance
     of the model's own parity check.  A = () for any other model.
     """
-    pair = spec.pair
-    if not (pair.form == "sum-of-dispersions" and pair.dispersion.separable):
+    if not spec.pair.separable:
         return (), (0, 0)
 
     def parity(vals: np.ndarray, axis: int) -> int:     # +1 even, -1 odd, 0 neither
@@ -280,7 +279,10 @@ def _leading_singular_values(block: np.ndarray, mu: float) -> np.ndarray:
     k = 8
     while min(block.shape) >= LANCZOS_ROWS_PER_VALUE * k:
         v0 = np.random.default_rng(0).standard_normal(block.shape[1])
-        sv = svds(block, k=k, v0=v0, return_singular_vectors=False, tol=1e-10)
+        try:
+            sv = svds(block, k=k, v0=v0, return_singular_vectors=False, tol=1e-10)
+        except ArpackNoConvergence:
+            break       # the dense spectrum below
         if sv.min() <= mu + TIE_RTOL * sv.max():
             return sv
         k *= 2
@@ -388,7 +390,7 @@ def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
     mu = spec.mu(alpha)
     # min over t of u_p(t): t runs over the flips k of every representative,
     # the first slot (U_k rows) in channel 1 and the second in channel 2
-    U, _ = ws._arrays()
+    U, S = ws._arrays()
     vals_min = U.min(axis=(0, 1) if alpha == 1 else (0, 2))
     # bracket top just below the three-body threshold: quadrature sums are
     # finite there (every node value exceeds m) and roots above m are not
@@ -399,16 +401,18 @@ def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
     has_root = 1.0 - mu * ws.lambdas(alpha, top) < 0.0
     out = np.full(vals_min.size, np.nan)
     if has_root.any():
-        # Delta_alpha(p, .) > 0 below a bracket without a root, so only the
-        # columns (channel 1) or rows (channel 2) of roots p are evaluated
+        # Delta_alpha(p, .) > 0 below a bracket without a root, so only the columns
+        # (channel 1) or rows (2) of roots p go to the scratch stack ("clip": unbuffered)
         roots = np.flatnonzero(has_root)
-        U_open = U[:, :, roots] if alpha == 1 else U[:, roots, :]
+        n, M = U.shape[:2]
+        R = S.reshape(-1)[:n * M * roots.size].reshape((n, M, -1) if alpha == 1 else (n, -1, M))
         a, b = lo, np.full(vals_min.size, top)
         for _ in range(60):
             c = 0.5 * (a + b)
-            zc = c[roots][None, :] if alpha == 1 else c[roots][:, None]
+            np.take(U, roots, axis=2 if alpha == 1 else 1, out=R, mode="clip")
+            R -= c[roots][None, :] if alpha == 1 else c[roots][:, None]
             pos = np.ones(vals_min.size, dtype=bool)
-            pos[roots] = 1.0 - mu * ws._lambda(alpha, 1.0 / (U_open - zc)) > 0.0
+            pos[roots] = 1.0 - mu * ws._lambda(alpha, np.reciprocal(R, out=R)) > 0.0
             a = np.where(pos, c, a)
             b = np.where(pos, b, c)
             if float(np.max(b - a)) < 1e-10:
@@ -467,22 +471,23 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
 
 def _hs_of_stack(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
                  hess: HessianData) -> tuple[float, float]:
-    """hs_diagnostics from the sector stack S = ws.blocks_into(z)[0]."""
-    spec = ws.spec
-    # U is diagonal on every model with flip axes (the builtin separable ones:
-    # off-diagonal Hessian entries exactly 0.0), so the model kernel is flip
-    # invariant and keeps every sector.  Its blocks are the character sums of
-    # its flipped blocks, indexed (p, t) where T's are (t, p).
-    W = np.empty_like(S)
-    for k, t in ws.flipped():
-        W[k] = model_kernel_block(spec, hess, spec.m - z, delta, rows=t, cols=ws.r)
-    _walsh_hadamard(W)
+    """hs_diagnostics from the sector stack S = ws.blocks_into(z)[0], which it
+    uses up: the butterflies run again and leave 2^|A| times T's flipped blocks.
+
+    U is diagonal on every model with flip axes (the builtin separable ones:
+    off-diagonal Hessian entries exactly 0.0), so the model kernel is flip
+    invariant and keeps every sector; its sector blocks are the character sums
+    of its flipped blocks K_k, indexed (p, t) where T's are (t, p).  By
+    Parseval over the flips, the distance is summed one model block at a time."""
     hs2 = float(np.vdot(S, S))
-    c1, c2 = ws.chi
-    if c1 == c2:    # T keeps every sector psi, under the block label psi chi_2
-        diff2 = sum(float(np.sum((S[psi ^ c2].T - W[psi]) ** 2)) for psi in range(len(W)))
-    else:       # T and the model kernel sit in disjoint sector pairs
-        diff2 = hs2 + float(np.vdot(W, W))
+    _walsh_hadamard(S)
+    n, (c1, c2) = len(S), ws.chi
+    diff2 = 0.0 if c1 == c2 else hs2    # else T and the model: disjoint sector pairs
+    for k, t in ws.flipped():
+        K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta, rows=t, cols=ws.r)
+        if c1 == c2:    # T's block psi chi_2 meets the model's psi: sign chi_2(k)
+            K -= S[k].T * ((-1) ** bin(c2 & k).count("1") / n)
+        diff2 += n * float(np.vdot(K, K))
     return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2))
 
 

@@ -66,7 +66,7 @@ def _refined_extremum(spec: ModelSpec, alpha: int, p: np.ndarray,
     the grid values vals are refined by one Nelder-Mead run from the extremal
     node on smooth models; tabulated models keep the grid value."""
     pair = spec.pair
-    if pair.form == "sum-of-dispersions" and pair.dispersion.separable:
+    if pair.separable:
         c, p = pair.cross_weight, np.asarray(p, dtype=float).reshape(3)
         g = (1.0 + c) - sign * np.abs(1.0 + c * np.exp(1j * p))
         return float(pair.dispersion.fn(p) + np.dot(pair.dispersion.axis_weights, g))

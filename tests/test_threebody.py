@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import traced_peak
 from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
@@ -152,6 +153,25 @@ def test_workspace_limit_on_three_axes(n, fits):
         assert traced_peak(lambda: _BSWorkspace(spec)) < 2 ** 22
     else:
         assert traced_peak(lambda: _refused(_BSWorkspace, spec)) < 2 ** 22
+
+
+def test_count_with_hs_stays_in_the_workspace(spec16_critical):
+    """The HS diagnostics reuse the sector stack instead of building a model
+    kernel stack beside it: a count sweep with HS stays within the checked
+    two-stack bytes plus a few block-sized temporaries."""
+    nbytes = _BSWorkspace(spec16_critical).nbytes
+    assert nbytes == 2 * 8 * 512 ** 2 * 8
+    peak = traced_peak(lambda: count_report(spec16_critical, [1e-1, 1e-4], with_hs=True))
+    assert peak <= 1.30 * nbytes
+
+
+def test_essential_bisection_stays_in_the_workspace(spec16_critical):
+    """Overcritical, every node has a root below m, and the bisection still
+    evaluates the open brackets in the scratch stack, not in copies of U."""
+    mu = 3 * spec16_critical.mu1
+    spec = spec16_critical.with_params(mu1=mu, mu2=mu)
+    peak = traced_peak(lambda: essential_spectrum(spec))
+    assert peak <= 1.05 * _BSWorkspace(spec).nbytes
 
 
 @pytest.mark.parametrize("phi1_sin", [False, True])
@@ -326,6 +346,25 @@ def test_block_counter_counts_a_whole_large_block(rows):
     dense spectrum, not in a spectrum cut at k = rows - 1."""
     block = np.diag(np.linspace(1.5, 2.5, rows))
     assert _count_block_singular_above(block, 1.0) == rows
+
+
+def test_arpack_no_convergence_ends_in_dense_spectrum(spec16_critical, monkeypatch):
+    """A Lanczos run that does not converge falls through to the dense SVD
+    instead of ending the count with an exception."""
+    s = 1e-4
+    stack = _BSWorkspace(spec16_critical).blocks_into(spec16_critical.m - s)[0]
+    sv = np.linalg.svd(stack, compute_uv=False)
+    dense = int(np.sum(sv > 1.0 + TIE_RTOL * sv.max()))
+    rows = []
+
+    def no_convergence(block, **kwargs):
+        rows.append(min(block.shape))
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                  np.empty((0, 0)))
+
+    monkeypatch.setattr("lattice3b.threebody.svds", no_convergence)
+    assert count_report(spec16_critical, [s], with_hs=False).counts[0] == dense > 0
+    assert rows and min(rows) >= 160
 
 
 def test_essential_spectrum_critical(spec16_critical):
