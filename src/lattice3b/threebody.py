@@ -25,10 +25,15 @@ from the same resolvent and spread to all nodes, and the HS diagnostics pair
 the blocks with those of the threshold model kernel.  The full cross block is
 the case A = (): one block over all nodes, which is what tabulated or custom
 dispersions and form factors without any axis parity run on.
+
+Axis permutations that keep A, the axis weights and both form factors
+(`_sector_orbits`) commute with T(z) and permute the flip labels, so the count
+and the HS distance run on one sector block per orbit, weighted by its size.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -78,6 +83,8 @@ class _BSWorkspace:
     U_k[i, j] = u(k r_i, r_j) over the flips k on A and one scratch stack, of
     nbytes in all.  Counts, determinants, Lambda, the HS diagnostics and the
     essential bisection work in this one array set, with M x M temporaries.
+    `orbits` holds (k, multiplicity) for each orbit of the flip labels under
+    the model's axis permutations `group`, k the orbit's smallest label.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -87,9 +94,10 @@ class _BSWorkspace:
         reps = np.flatnonzero(np.all(spec.grid.nodes[:, list(self.axes)] > 0.0, axis=1))
         self.nbytes = 2 * 2 ** len(self.axes) * len(reps) ** 2 * 8    # U and scratch
         require_memory(self.nbytes, f"count workspace on the {spec.grid.n}^3 grid")
+        phi = [spec.phi_values(alpha) for alpha in (1, 2)]
+        self.group, self.orbits = _sector_orbits(spec, self.axes, phi)
         self.r = spec.grid.nodes[reps]          # the representatives
-        self.f1 = spec.phi_values(1)[reps]
-        self.f2 = spec.phi_values(2)[reps]
+        self.f1, self.f2 = (v[reps] for v in phi)
         self._stacks = None     # (U stack, scratch stack)
 
     def flipped(self):
@@ -205,15 +213,39 @@ def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
 
     def parity(vals: np.ndarray, axis: int) -> int:     # +1 even, -1 odd, 0 neither
         flipped = vals[spec.grid.reflection_index((axis,))]
-        tol = 1e-9 * max(1.0, np.max(np.abs(vals)))
-        return next((sign for sign in (1, -1)
-                     if np.max(np.abs(flipped - sign * vals)) <= tol), 0)
+        return next((sign for sign in (1, -1) if _grid_equal(flipped, sign * vals)), 0)
 
     par = np.array([[parity(spec.phi_values(alpha), axis) for axis in range(3)]
                     for alpha in (1, 2)])
     axes = tuple(int(a) for a in np.flatnonzero(np.all(par != 0, axis=0)))
     bits = 1 << np.arange(len(axes))[::-1]      # axis A[0] is the top flip bit
     return axes, tuple(int((p[list(axes)] < 0) @ bits) for p in par)
+
+
+def _grid_equal(moved: np.ndarray, vals: np.ndarray) -> bool:
+    """Grid values equal within the tolerance of the model's parity check."""
+    return np.max(np.abs(moved - vals)) <= 1e-9 * max(1.0, np.max(np.abs(vals)))
+
+
+def _sector_orbits(spec: ModelSpec, axes: tuple,
+                   phi: list) -> tuple[list, tuple[tuple[int, int], ...]]:
+    """(group, orbits): the axis permutations s (axis a to s[a]) that map A
+    onto A, keep the builtin axis weights exactly and leave the grid values
+    phi of both form factors unchanged, so that they commute with T(z), and
+    the orbits of the flip labels under them, (smallest label, size) in label
+    order.  A = () gives the trivial group."""
+    if not axes:
+        return [(0, 1, 2)], ((0, 1),)
+    n, w = spec.grid.n, spec.pair.dispersion.axis_weights
+    group = [s for s in permutations(range(3)) if {s[a] for a in axes} == set(axes)
+             and all(w[s[a]] == w[a] for a in range(3))
+             and all(_grid_equal(v.reshape((n,) * 3).transpose(s).ravel(), v) for v in phi)]
+    bit = {a: 1 << (len(axes) - 1 - i) for i, a in enumerate(axes)}    # A[0] on top
+    orbits: dict[int, int] = {}
+    for k in range(2 ** len(axes)):
+        rep = min(sum(bit[s[a]] for a in axes if k & bit[a]) for s in group)
+        orbits[rep] = orbits.get(rep, 0) + 1
+    return group, tuple(orbits.items())
 
 
 def assemble_bs_matrix(spec: ModelSpec, z: float) -> BSMatrix:
@@ -256,17 +288,20 @@ def count_above(matrix: np.ndarray, lam: float) -> int:
     return int(np.sum(ev > lam + tie))
 
 
-def _count_block_singular_above(block: np.ndarray, mu: float) -> int:
+def _count_block_singular_above(stack: np.ndarray, mu: float,
+                                orbits: Optional[tuple] = None) -> int:
     """#{singular values > mu} of one block, or of the block-diagonal sum of a
-    stack of blocks.
+    stack of blocks: every block once, or with `orbits` ((k, multiplicity),
+    see _BSWorkspace) only the blocks k, each counted multiplicity times.
 
     Values within TIE_RTOL times the largest singular value of the whole count
     as not above.
     """
-    blocks = block[None] if block.ndim == 2 else block
-    sv = [_leading_singular_values(b, mu) for b in blocks]
-    top = max((float(v.max()) for v in sv if v.size), default=0.0)
-    return int(sum(np.sum(v > mu + TIE_RTOL * top) for v in sv))
+    blocks = stack[None] if stack.ndim == 2 else stack
+    orbits = orbits if orbits is not None else [(k, 1) for k in range(len(blocks))]
+    sv = [(_leading_singular_values(blocks[k], mu), mult) for k, mult in orbits]
+    top = max((float(v.max()) for v, _ in sv if v.size), default=0.0)
+    return int(sum(mult * np.sum(v > mu + TIE_RTOL * top) for v, mult in sv))
 
 
 def _leading_singular_values(block: np.ndarray, mu: float) -> np.ndarray:
@@ -295,13 +330,13 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
 
     The spectrum of T is +/- the singular values of its cross block, so this
     counts block singular values above 1 over the blocks of the model's flip
-    axes (one full cross block when it has none).
+    axes (one full cross block when it has none), one block per sector orbit.
     """
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     stack, _, _ = ws.blocks_into(z)
-    return _count_block_singular_above(stack, 1.0)
+    return _count_block_singular_above(stack, 1.0, ws.orbits)
 
 
 def assemble_direct_hamiltonian(spec: ModelSpec) -> np.ndarray:
@@ -441,10 +476,14 @@ def model_kernel_block(spec: ModelSpec, hess: HessianData, s: float,
     chi_c = (quad_c < delta * delta).astype(float)
     num_r = chi_r * (hess.n1 * quad_r + 2 * s) ** -0.25
     num_c = chi_c * (hess.n2 * quad_c + 2 * s) ** -0.25
-    cross = (r @ Uh) @ c.T
-    den = (hess.l1 * quad_r[:, None] + 2 * hess.l * cross
-           + hess.l2 * quad_c[None, :] + 2 * s)
-    return spec.grid.weight * d0 * num_r[:, None] * num_c[None, :] / den
+    K = (r @ Uh) @ c.T      # the one block-sized array: the denominator, in place
+    K *= 2 * hess.l
+    K += hess.l1 * quad_r[:, None]
+    K += hess.l2 * quad_c[None, :]
+    K += 2 * s
+    np.divide((spec.grid.weight * d0 * num_r)[:, None], K, out=K)
+    K *= num_c[None, :]
+    return K
 
 
 def _check_cutoff(delta: float) -> None:
@@ -478,16 +517,22 @@ def _hs_of_stack(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
     off-diagonal Hessian entries exactly 0.0), so the model kernel is flip
     invariant and keeps every sector; its sector blocks are the character sums
     of its flipped blocks K_k, indexed (p, t) where T's are (t, p).  By
-    Parseval over the flips, the distance is summed one model block at a time."""
+    Parseval over the flips, the distance is summed one model block at a time,
+    one per flip orbit when every permutation of ws.group leaves U unchanged
+    (the model kernel is then invariant under them too), else every flip."""
     hs2 = float(np.vdot(S, S))
     _walsh_hadamard(S)
     n, (c1, c2) = len(S), ws.chi
+    orbits = (ws.orbits if all(np.array_equal(hess.U[np.ix_(s, s)], hess.U)
+                               for s in ws.group) else [(k, 1) for k in range(n)])
+    flips = dict(ws.flipped())
     diff2 = 0.0 if c1 == c2 else hs2    # else T and the model: disjoint sector pairs
-    for k, t in ws.flipped():
-        K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta, rows=t, cols=ws.r)
+    for k, mult in orbits:
+        K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta, rows=flips[k], cols=ws.r)
         if c1 == c2:    # T's block psi chi_2 meets the model's psi: sign chi_2(k)
-            K -= S[k].T * ((-1) ** bin(c2 & k).count("1") / n)
-        diff2 += n * float(np.vdot(K, K))
+            S[k] *= (-1) ** bin(c2 & k).count("1") / n
+            K -= S[k].T
+        diff2 += mult * n * float(np.vdot(K, K))
     return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2))
 
 
@@ -521,7 +566,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         # representatives is its minimum over all nodes
         stack, d1, d2 = ws.blocks_into(z)
         detmin[i] = min(float(d1.min()), float(d2.min()))
-        counts[i] = _count_block_singular_above(stack, 1.0)
+        counts[i] = _count_block_singular_above(stack, 1.0, ws.orbits)
         if with_hs:
             hs[i], hsd[i] = _hs_of_stack(ws, stack, z, delta, hess)
     return CountReport(
