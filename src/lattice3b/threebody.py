@@ -29,6 +29,10 @@ dispersions and form factors without any axis parity run on.
 Axis permutations that keep A, the axis weights and both form factors
 (`_sector_orbits`) commute with T(z) and permute the flip labels, so the count
 and the HS distance run on one sector block per orbit, weighted by its size.
+
+One kernel counts each block (`_leading_singular_values`): a Frobenius skip,
+then a block Rayleigh-Ritz count certified by the Weyl bound, then the dense
+spectrum.
 """
 from __future__ import annotations
 
@@ -38,7 +42,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .errors import (InvalidSpectralPointError, ModelDataError,
                      NotProductFormError, OutOfDomainError, require_memory)
@@ -48,9 +51,6 @@ from .reports import CountReport, EssentialSpectrumReport
 
 # eigenvalues this close to the counting threshold (relative to ||B||) count as below
 TIE_RTOL = 1e-12
-# Lanczos for k singular values needs this many rows per value, else the dense
-# SVD is cheaper: k = 8 beats it from 150-170 rows on (measured, one BLAS thread)
-LANCZOS_ROWS_PER_VALUE = 20
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,12 @@ class _BSWorkspace:
         return tuple(self.on_nodes(1.0 - self.spec.mu(a) * self._lambda(a, S))
                      for a in (1, 2))
 
-    def blocks_into(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def blocks_into(self, z: float, labels: Optional[list] = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Overwrite the scratch stack with the 2^|A| blocks of T12(z);
         returns (stack, d1, d2), the determinants on the representatives.
+        With `labels` only those blocks are scaled (a count that reads one
+        block per orbit); the others are left as unscaled character sums.
 
         Blocks are indexed (t, p), first slot of u first, so for A = () the
         cross block T12 is stack[0].T.  With u invariant under every flip k
@@ -176,8 +179,11 @@ class _BSWorkspace:
                 f"z is not below the channel branches")
         _walsh_hadamard(S)
         scale = np.sqrt(self.spec.mu1 * self.spec.mu2) * self.w
-        S *= (self.f1 / np.sqrt(d2))[:, None]           # t: spectator of channel 2
-        S *= (scale * self.f2 / np.sqrt(d1))[None, :]   # p: spectator of channel 1
+        col = (self.f1 / np.sqrt(d2))[:, None]          # t: spectator of channel 2
+        row = (scale * self.f2 / np.sqrt(d1))[None, :]  # p: spectator of channel 1
+        for k in range(len(S)) if labels is None else labels:
+            S[k] *= col
+            S[k] *= row
         return S, d1, d2
 
 
@@ -295,33 +301,76 @@ def _count_block_singular_above(stack: np.ndarray, mu: float,
     see _BSWorkspace) only the blocks k, each counted multiplicity times.
 
     Values within TIE_RTOL times the largest singular value of the whole count
-    as not above.
+    as not above; the certificates clear that band at the largest Frobenius
+    norm, which bounds the largest singular value from above.
     """
     blocks = stack[None] if stack.ndim == 2 else stack
     orbits = orbits if orbits is not None else [(k, 1) for k in range(len(blocks))]
-    sv = [(_leading_singular_values(blocks[k], mu), mult) for k, mult in orbits]
+    fro2 = [_squared_norm(blocks[k]) for k, _ in orbits]
+    band = TIE_RTOL * np.sqrt(max(fro2))
+    sv = [(_leading_singular_values(blocks[k], mu, f2, band), mult)
+          for (k, mult), f2 in zip(orbits, fro2)]
     top = max((float(v.max()) for v, _ in sv if v.size), default=0.0)
     return int(sum(mult * np.sum(v > mu + TIE_RTOL * top) for v, mult in sv))
 
 
-def _leading_singular_values(block: np.ndarray, mu: float) -> np.ndarray:
-    """Every singular value of block above mu and at least one that is not, or
-    the whole spectrum; none when ||block||_F <= mu.  Lanczos from k = 8 with a
-    fixed start vector, doubling k while no value at or below mu is in and the
-    block has LANCZOS_ROWS_PER_VALUE * k rows; then the dense spectrum."""
-    if float(np.linalg.norm(block)) <= mu:      # sigma_max <= Frobenius norm
+def _squared_norm(X: np.ndarray) -> float:
+    """||X||_F^2 summed row by row: relative rounding error below
+    (rows + cols) u, u the unit roundoff, for any order of the sums."""
+    return float(np.einsum("ij,ij->i", X, X).sum())
+
+
+def _leading_singular_values(block: np.ndarray, mu: float, fro2: float,
+                             band: float) -> np.ndarray:
+    """Singular values of block that decide its count above mu: none when
+    fro2 = ||block||_F^2 <= mu^2; else p Ritz values s (_ritz_bounds) whose
+    count c = #{s > mu} is certified: c < p, s_{c+1} + rho <= mu (at most c
+    values exceed mu) and s_c - r > mu + band (c values clear the tie band),
+    with margin min(s_c - r - mu, mu - s_{c+1} - rho); p = 8 doubles while
+    the block has p rows and columns; else the whole dense spectrum."""
+    if np.sqrt(fro2) <= mu:      # sigma_max <= Frobenius norm
         return np.empty(0)
-    k = 8
-    while min(block.shape) >= LANCZOS_ROWS_PER_VALUE * k:
-        v0 = np.random.default_rng(0).standard_normal(block.shape[1])
-        try:
-            sv = svds(block, k=k, v0=v0, return_singular_vectors=False, tol=1e-10)
-        except ArpackNoConvergence:
-            break       # the dense spectrum below
-        if sv.min() <= mu + TIE_RTOL * sv.max():
-            return sv
-        k *= 2
+    p = 8
+    while p <= min(block.shape):
+        s, rho, r = _ritz_bounds(block, p, fro2)
+        c = int(np.sum(s > mu))
+        if c < p and s[c] + rho <= mu and (c == 0 or s[c - 1] - r > mu + band):
+            return s
+        p *= 2
     return np.linalg.svd(block, compute_uv=False)
+
+
+def _ritz_bounds(block: np.ndarray, p: int, fro2: float) -> tuple[np.ndarray, float, float]:
+    """(s, rho, r): the p Ritz values s of B = block, fro2 = ||B||_F^2 from
+    _squared_norm, and radii with s_i - r <= sigma_i(B) <= s_i + rho.
+
+    Q = qr(B Omega), Omega Gaussian with p columns from seed 0, then one power
+    step Q = qr(B B^T Q) (Halko, Martinsson and Tropp, SIAM Rev. 53, 2011);
+    s = svd(C), C = Q^T B.  In exact arithmetic s_i = sigma_i(Q Q^T B) <=
+    sigma_i(B), and Weyl's inequality with ||B - Q Q^T B||_2^2 <= ||B||_F^2 -
+    ||C||_F^2 (Pythagoras) gives sigma_i(B) <= s_i + rho; B - QC is never
+    formed, and the stack is left intact.
+
+    Rounding, u the unit roundoff and gamma = (rows + cols + p) u: Q^T Q is
+    formed within gamma |Q|^T |Q|, so eta = ||fl(Q^T Q) - I||_F + 2 p gamma
+    bounds ||Q^T Q - I||_2.  The non-orthonormal Q, the rounding of C (within
+    gamma |Q|^T |B|, of Frobenius norm at most sqrt(2 p) ||B||_F) and its
+    backward stable SVD (taken within gamma ||B||_F) move each s_i by at most
+    e ||B||_F, e = eta + 2 (1 + sqrt p) gamma; with the two squared norms (each
+    within gamma) they move rho^2 by at most 2 e ||B||_F^2.  slack = 8 e fro2
+    covers both: r = sqrt(slack) >= e ||B||_F, and as rho <= 1.5 ||B||_F,
+    adding slack to rho^2 raises rho at least e ||B||_F above the residual.
+    """
+    Omega = np.random.default_rng(0).standard_normal((block.shape[1], p))
+    Q = np.linalg.qr(block @ Omega)[0]
+    Q = np.linalg.qr(block @ (block.T @ Q))[0]
+    C = Q.T @ block
+    s = np.linalg.svd(C, compute_uv=False)
+    gamma = (sum(block.shape) + p) * np.finfo(float).eps / 2
+    eta = float(np.linalg.norm(Q.T @ Q - np.eye(p))) + 2 * p * gamma
+    slack = 8 * (eta + 2 * (1 + np.sqrt(p)) * gamma) * fro2
+    rho = float(np.sqrt(max(fro2 - _squared_norm(C), 0.0) + slack))
+    return s, rho, float(np.sqrt(slack))
 
 
 def count_eigenvalues_below(spec: ModelSpec, z: float,
@@ -335,7 +384,7 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    stack, _, _ = ws.blocks_into(z)
+    stack, _, _ = ws.blocks_into(z, [k for k, _ in ws.orbits])
     return _count_block_singular_above(stack, 1.0, ws.orbits)
 
 
@@ -555,6 +604,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
             hess = hessian_at_minimum(spec)
         except NotProductFormError:
             with_hs = False     # e.g. tabulated models: HS columns stay NaN
+    labels = None if with_hs else [k for k, _ in ws.orbits]     # HS reads every block
     counts = np.empty(s_list.size, dtype=int)
     detmin = np.empty(s_list.size)
     hs = np.full(s_list.size, np.nan)
@@ -564,7 +614,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         z = spec.m - s
         # Delta is invariant under the flips, so its minimum over the
         # representatives is its minimum over all nodes
-        stack, d1, d2 = ws.blocks_into(z)
+        stack, d1, d2 = ws.blocks_into(z, labels)
         detmin[i] = min(float(d1.min()), float(d2.min()))
         counts[i] = _count_block_singular_above(stack, 1.0, ws.orbits)
         if with_hs:

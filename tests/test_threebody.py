@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import traced_peak
 from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
@@ -21,6 +20,7 @@ from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
 from lattice3b.errors import MEMORY_LIMIT_BYTES, require_memory
 from lattice3b.model import hessian_at_minimum, pair_matrix
 from lattice3b.threebody import (TIE_RTOL, _BSWorkspace, _count_block_singular_above,
+                                 _leading_singular_values, _ritz_bounds, _squared_norm,
                                  model_kernel_block)
 
 
@@ -365,9 +365,9 @@ def test_block_counter_matches_dense(spec8):
     """The counting kernel equals dense counts with its tie rule: on the full
     512-row block of spec8 (Frobenius norm below 1, so skipped) against the
     eigenvalues of T(z), and on sector stacks of 216, 343 and 512 rows
-    (Lanczos at k = 8) and the full 512-row block of the tabulated band (8
-    values above 1, so Lanczos doubles to k = 16) against their dense
-    singular values."""
+    (certified at p = 8) and the full 512-row block of the tabulated band (8
+    values above 1, so p doubles to 16) against their dense singular
+    values."""
     for z in (-0.9, -0.2):
         bs = assemble_bs_matrix(spec8, z)
         dense = count_above(bs.full(), 1.0)
@@ -396,29 +396,69 @@ def test_block_counter_matches_dense(spec8):
 
 @pytest.mark.parametrize("rows", [601, 700])
 def test_block_counter_counts_a_whole_large_block(rows):
-    """Every singular value above mu counts: the Lanczos doubling ends in the
-    dense spectrum, not in a spectrum cut at k = rows - 1."""
+    """Every singular value above mu counts: a block with a value above mu in
+    every Ritz slot ends in the dense spectrum, not in a count cut at p."""
     block = np.diag(np.linspace(1.5, 2.5, rows))
     assert _count_block_singular_above(block, 1.0) == rows
 
 
-def test_arpack_no_convergence_ends_in_dense_spectrum(spec16_critical, monkeypatch):
-    """A Lanczos run that does not converge falls through to the dense SVD
-    instead of ending the count with an exception."""
-    s = 1e-4
-    stack = _BSWorkspace(spec16_critical).blocks_into(spec16_critical.m - s)[0]
-    sv = np.linalg.svd(stack, compute_uv=False)
+def _rotated(sv: np.ndarray, seed: int, noise: float = 0.0) -> np.ndarray:
+    """A square block with singular values sv in seeded random bases, plus
+    seeded Gaussian noise of the given size."""
+    rng = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(rng.standard_normal((sv.size, sv.size)))[0] for _ in range(2))
+    return (U * sv) @ V.T + noise * rng.standard_normal((sv.size, sv.size))
+
+
+@pytest.mark.parametrize("case", ["hidden-within-rho", "tie"])
+def test_uncertified_block_ends_in_dense_spectrum(case):
+    """A block the Ritz values cannot certify ends in its dense spectrum with
+    the dense tie-rule count: one value 1.001 under 299 values 0.99, which no
+    Ritz subspace of up to 256 columns separates from the rest (it lies
+    within rho of 1), and a rank-2 block whose second value 1 + 1e-13, found
+    to rounding, lies inside the tie band."""
+    if case == "hidden-within-rho":
+        block = _rotated(np.concatenate([[1.001], np.full(299, 0.99)]), seed=3)
+    else:
+        block = _rotated(np.concatenate([[2.0, 1.0 + 1e-13], np.zeros(298)]), seed=3)
+    sv = np.linalg.svd(block, compute_uv=False)
     dense = int(np.sum(sv > 1.0 + TIE_RTOL * sv.max()))
-    rows = []
+    assert dense == 1
+    fro2 = _squared_norm(block)
+    assert _leading_singular_values(block, 1.0, fro2, TIE_RTOL * np.sqrt(fro2)).size == 300
+    assert _count_block_singular_above(block, 1.0) == dense
 
-    def no_convergence(block, **kwargs):
-        rows.append(min(block.shape))
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
-                                  np.empty((0, 0)))
 
-    monkeypatch.setattr("lattice3b.threebody.svds", no_convergence)
-    assert count_report(spec16_critical, [s], with_hs=False).counts[0] == dense > 0
-    assert rows and min(rows) >= 160
+def test_ritz_bounds_are_certified():
+    """s_i - r <= sigma_i(B) <= s_i + rho for every Ritz value, on the sector
+    blocks of the critical cross-weight-6 model at n = 12 and 14 and on
+    seeded low-rank-plus-noise blocks; every resonance block the Frobenius
+    test does not skip is certified with p = 8 Ritz values."""
+    blocks = []
+    for n in (12, 14):
+        spec = builtin_model(n, cross_weight=6.0)
+        spec = spec.with_params(mu1=coupling_threshold(spec, 1),
+                                mu2=coupling_threshold(spec, 2))
+        ws = _BSWorkspace(spec)
+        for s in (1.0, 1e-1, 1e-2, 1e-4, 1e-8):
+            stack = ws.blocks_into(spec.m - s)[0]
+            for k, _ in ws.orbits:
+                fro2 = _squared_norm(stack[k])
+                if fro2 > 1.0:
+                    sv = _leading_singular_values(stack[k], 1.0, fro2, TIE_RTOL * np.sqrt(fro2))
+                    assert sv.size == 8, (n, s, k)
+                    blocks.append(stack[k].copy())
+    for seed in range(6):
+        rank = 2 + seed
+        sv = np.concatenate([np.geomspace(3.0, 1.05, rank), np.zeros(200 - rank)])
+        blocks.append(_rotated(sv, seed, noise=0.02))
+    for block in blocks:
+        sigma = np.linalg.svd(block, compute_uv=False)
+        for p in (8, 16):
+            s, rho, r = _ritz_bounds(block, p, _squared_norm(block))
+            assert 0.0 < r < 1e-4 * np.linalg.norm(block)
+            assert np.all(s - r <= sigma[:p])
+            assert np.all(sigma[:p] <= s + rho)
 
 
 def test_essential_spectrum_critical(spec16_critical):
@@ -557,9 +597,9 @@ def test_count_report_columns_and_trust(spec16_critical, monkeypatch):
     blocks_into = _BSWorkspace.blocks_into
     calls = []
 
-    def count_blocks(self, z):
+    def count_blocks(self, z, *labels):
         calls.append(z)
-        return blocks_into(self, z)
+        return blocks_into(self, z, *labels)
 
     monkeypatch.setattr(_BSWorkspace, "blocks_into", count_blocks)
     rep = count_report(spec16_critical, s_vals, with_hs=True)
