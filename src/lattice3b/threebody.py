@@ -18,17 +18,21 @@ energy, invariant under flipping both momenta on any axis, and form factors
 with a parity on that axis, read off the grid values) T(z) commutes with the
 group Z2^A, and the cross block splits exactly into 2^|A| blocks of N/2^|A|
 rows built from the pair energies between representatives positive on A.
-The count runs on those blocks.  Lambda_alpha(p, z) and Delta_alpha(p, z) are
-flip-invariant, so the determinants, `lambda_on_grid`, the essential-spectrum
-bisection and `validate`'s Lambda maximum are summed on the representatives
-from the same resolvent and spread to all nodes, and the HS diagnostics pair
-the blocks with those of the threshold model kernel.  The full cross block is
-the case A = (): one block over all nodes, which is what tabulated or custom
-dispersions and form factors without any axis parity run on.
+The workspace builds the flipped blocks T_k, one per flip k; the sector
+blocks are their character sums, formed in place by one cache-blocked
+transform (`_walsh_hadamard`) where a count needs them.  Lambda_alpha(p, z)
+and Delta_alpha(p, z) are flip-invariant, so the determinants,
+`lambda_on_grid`, the essential-spectrum bisection and `validate`'s Lambda
+maximum are summed on the representatives from the same resolvent and
+spread to all nodes.  The HS diagnostics read the flipped blocks before the
+transform and pair them with those of the threshold model kernel, built
+only on its support.  The full cross block is the case A = (): one block
+over all nodes, which is what tabulated or custom dispersions and form
+factors without any axis parity run on.
 
 Axis permutations that keep A, the axis weights and both form factors
 (`_sector_orbits`) commute with T(z) and permute the flip labels, so the count
-and the HS distance run on one sector block per orbit, weighted by its size.
+and the HS distance run on one block per orbit, weighted by its size.
 
 One kernel counts each block (`_leading_singular_values`): a Frobenius skip,
 then a block Rayleigh-Ritz count certified by the Weyl bound, then the dense
@@ -37,20 +41,27 @@ spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (InvalidSpectralPointError, ModelDataError,
-                     NotProductFormError, OutOfDomainError, require_memory)
+from .errors import (HypothesisViolationError, InvalidSpectralPointError,
+                     ModelDataError, NotProductFormError, OutOfDomainError,
+                     require_memory)
 from .grids import TWO_PI
 from .model import HessianData, ModelSpec, hessian_at_minimum, pair_matrix
 from .reports import CountReport, EssentialSpectrumReport
 
 # eigenvalues this close to the counting threshold (relative to ||B||) count as below
 TIE_RTOL = 1e-12
+# columns per slab of the sector transform, whose buffer of 2^|A| x _SLAB
+# doubles (256 KB for three axes) stays in cache: at M = 343 to 1728 rows per
+# block, 4096 ran within 30% of the fastest of 1024 to 8192, 1024 up to 2.4x
+# slower (one BLAS thread).  The blocks are scaled in row slabs of that size.
+_SLAB = 4096
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,7 @@ class _BSWorkspace:
         self.r = spec.grid.nodes[reps]          # the representatives
         self.f1, self.f2 = (v[reps] for v in phi)
         self._stacks = None     # (U stack, scratch stack)
+        self._u_min = np.inf    # U's minimum, set with the stacks
 
     def flipped(self):
         """(k, representatives flipped by k) for the flips k in bit order."""
@@ -114,14 +126,17 @@ class _BSWorkspace:
             for k, t in self.flipped():
                 pair_matrix(self.spec, out=U[k], rows=t, cols=self.r)
             self._stacks = U, np.empty_like(U)
+            self._u_min = float(U.min())
         return self._stacks
 
     def _resolvents(self, z: float) -> np.ndarray:
-        """The scratch stack overwritten with 1/(U_k - z) over the flips k."""
+        """The scratch stack overwritten with 1/(U_k - z) over the flips k.
+        fl(u - z) <= 0 exactly when u <= z, so the domain check reads U's
+        minimum instead of the differences."""
         U, S = self._arrays()
-        np.subtract(U, z, out=S)
-        if S.min() <= 0.0:
+        if self._u_min <= z:
             raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
+        np.subtract(U, z, out=S)
         np.reciprocal(S, out=S)
         return S
 
@@ -155,20 +170,20 @@ class _BSWorkspace:
         return tuple(self.on_nodes(1.0 - self.spec.mu(a) * self._lambda(a, S))
                      for a in (1, 2))
 
-    def blocks_into(self, z: float, labels: Optional[list] = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Overwrite the scratch stack with the 2^|A| blocks of T12(z);
-        returns (stack, d1, d2), the determinants on the representatives.
-        With `labels` only those blocks are scaled (a count that reads one
-        block per orbit); the others are left as unscaled character sums.
+    def blocks_into(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Overwrite the scratch stack with the 2^|A| flipped blocks
+        T_k[t, p] = col(t) row(p) / (U_k[t, p] - z) of T12(z); returns
+        (stack, d1, d2), the determinants on the representatives.
 
         Blocks are indexed (t, p), first slot of u first, so for A = () the
         cross block T12 is stack[0].T.  With u invariant under every flip k
         on A and phi_alpha(k q) = chi_alpha(k) phi_alpha(q), T12 maps the
         sector of the character psi onto that of psi chi_1 chi_2, and on the
-        representatives its block is col(t) row(p) sum_k psi(k) chi_2(k) /
-        (U_k[t, p] - z).  Multiplying by chi_2 only permutes the labels psi,
-        so the blocks are the character sums scaled like the full block.
+        representatives its block is sum_k psi(k) chi_2(k) T_k.  Multiplying
+        by chi_2 only permutes the labels psi, so the sector blocks are the
+        character sums of the flipped blocks (_walsh_hadamard).  col and row
+        do not depend on k, so all blocks are scaled in one pass, row slab by
+        row slab with their outer product.
         """
         S = self._resolvents(z)
         d1, d2 = (1.0 - self.spec.mu(a) * self._lambda(a, S) for a in (1, 2))
@@ -177,30 +192,32 @@ class _BSWorkspace:
                 f"nonpositive determinant at z = {z} "
                 f"(min d1 = {d1.min():.3e}, min d2 = {d2.min():.3e}); "
                 f"z is not below the channel branches")
-        _walsh_hadamard(S)
         scale = np.sqrt(self.spec.mu1 * self.spec.mu2) * self.w
-        col = (self.f1 / np.sqrt(d2))[:, None]          # t: spectator of channel 2
-        row = (scale * self.f2 / np.sqrt(d1))[None, :]  # p: spectator of channel 1
-        for k in range(len(S)) if labels is None else labels:
-            S[k] *= col
-            S[k] *= row
+        col = self.f1 / np.sqrt(d2)            # t: spectator of channel 2
+        row = scale * self.f2 / np.sqrt(d1)    # p: spectator of channel 1
+        M = len(row)
+        step = max(1, len(S) * _SLAB // M)      # a slab buffer's worth of rows
+        for i in range(0, M, step):
+            S[:, i:i + step] *= np.multiply.outer(col[i:i + step], row)
         return S, d1, d2
 
 
 def _walsh_hadamard(S: np.ndarray) -> None:
     """In place, the stack S_k over the flips k becomes the character sums
-    S_psi = sum_k psi(k) S_k: one butterfly per flip axis, with k and psi
-    both indexing the flip bits of the axes in order."""
-    d, shape = len(S).bit_length() - 1, S.shape[1:]
-    H = S.reshape((2,) * d + shape)
-    diff = np.empty(shape if d else 0)      # no butterflies for A = ()
-    for a in range(d):
-        for rest in np.ndindex((2,) * (d - 1)):
-            lo = H[rest[:a] + (0,) + rest[a:]]
-            hi = H[rest[:a] + (1,) + rest[a:]]
-            np.subtract(lo, hi, out=diff)
-            lo += hi
-            hi[...] = diff
+    S_psi = sum_k psi(k) S_k, psi(k) = (-1)^popcount(psi & k), with k and psi
+    both indexing the flip bits of the axes in order: the +-1 character matrix
+    times S as 2^|A| rows, one column slab at a time through one buffer."""
+    n = len(S)
+    if n == 1:      # A = (): the one block is its own sector
+        return
+    H = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (n.bit_length() - 1))
+    X = S.reshape(n, -1)
+    buf = np.empty((n, min(_SLAB, X.shape[1])))
+    for j in range(0, X.shape[1], _SLAB):
+        cols = X[:, j:j + _SLAB]
+        out = buf[:, :cols.shape[1]]
+        np.matmul(H, cols, out=out)
+        cols[...] = out
 
 
 def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
@@ -327,15 +344,19 @@ def _leading_singular_values(block: np.ndarray, mu: float, fro2: float,
     count c = #{s > mu} is certified: c < p, s_{c+1} + rho <= mu (at most c
     values exceed mu) and s_c - r > mu + band (c values clear the tie band),
     with margin min(s_c - r - mu, mu - s_{c+1} - rho); p = 8 doubles while
-    the block has p rows and columns; else the whole dense spectrum."""
+    4 p is at most the rows and columns of the block (one Ritz step at p
+    costs as much as the dense SVD from p = rows/3 to rows/2, and the doubling
+    about twice its last step), and until every Ritz value exceeds mu at two
+    p in a row; else the whole dense spectrum."""
     if np.sqrt(fro2) <= mu:      # sigma_max <= Frobenius norm
         return np.empty(0)
-    p = 8
-    while p <= min(block.shape):
+    p, full = 8, 0
+    while 4 * p <= min(block.shape) and full < 2:
         s, rho, r = _ritz_bounds(block, p, fro2)
         c = int(np.sum(s > mu))
         if c < p and s[c] + rho <= mu and (c == 0 or s[c - 1] - r > mu + band):
             return s
+        full = full + 1 if c == p else 0
         p *= 2
     return np.linalg.svd(block, compute_uv=False)
 
@@ -384,7 +405,8 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    stack, _, _ = ws.blocks_into(z, [k for k, _ in ws.orbits])
+    stack, _, _ = ws.blocks_into(z)
+    _walsh_hadamard(stack)
     return _count_block_singular_above(stack, 1.0, ws.orbits)
 
 
@@ -505,6 +527,14 @@ def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
     return ws.on_nodes(out)
 
 
+def _kernel_support(points: np.ndarray, hess: HessianData,
+                    delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """((x, U x), chi) at the points x: chi marks the support of the threshold
+    model kernel, (x, U x) < delta^2."""
+    quad = np.einsum("ij,jk,ik->i", points, hess.U, points)
+    return quad, quad < delta * delta
+
+
 def model_kernel_block(spec: ModelSpec, hess: HessianData, s: float,
                        delta: float = 1.0, rows: Optional[np.ndarray] = None,
                        cols: Optional[np.ndarray] = None) -> np.ndarray:
@@ -512,17 +542,16 @@ def model_kernel_block(spec: ModelSpec, hess: HessianData, s: float,
 
     d0 chi(p) chi(q) (n1 (Up,p) + 2s)^{-1/4} (n2 (Uq,q) + 2s)^{-1/4}
        / (l1 (Up,p) + 2 l (Up,q) + l2 (Uq,q) + 2s),
-    with chi the indicator of |U^{1/2} p| < delta, over the points p (rows)
-    and q (cols), by default the grid nodes, with the grid weight.
+    with chi the indicator of |U^{1/2} p| < delta (_kernel_support), over the
+    points p (rows) and q (cols), by default the grid nodes, with the grid
+    weight.
     """
     r = spec.grid.nodes if rows is None else rows
     c = spec.grid.nodes if cols is None else cols
     Uh = hess.U
     d0 = np.sqrt(hess.detU) / (2 * np.pi ** 2) * (hess.l1 * hess.l2) ** 0.75
-    quad_r = np.einsum("ij,jk,ik->i", r, Uh, r)
-    quad_c = np.einsum("ij,jk,ik->i", c, Uh, c)
-    chi_r = (quad_r < delta * delta).astype(float)
-    chi_c = (quad_c < delta * delta).astype(float)
+    quad_r, chi_r = _kernel_support(r, hess, delta)
+    quad_c, chi_c = _kernel_support(c, hess, delta)
     num_r = chi_r * (hess.n1 * quad_r + 2 * s) ** -0.25
     num_c = chi_c * (hess.n2 * quad_c + 2 * s) ** -0.25
     K = (r @ Uh) @ c.T      # the one block-sized array: the denominator, in place
@@ -559,29 +588,41 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
 
 def _hs_of_stack(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
                  hess: HessianData) -> tuple[float, float]:
-    """hs_diagnostics from the sector stack S = ws.blocks_into(z)[0], which it
-    uses up: the butterflies run again and leave 2^|A| times T's flipped blocks.
+    """hs_diagnostics from the flipped blocks S = ws.blocks_into(z)[0], T_k
+    indexed (t, p), which it leaves unchanged.
 
-    U is diagonal on every model with flip axes (the builtin separable ones:
-    off-diagonal Hessian entries exactly 0.0), so the model kernel is flip
-    invariant and keeps every sector; its sector blocks are the character sums
-    of its flipped blocks K_k, indexed (p, t) where T's are (t, p).  By
-    Parseval over the flips, the distance is summed one model block at a time,
-    one per flip orbit when every permutation of ws.group leaves U unchanged
-    (the model kernel is then invariant under them too), else every flip."""
-    hs2 = float(np.vdot(S, S))
-    _walsh_hadamard(S)
+    The sector blocks are the character sums of the T_k, so by Parseval over
+    the flips ||T||_HS^2 = 2 * 2^|A| sum_k ||T_k||^2.  U is diagonal on every
+    model with flip axes (the builtin separable ones: off-diagonal Hessian
+    entries exactly 0.0), so the model kernel is flip invariant and its sector
+    blocks are the character sums of its flipped blocks K_k, indexed (p, t).
+    The distance is summed one flip at a time, one per orbit when every
+    permutation of ws.group leaves U unchanged (the model kernel is then
+    invariant under them too), else every flip.  K_k vanishes off the rows I
+    and columns J of its support, so with c1 == c2 (T's block psi chi_2 meets
+    the model's psi: sign chi_2(k))
+        ||K_k - chi_2(k) T_k^T||^2 = ||T_k off J x I||^2
+                                     + ||K_k[I, J] - chi_2(k) T_k[J, I]^T||^2,
+    exact for any superset of the support; else T and the model sit in
+    disjoint sector pairs and the distance is ||T||^2 + ||K||^2."""
     n, (c1, c2) = len(S), ws.chi
+    rows2 = np.einsum("kij,kij->ki", S, S)      # ||T_k[t, :]||^2
+    hs2 = n * float(rows2.sum())
     orbits = (ws.orbits if all(np.array_equal(hess.U[np.ix_(s, s)], hess.U)
                                for s in ws.group) else [(k, 1) for k in range(n)])
     flips = dict(ws.flipped())
-    diff2 = 0.0 if c1 == c2 else hs2    # else T and the model: disjoint sector pairs
+    J = _kernel_support(ws.r, hess, delta)[1]
+    diff2 = 0.0 if c1 == c2 else hs2
     for k, mult in orbits:
-        K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta, rows=flips[k], cols=ws.r)
-        if c1 == c2:    # T's block psi chi_2 meets the model's psi: sign chi_2(k)
-            S[k] *= (-1) ** bin(c2 & k).count("1") / n
-            K -= S[k].T
-        diff2 += mult * n * float(np.vdot(K, K))
+        I = _kernel_support(flips[k], hess, delta)[1]
+        K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta,
+                               rows=flips[k][I], cols=ws.r[J])
+        if c1 == c2:
+            TJ = S[k][J]        # the rows of the support, a copy
+            K -= (-1) ** bin(c2 & k).count("1") * TJ[:, I].T
+            TJ[:, I] = 0.0
+            diff2 += mult * n * (float(rows2[k][~J].sum()) + _squared_norm(TJ))
+        diff2 += mult * n * _squared_norm(K)
     return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2))
 
 
@@ -604,7 +645,6 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
             hess = hessian_at_minimum(spec)
         except NotProductFormError:
             with_hs = False     # e.g. tabulated models: HS columns stay NaN
-    labels = None if with_hs else [k for k, _ in ws.orbits]     # HS reads every block
     counts = np.empty(s_list.size, dtype=int)
     detmin = np.empty(s_list.size)
     hs = np.full(s_list.size, np.nan)
@@ -614,11 +654,16 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         z = spec.m - s
         # Delta is invariant under the flips, so its minimum over the
         # representatives is its minimum over all nodes
-        stack, d1, d2 = ws.blocks_into(z, labels)
+        stack, d1, d2 = ws.blocks_into(z)
         detmin[i] = min(float(d1.min()), float(d2.min()))
-        counts[i] = _count_block_singular_above(stack, 1.0, ws.orbits)
         if with_hs:
             hs[i], hsd[i] = _hs_of_stack(ws, stack, z, delta, hess)
+        _walsh_hadamard(stack)
+        counts[i] = _count_block_singular_above(stack, 1.0, ws.orbits)
+        if i and counts[i] < counts[i - 1]:
+            raise HypothesisViolationError(
+                f"N(z) fell from {counts[i - 1]} at m - z = {s_list[i - 1]:.6g} to "
+                f"{counts[i]} at m - z = {s:.6g}: a count must not decrease as z rises")
     return CountReport(
         m_minus_z=s_list, counts=counts, det_min=detmin, hs_norm=hs, hs_diff=hsd,
         trusted=s_list >= floor,

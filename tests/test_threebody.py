@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import traced_peak
-from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
-                       ResourceCapError, assemble_bs_matrix,
+from lattice3b import (HypothesisViolationError, InvalidSpectralPointError,
+                       OutOfDomainError, ResourceCapError, assemble_bs_matrix,
                        assemble_direct_hamiltonian, build_grid,
                        builtin_dispersion, builtin_epsilon, builtin_model,
                        channel_eigenvalue, cos_axis_form_factor, count_above,
@@ -17,11 +18,16 @@ from lattice3b import (InvalidSpectralPointError, OutOfDomainError,
                        form_factor, hs_diagnostics, lambda_on_grid, make_model,
                        pair_energy_sum, sin_axis_form_factor,
                        tabulated_dispersion, trust_floor)
+from lattice3b import threebody
+from lattice3b.cli import main
 from lattice3b.errors import MEMORY_LIMIT_BYTES, require_memory
 from lattice3b.model import hessian_at_minimum, pair_matrix
+from lattice3b.modelio import load_model
 from lattice3b.threebody import (TIE_RTOL, _BSWorkspace, _count_block_singular_above,
                                  _leading_singular_values, _ritz_bounds, _squared_norm,
-                                 model_kernel_block)
+                                 _walsh_hadamard, model_kernel_block)
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_count_above_examples():
@@ -158,14 +164,14 @@ def test_workspace_limit_on_three_axes(n, fits):
 
 
 def test_count_with_hs_stays_in_the_workspace(spec16_critical):
-    """The HS diagnostics reuse the sector stack instead of building a model
-    kernel stack beside it, and each model block is built in one array: a
-    count sweep with HS stays within the checked two-stack bytes plus about
-    one block-sized array (1.13x; 1.26x with the model block's temporaries)."""
+    """The HS diagnostics read the flipped blocks in the workspace instead of
+    building a model kernel stack beside it, and build each model block on the
+    kernel's support only: a count sweep with HS stays within the checked
+    two-stack bytes plus small temporaries (1.01x)."""
     nbytes = _BSWorkspace(spec16_critical).nbytes
     assert nbytes == 2 * 8 * 512 ** 2 * 8
     peak = traced_peak(lambda: count_report(spec16_critical, [1e-1, 1e-4], with_hs=True))
-    assert peak <= 1.20 * nbytes
+    assert peak <= 1.05 * nbytes
 
 
 def test_essential_bisection_stays_in_the_workspace(spec16_critical):
@@ -252,6 +258,13 @@ def _tabulated_band(n):
                       n, 0.0, 0.0)
 
 
+def _sector_stack(ws, z):
+    """The 2^|A| sector blocks of T12(z): the character sums of the flipped blocks."""
+    stack = ws.blocks_into(z)[0]
+    _walsh_hadamard(stack)
+    return stack
+
+
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("case", sorted(SECTOR_MODELS))
 def test_sector_count_exact(case, n):
@@ -276,13 +289,26 @@ def test_sector_count_exact(case, n):
         assert counts == [_intermediate_count(spec, z) for z in zs]
     for z in zs:
         assert finite_dim_bs_identity_check(spec, z) <= 1e-12
-        blocks, _, _ = ws.blocks_into(z)
+        blocks = _sector_stack(ws, z)
         assert blocks.shape == (2 ** len(axes),) + (spec.grid.size >> len(axes),) * 2
         sv_sectors = np.sort(np.concatenate(
             [np.linalg.svd(b, compute_uv=False) for b in blocks]))
         sv_full = np.sort(np.linalg.svd(assemble_bs_matrix(spec, z).block12,
                                         compute_uv=False))
         assert np.max(np.abs(sv_sectors - sv_full)) <= 1e-12 * sv_full[-1]
+
+
+@pytest.mark.parametrize("flips,m", [(1, 30), (2, 70), (8, 100)])
+def test_walsh_hadamard_matches_character_sums(flips, m):
+    """The in-place sector transform gives the character sums
+    sum_k (-1)^popcount(psi & k) S_k, also over several column slabs and a
+    partial last one (m^2 = 10^4 columns per flip)."""
+    S = np.random.default_rng(0).standard_normal((flips, m, m))
+    chars = np.array([[(-1) ** bin(psi & k).count("1") for k in range(flips)]
+                      for psi in range(flips)])
+    expected = np.einsum("pk,kij->pij", chars, S)
+    _walsh_hadamard(S)
+    np.testing.assert_allclose(S, expected, rtol=0, atol=1e-12)
 
 
 def test_no_axis_parity_takes_full_block():
@@ -338,7 +364,7 @@ def test_sector_orbits(case):
         assert ws.orbits == orbits
         for s in s_values:
             count = count_eigenvalues_below(spec, spec.m - s, ws)
-            assert count == _count_block_singular_above(ws.blocks_into(spec.m - s)[0], 1.0)
+            assert count == _count_block_singular_above(_sector_stack(ws, spec.m - s), 1.0)
 
 
 def test_sector_orbit_counts_reach_nine():
@@ -349,7 +375,7 @@ def test_sector_orbit_counts_reach_nine():
     counts = []
     for s in (1.0, 1e-1, 1e-2, 1e-4, 1e-8):
         counts.append(count_eigenvalues_below(spec, spec.m - s, ws))
-        assert counts[-1] == _count_block_singular_above(ws.blocks_into(spec.m - s)[0], 1.0)
+        assert counts[-1] == _count_block_singular_above(_sector_stack(ws, spec.m - s), 1.0)
     assert max(counts) == 9
 
 
@@ -385,7 +411,7 @@ def test_block_counter_matches_dense(spec8):
     for spec, s_values in cases:
         ws = _BSWorkspace(spec)
         for s in s_values:
-            stack = ws.blocks_into(spec.m - s)[0]
+            stack = _sector_stack(ws, spec.m - s)
             sv = np.linalg.svd(stack, compute_uv=False)
             dense = int(np.sum(sv > 1.0 + TIE_RTOL * sv.max()))
             assert _count_block_singular_above(stack, 1.0) == dense, (spec.grid.n, s)
@@ -441,7 +467,7 @@ def test_ritz_bounds_are_certified():
                                 mu2=coupling_threshold(spec, 2))
         ws = _BSWorkspace(spec)
         for s in (1.0, 1e-1, 1e-2, 1e-4, 1e-8):
-            stack = ws.blocks_into(spec.m - s)[0]
+            stack = _sector_stack(ws, spec.m - s)
             for k, _ in ws.orbits:
                 fro2 = _squared_norm(stack[k])
                 if fro2 > 1.0:
@@ -592,18 +618,66 @@ def test_hs_diagnostics_with_a_hessian_the_axis_permutations_move():
             assert diff == pytest.approx(np.sqrt(2.0) * ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["resonance_strong", "eigenvalue_case", "no-parity"])
+def test_hs_diagnostics_match_dense_block_n12(case):
+    """At n = 12, the HS norm and the model-kernel distance from the flipped
+    blocks equal the dense computation on the full cross block, for cutoffs
+    whose support holds a few nodes (0.5, 1) or about half the grid (3):
+    resonance_strong keeps every sector (c1 == c2), eigenvalue_case moves
+    each one (c1 != c2), and the no-parity model has A = ()."""
+    if case == "no-parity":
+        spec = builtin_model(12, 0.0, 0.0, phi1=SIN_Q1_PLUS_Q2, phi2=SIN_Q2_PLUS_Q3)
+        spec = spec.with_params(mu1=coupling_threshold(spec, 1),
+                                mu2=coupling_threshold(spec, 2))
+    else:
+        spec = load_model(str(MODELS / f"{case}.json"), 12).spec
+    hess = hessian_at_minimum(spec)
+    ws = _BSWorkspace(spec)
+    assert (ws.chi[0] == ws.chi[1]) == (case != "eigenvalue_case")
+    assert (ws.axes == ()) == (case == "no-parity")
+    for s in (1e-1, 1e-4):
+        bs = assemble_bs_matrix(spec, spec.m - s)
+        for delta in (0.5, 1.0, 3.0):
+            hs, diff = hs_diagnostics(spec, spec.m - s, delta, hess, ws)
+            ref = np.linalg.norm(bs.block12 - model_kernel_block(spec, hess, s, delta))
+            assert hs == pytest.approx(bs.hs_norm(), rel=1e-12)
+            assert diff == pytest.approx(np.sqrt(2.0) * ref, rel=1e-12)
+
+
+def test_count_report_refuses_a_decreasing_count(spec8, monkeypatch, tmp_path, capsys):
+    """N(z) is monotone in z: a count that falls as z rises stops the sweep
+    with a HypothesisViolationError instead of a row, and the CLI exits 3
+    without a report."""
+    counts = iter([2, 3, 1, 4] * 2)
+    monkeypatch.setattr(threebody, "_count_block_singular_above",
+                        lambda *args: next(counts))
+    with pytest.raises(HypothesisViolationError, match="fell from 3"):
+        count_report(spec8, [1e-1, 1e-2, 1e-3, 1e-4], with_hs=False)
+    out = tmp_path / "counts.csv"
+    assert main(["count", "--model", str(MODELS / "builtin_critical.json"), "--grid", "8",
+                 "--zmin-exp", "1", "--zmax-exp", "4", "--no-hs", "--out", str(out)]) == 3
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
 def test_count_report_columns_and_trust(spec16_critical, monkeypatch):
     s_vals = np.geomspace(1e-3, 1e-1, 5)
     blocks_into = _BSWorkspace.blocks_into
     calls = []
 
-    def count_blocks(self, z, *labels):
-        calls.append(z)
-        return blocks_into(self, z, *labels)
+    def count_blocks(self, z):
+        calls.append("blocks")
+        return blocks_into(self, z)
+
+    def count_transforms(stack):
+        calls.append("transform")
+        _walsh_hadamard(stack)
 
     monkeypatch.setattr(_BSWorkspace, "blocks_into", count_blocks)
+    monkeypatch.setattr(threebody, "_walsh_hadamard", count_transforms)
     rep = count_report(spec16_critical, s_vals, with_hs=True)
-    assert len(calls) == len(s_vals)        # the count and HS share each row's stack
+    # the count and HS share each row's stack, and the sector transform runs
+    # once per row, after HS has read the flipped blocks
+    assert calls == ["blocks", "transform"] * len(s_vals)
     monkeypatch.undo()
     assert rep.m_minus_z[0] > rep.m_minus_z[-1]
     assert np.all(np.diff(rep.counts) >= 0)            # counts grow toward threshold
