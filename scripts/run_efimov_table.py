@@ -33,7 +33,7 @@ def main():
         print(f"{r:g}, {nr}, {half:.6f}, {gap:.2%}")
 
     if args.curve_out:
-        mus = np.geomspace(0.2, 1.5 * abs(tbl.values).max(), 40)
+        mus = np.geomspace(0.2, 1.5 * tbl.mode_max.max(), 40)
         curve = np.array([ucoef(params, m, table=tbl) for m in mus])
         write_report(CurveReport(x_name="mu", x=mus, values=curve,
                                  meta={"u12": params.u12, "s12": params.s12}),

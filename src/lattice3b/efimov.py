@@ -16,8 +16,15 @@ never enter.
 n(mu, S_r) is an inertia count at r12 = 0, where each degree's block K is
 symmetric Toeplitz: by Sylvester's law, #{|eig K| > mu} follows from the signs
 of the Levinson-Durbin prediction errors of K -/+ mu I, with no nn x nn matrix.
-At r12 != 0, and for a degree whose smallest pivot falls below PIVOT_RTOL, one
-dense eigvalsh of the block's Hankel form counts it instead.
+The degree-0 kernel is a positive combination of the positive-definite
+functions 1/(cosh y + c), |c| < 1, so its block is positive semidefinite up
+to a stated rounding bound and, for mu above it, needs the K - mu I pass
+only.  At r12 != 0, and for a degree whose
+smallest pivot falls below PIVOT_RTOL, one dense eigvalsh of the block's
+Hankel form counts it instead.
+
+The mode table is filled in slabs of LAMBDA_SLAB lambdas, so its integrand
+never exists at full size; the entries are those of one whole-table einsum.
 """
 from __future__ import annotations
 
@@ -42,6 +49,13 @@ SLOPE_MIN_POINTS = 4        # trusted rows asymptotic_slope needs
 # smallest Levinson pivot, relative to |h s_l(0)| + mu, that the inertia count
 # of sobolev_finite trusts; below it the degree is counted densely
 PIVOT_RTOL = 1e-8
+# bound on -lambda_min of the computed degree-0 block of S_r at r12 = 0,
+# relative to sum_d |h s_0(d h)| / (1 - |s12|); see _degree0_psd_bound
+PSD_RTOL = 1e-12
+# lambdas per slab of the mode table: a slab's 64-node integrand (256 KB)
+# stays in cache, where the whole (n_lam, 64) integrand and its temporaries
+# (about ten of 10 MB at the default grid) did not
+LAMBDA_SLAB = 512
 
 
 @dataclass(frozen=True)
@@ -98,9 +112,11 @@ class ModeTable:
     values: np.ndarray = field(repr=False)      # (n_ell, n_lam)
 
     def counts(self, mu: float) -> np.ndarray:
-        """n(mu, Shat(lambda_j)) for every lambda on the table."""
-        mult = (2 * self.ells + 1)[:, None]
-        return ((np.abs(self.values) > mu) * mult).sum(axis=0)
+        """n(mu, Shat(lambda_j)) for every lambda on the table, read from the
+        degrees whose maximum mode_max exceeds mu: the others add 0."""
+        active = np.flatnonzero(self.mode_max > mu)
+        mult = (2 * self.ells[active] + 1)[:, None]
+        return ((np.abs(self.values[active]) > mu) * mult).sum(axis=0)
 
     @cached_property
     def mode_max(self) -> np.ndarray:
@@ -122,12 +138,21 @@ def _modes(params: EfimovParams, lams: np.ndarray, ell_max: int) -> ModeTable:
     / (sqrt(1 - s12^2 t^2) sinh(pi lambda)) dt by 64-node Gauss-Legendre (lambda = 0
     takes the limit (pi - arccos(s t))/pi of the sinh ratio); the phase
     e^{i r12 lambda} is dropped since only |mode| enters any count.
+
+    The table is filled LAMBDA_SLAB lambdas at a time, each slab's integrand
+    then one einsum into the table's columns.  einsum sums each entry over the
+    64 nodes in the same order at any slab width, so every entry, and every
+    single column of legendre_mode, is bit-identical to a whole-table product
+    (a BLAS matmul is not: its summation order follows the width).
     """
     b = np.pi - np.arccos(params.s12 * _GLX)
-    ratio = _sinh_ratio(lams[:, None], b[None, :])          # (n_lam, 64)
-    integ = ratio / np.sqrt(1.0 - params.s12 ** 2 * _GLX ** 2)
+    root = np.sqrt(1.0 - params.s12 ** 2 * _GLX ** 2)
     P = _legendre_rows(ell_max) * _GLW
-    values = params.u12 * np.einsum("lk,nk->ln", P, integ)
+    values = np.empty((ell_max + 1, lams.size))
+    for j in range(0, lams.size, LAMBDA_SLAB):
+        integ = _sinh_ratio(lams[j:j + LAMBDA_SLAB, None], b[None, :]) / root
+        np.einsum("lk,nk->ln", P, integ, out=values[:, j:j + LAMBDA_SLAB])
+    values *= params.u12
     return ModeTable(params=params, ells=np.arange(ell_max + 1), lams=lams,
                      values=values)
 
@@ -150,9 +175,10 @@ def legendre_mode(params: EfimovParams, ell: int, lam: float) -> float:
 
 def mode_table(params: EfimovParams, ell_max: int = ELL_MAX,
                lam_max: float = LAMBDA_MAX, n_lam: int = N_LAMBDA) -> ModeTable:
-    """Tabulate all modes on n_lam equispaced lambdas in [0, lam_max]; the table,
-    its Legendre rows and its integrand each fit in the checked size of
-    max(ell_max + 1, 64) * max(n_lam, 64) doubles."""
+    """Tabulate all modes on n_lam equispaced lambdas in [0, lam_max]; the table
+    and its Legendre rows each fit in the checked size of
+    max(ell_max + 1, 64) * max(n_lam, 64) doubles, and the integrand is built
+    LAMBDA_SLAB lambdas at a time."""
     if ell_max < 0 or not 0 < lam_max < np.inf or n_lam < 2:
         raise ModelDataError(f"mode table needs ell_max >= 0, finite lam_max > 0 and "
                              f"n_lam >= 2, got {ell_max}, {lam_max}, {n_lam}")
@@ -243,6 +269,35 @@ def _negative_pivots(col: np.ndarray, diag: float, floor: float) -> int | None:
     return neg
 
 
+def _degree0_psd_bound(params: EfimovParams, col: np.ndarray) -> float:
+    """A bound on -lambda_min of the computed degree-0 block K_0 of S_r at
+    r12 = 0 with first column col = h s_0(d h): PSD_RTOL sum_d |col_d| / (1 - |s12|).
+
+    Exactly, col_d = h (u12 / 2 pi) sum_k w_k / (cosh(d h) + s12 t_k) with
+    Gauss-Legendre weights w_k > 0 and |s12 t_k| < 1, and each 1/(cosh y + c),
+    |c| < 1, is a positive-definite function: its Fourier transform
+    2 pi sinh(lambda arccos c) / (sqrt(1 - c^2) sinh(pi lambda)) is positive
+    (Bochner).  So the Toeplitz K_0 of its samples is positive semidefinite,
+    for the computed nodes, weights and step alike.  The computed col_d differ
+    by e_d, in units of eps = 2^-52:
+      * the shift cosh(y) + s12 t_k >= 1 - |s12|: a few eps relative to
+        cosh(y) + |s12|, so at most 4 eps (1 + |s12|) / (1 - |s12|) relative;
+      * the 64-term dot product of positive terms and the two scalings:
+        at most 67 eps relative;
+      * the lag itself, off d h by at most eps (y + h), where
+        |d/dy log(1/(cosh y + c))| <= 1 / sqrt(1 - c^2): eps (y + h) / (1 - |s12|)
+        relative, and the col-weighted mean lag is below 1.2 (measured for
+        s12 from -0.999 to 0.999);
+      * the clip of cosh at 700: only lags beyond 700, where col_d < 1e-300.
+    So sum_d |e_d| <= 80 eps sum_d |col_d| / (1 - |s12|), and by Gershgorin a
+    symmetric Toeplitz perturbation has ||E||_2 <= 2 sum_d |e_d|: lambda_min of
+    the computed K_0 is above -3.6e-14 sum_d |col_d| / (1 - |s12|), which
+    PSD_RTOL covers 25 times over.  Measured lambda_min: +5.9e-13 at s12 = -0.5,
+    r = 50, and +5.6e-17 at s12 = 0.
+    """
+    return PSD_RTOL * float(np.abs(col).sum()) / (1.0 - abs(params.s12))
+
+
 def sobolev_finite(params: EfimovParams, r: float, mu: float,
                    ell_max: int = ELL_MAX, table: ModeTable | None = None) -> int:
     """n(mu, S_r): total count of singular values of the finite operator above mu.
@@ -256,12 +311,15 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
     values are its eigenvalue moduli.  The count is then an inertia count,
     #{|eig K| > mu} = (nn - #neg(K - mu I)) + #neg(K + mu I), each #neg read off
     the Levinson-Durbin prediction errors of the first column h s_l(d h),
-    d = 0..nn-1: O(nn^2) work and O(nn) memory.  Two cases take one dense
-    eigvalsh instead: every degree at r12 != 0, and a degree where a pivot of
-    either shift comes within PIVOT_RTOL of zero, relative to the diagonal's
-    scale |h s_l(0)| + mu.  There, as x_{nn-1-i} = r - x_i, the reversed
-    rows h s_l(r - x_i - x_j) form a symmetric Hankel matrix whose eigenvalue
-    moduli are the singular values of K.
+    d = 0..nn-1: O(nn^2) work and O(nn) memory.  The degree-0 block K_0 is
+    positive semidefinite up to rounding (_degree0_psd_bound), so when mu
+    exceeds that bound #neg(K_0 + mu I) = 0 and only K_0 - mu I is factored.
+    Two cases take one dense eigvalsh instead: every degree at r12 != 0, and
+    a degree where a pivot of a factored shift comes within PIVOT_RTOL of
+    zero, relative to the diagonal's scale |h s_l(0)| + mu.  There, as
+    x_{nn-1-i} = r - x_i, the reversed rows h s_l(r - x_i - x_j) form a
+    symmetric Hankel matrix whose eigenvalue moduli are the singular values
+    of K.
     """
     if not 0 < r < np.inf or not mu > 0:
         raise ModelDataError("r must be finite and positive, and mu positive")
@@ -281,7 +339,10 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
             col = step * sobolev_1d_kernel(params, ell, lags)
             floor = PIVOT_RTOL * (abs(col[0]) + mu)
             below = _negative_pivots(col, col[0] - mu, floor)
-            above = _negative_pivots(col, col[0] + mu, floor)
+            if ell == 0 and mu > _degree0_psd_bound(params, col):
+                above = 0       # K_0 + mu I is positive definite
+            else:
+                above = _negative_pivots(col, col[0] + mu, floor)
             if below is not None and above is not None:
                 count = nn - below + above
             else:

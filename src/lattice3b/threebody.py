@@ -32,7 +32,8 @@ factors without any axis parity run on.
 
 Axis permutations that keep A, the axis weights and both form factors
 (`_sector_orbits`) commute with T(z) and permute the flip labels, so the count
-and the HS distance run on one block per orbit, weighted by its size.
+and the HS distance run on one block per orbit, weighted by its size; the
+count's transform forms only those orbit blocks.
 
 One kernel counts each block (`_leading_singular_values`): a Frobenius skip,
 then a block Rayleigh-Ritz count certified by the Weyl bound, then the dense
@@ -95,7 +96,8 @@ class _BSWorkspace:
     nbytes in all.  Counts, determinants, Lambda, the HS diagnostics and the
     essential bisection work in this one array set, with M x M temporaries.
     `orbits` holds (k, multiplicity) for each orbit of the flip labels under
-    the model's axis permutations `group`, k the orbit's smallest label.
+    the model's axis permutations `group`, k the orbit's smallest label, and
+    `orbit_slots` those labels k: the sector blocks a count reads.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -107,6 +109,7 @@ class _BSWorkspace:
         require_memory(self.nbytes, f"count workspace on the {spec.grid.n}^3 grid")
         phi = [spec.phi_values(alpha) for alpha in (1, 2)]
         self.group, self.orbits = _sector_orbits(spec, self.axes, phi)
+        self.orbit_slots = [k for k, _ in self.orbits]
         self.r = spec.grid.nodes[reps]          # the representatives
         self.f1, self.f2 = (v[reps] for v in phi)
         self._stacks = None     # (U stack, scratch stack)
@@ -202,22 +205,28 @@ class _BSWorkspace:
         return S, d1, d2
 
 
-def _walsh_hadamard(S: np.ndarray) -> None:
+def _walsh_hadamard(S: np.ndarray, rows: Optional[list] = None) -> None:
     """In place, the stack S_k over the flips k becomes the character sums
     S_psi = sum_k psi(k) S_k, psi(k) = (-1)^popcount(psi & k), with k and psi
     both indexing the flip bits of the axes in order: the +-1 character matrix
-    times S as 2^|A| rows, one column slab at a time through one buffer."""
+    times S as 2^|A| rows, one column slab at a time through one buffer.
+
+    With `rows` (the orbit representatives a count reads) only the slots psi
+    in rows are written, from those rows of the character matrix; the other
+    slots keep flipped blocks and must not be read."""
     n = len(S)
     if n == 1:      # A = (): the one block is its own sector
         return
     H = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (n.bit_length() - 1))
+    rows = list(range(n)) if rows is None else list(rows)
+    H = H[rows]
     X = S.reshape(n, -1)
-    buf = np.empty((n, min(_SLAB, X.shape[1])))
+    buf = np.empty((len(rows), min(_SLAB, X.shape[1])))
     for j in range(0, X.shape[1], _SLAB):
         cols = X[:, j:j + _SLAB]
         out = buf[:, :cols.shape[1]]
         np.matmul(H, cols, out=out)
-        cols[...] = out
+        cols[rows] = out
 
 
 def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
@@ -406,7 +415,7 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     stack, _, _ = ws.blocks_into(z)
-    _walsh_hadamard(stack)
+    _walsh_hadamard(stack, ws.orbit_slots)
     return _count_block_singular_above(stack, 1.0, ws.orbits)
 
 
@@ -658,7 +667,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         detmin[i] = min(float(d1.min()), float(d2.min()))
         if with_hs:
             hs[i], hsd[i] = _hs_of_stack(ws, stack, z, delta, hess)
-        _walsh_hadamard(stack)
+        _walsh_hadamard(stack, ws.orbit_slots)
         counts[i] = _count_block_singular_above(stack, 1.0, ws.orbits)
         if i and counts[i] < counts[i - 1]:
             raise HypothesisViolationError(

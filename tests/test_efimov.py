@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
 from scipy.linalg import toeplitz
 
 from helpers import sobolev_toeplitz_count, sphere_nystrom_count
@@ -95,6 +96,21 @@ def test_oversized_requests_refused_before_allocation():
         mode_table(BUILTIN, ell_max=10 ** 7)
     with pytest.raises(ResourceCapError):
         legendre_mode(BUILTIN, 10 ** 7, 0.5)
+
+
+@pytest.mark.parametrize("n_lam", [2, 513, 1025, 20001])
+def test_mode_table_slabs_equal_one_product(n_lam):
+    # 513, 1025 and 20001 end in a partial slab, so a slab loop that drops its
+    # last slab, or writes it to the wrong columns, fails here
+    assert n_lam == 2 or n_lam % efimov.LAMBDA_SLAB != 0
+    lams = np.linspace(0.0, efimov.LAMBDA_MAX, n_lam)
+    glx, glw = efimov._GLX, efimov._GLW
+    b = np.pi - np.arccos(BUILTIN.s12 * glx)
+    integ = efimov._sinh_ratio(lams[:, None], b[None, :]) \
+        / np.sqrt(1.0 - BUILTIN.s12 ** 2 * glx ** 2)
+    P = legvander(glx, efimov.ELL_MAX).T * glw
+    whole = BUILTIN.u12 * np.einsum("lk,nk->ln", P, integ)
+    assert np.array_equal(mode_table(BUILTIN, n_lam=n_lam).values, whole)
 
 
 def test_legendre_mode_is_a_table_entry():
@@ -245,6 +261,28 @@ def test_sobolev_pivot_guard_counts_densely(monkeypatch, case):
     assert min(np.min(np.abs(np.abs(e) - mu)) for e in eigs) > 1e-9 * mu
     assert got == sum((2 * ell + 1) * int(np.sum(np.abs(e) > mu))
                       for ell, e in enumerate(eigs))
+
+
+def test_sobolev_degree0_needs_one_pass():
+    # at s12 = +0.5, r = 10, mu = 0.02 degree 1 has eigenvalues below -mu, so
+    # only degree 0 may skip the K + mu I pass
+    p = EfimovParams(u12=BUILTIN.u12, r12=0.0, s12=0.5)
+    r, mu = 10.0, 0.02
+    below = [int(np.sum(np.linalg.eigvalsh(toeplitz(_sobolev_column(p, ell, r))) < -mu))
+             for ell in (0, 1)]
+    assert below[0] == 0 and below[1] == 9
+    oracle, margin = sobolev_toeplitz_count(p, r, mu, ell_max=2)
+    assert margin > 1e-6
+    assert sobolev_finite(p, r, mu, ell_max=2) == oracle
+
+
+@pytest.mark.parametrize("s12", [BUILTIN.s12, 0.5])
+def test_sobolev_degree0_block_within_psd_bound(s12):
+    p = EfimovParams(u12=BUILTIN.u12, r12=0.0, s12=s12)
+    col = _sobolev_column(p, 0, 50.0)
+    bound = efimov._degree0_psd_bound(p, col)
+    assert 0.0 < bound < 1e-9
+    assert np.linalg.eigvalsh(toeplitz(col))[0] >= -bound
 
 
 def test_sobolev_phase_irrelevance():

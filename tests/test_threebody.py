@@ -311,6 +311,22 @@ def test_walsh_hadamard_matches_character_sums(flips, m):
     np.testing.assert_allclose(S, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("flips,m,rows", [(1, 30, [0]), (2, 70, [0]), (4, 40, [0, 3]),
+                                          (8, 100, [0, 1, 3, 7]), (8, 20, [2, 5])])
+def test_walsh_hadamard_orbit_slots_equal_full_transform(flips, m, rows):
+    """The count path writes only the orbit slots, from those rows of the
+    character matrix: they equal the full transform's bit for bit, over several
+    column slabs and a partial last one, and the other slots keep the flipped
+    blocks."""
+    S = np.random.default_rng(1).standard_normal((flips, m, m))
+    full, part = S.copy(), S.copy()
+    _walsh_hadamard(full)
+    _walsh_hadamard(part, rows)
+    assert np.array_equal(part[rows], full[rows])
+    rest = [k for k in range(flips) if k not in rows]
+    assert np.array_equal(part[rest], S[rest])
+
+
 def test_no_axis_parity_takes_full_block():
     # sin(q1+q2) has a parity on axis 3 only and sin(q2+q3) on axis 1 only
     spec = builtin_model(4, 0.0, 0.0, phi1=SIN_Q1_PLUS_Q2, phi2=SIN_Q2_PLUS_Q3)
@@ -668,9 +684,9 @@ def test_count_report_columns_and_trust(spec16_critical, monkeypatch):
         calls.append("blocks")
         return blocks_into(self, z)
 
-    def count_transforms(stack):
+    def count_transforms(stack, rows=None):
         calls.append("transform")
-        _walsh_hadamard(stack)
+        _walsh_hadamard(stack, rows)
 
     monkeypatch.setattr(_BSWorkspace, "blocks_into", count_blocks)
     monkeypatch.setattr(threebody, "_walsh_hadamard", count_transforms)
