@@ -43,10 +43,8 @@ class TorusGrid:
     def reflection_index(self, axes) -> np.ndarray:
         """Permutation idx: nodes[idx[i]] is nodes[i] with the coordinates on
         `axes` negated (exact for even n)."""
-        ijk = list(np.unravel_index(np.arange(self.size), (self.n,) * 3))
-        for a in axes:
-            ijk[a] = self.n - 1 - ijk[a]
-        return np.ravel_multi_index(ijk, (self.n,) * 3)
+        flips = tuple(slice(None, None, -1) if a in axes else slice(None) for a in range(3))
+        return np.arange(self.size).reshape((self.n,) * 3)[flips].ravel()
 
 
 def build_grid(n: int) -> TorusGrid:
@@ -61,8 +59,11 @@ def build_grid(n: int) -> TorusGrid:
         raise InvalidResolutionError(
             f"grid resolution must be even (odd n places a node at the origin), got {n}")
     x = axis_nodes(n)
-    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-    nodes = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    nodes = np.empty((n, n, n, 3))
+    nodes[..., 0] = x[:, None, None]
+    nodes[..., 1] = x[:, None]
+    nodes[..., 2] = x
+    nodes = nodes.reshape(-1, 3)
     nodes.setflags(write=False)
     return TorusGrid(n=int(n), nodes=nodes, weight=(TWO_PI / n) ** 3)
 

@@ -93,25 +93,51 @@ def channel_range(spec: ModelSpec, alpha: int, p: np.ndarray) -> ChannelRange:
                         M_alpha=_refined_extremum(spec, alpha, p, vals, -1.0))
 
 
+def _fold_flips(n: int, vals: np.ndarray, phi2: np.ndarray):
+    """(vals, phi2, k): the two n^3 grid arrays folded on every axis where both
+    equal their flip exactly, as strided views on the positive half n//2: of
+    the k folded axes.
+
+    The flip maps node i to n - 1 - i, so an axis is checked by comparing the
+    reversed low half with the high half (n^3/2 compares), with no tolerance
+    and no declared parity; axes are checked in turn on the arrays folded so
+    far.  Each folded axis halves the node set and doubles the weight.
+    """
+    h = n // 2
+    vals, phi2 = vals.reshape(n, n, n), phi2.reshape(n, n, n)
+    k = 0
+    for a in range(3):
+        low = (slice(None),) * a + (slice(h - 1, None, -1),)
+        high = (slice(None),) * a + (slice(h, None),)
+        if (vals[low] == vals[high]).all() and (phi2[low] == phi2[high]).all():
+            vals, phi2, k = vals[high], phi2[high], k + 1
+    return vals, phi2, k
+
+
 def _lambda_line(spec: ModelSpec, alpha: int, p: np.ndarray, z_values) -> list[float]:
     """Lambda_alpha(p, z) for each z in z_values (see lambda_integral).
 
     The channel energies, phi^2 and the channel bottom do not depend on z and
-    are built once; each z then costs one subtraction and one sum.  Both
-    domain checks bound z from above, so they are made on the largest z; as
-    m <= m_alpha(p), the bottom is refined only when that z is above m.
+    are built once, and folded on the axes where both are exactly
+    flip-invariant (_fold_flips: on the p = 0 line of a cubic model, all
+    three); each z then costs one subtraction and one sum over what is left,
+    times 2^k.  With no invariant axis that is the plain sum over all nodes,
+    bit for bit; a fold reorders the sum.  Both domain checks bound z from
+    above, so they are made on the largest z; as m <= m_alpha(p), the bottom
+    is refined only when that z is above m.
     """
     vals = spec.channel_values(alpha, p)
+    folded, phi2, k = _fold_flips(spec.grid.n, vals, spec.phi_values(alpha) ** 2)
     z_top = max(z_values)
-    gap = vals.min() - z_top          # == min(vals - z_top): rounding is monotone
+    gap = folded.min() - z_top  # == min(vals - z_top): a fold drops no value, rounding is monotone
     if gap <= 0.0:
         raise OutOfDomainError(
             f"z = {z_top} is not below the channel spectrum (min u - z = {gap:.3e})")
     m_alpha = _refined_extremum(spec, alpha, p, vals, 1.0) if z_top > spec.m else spec.m
     if z_top > m_alpha + 1e-12 * max(1.0, abs(m_alpha)):
         raise OutOfDomainError(f"z = {z_top} exceeds the channel bottom m_alpha = {m_alpha}")
-    phi2 = spec.phi_values(alpha) ** 2
-    return [float(spec.grid.weight * np.sum(phi2 / (vals - z))) for z in z_values]
+    w = spec.grid.weight * 2 ** k
+    return [float(w * np.sum(phi2 / (folded - z))) for z in z_values]
 
 
 def lambda_integral(spec: ModelSpec, alpha: int, p: np.ndarray, z: float) -> float:

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice3b import InvalidResolutionError, build_grid
+from lattice3b.grids import axis_nodes
 
 
 def test_n2_weights():
@@ -24,6 +27,27 @@ def test_negation_closure():
     grid = build_grid(8)
     idx = grid.negation_index()
     assert np.array_equal(grid.nodes[idx], -grid.nodes)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10])
+def test_reflection_index_matches_multi_index(n):
+    grid = build_grid(n)
+    for k in range(4):
+        for axes in itertools.combinations(range(3), k):
+            ijk = list(np.unravel_index(np.arange(grid.size), (n,) * 3))
+            for a in axes:
+                ijk[a] = n - 1 - ijk[a]
+            assert np.array_equal(grid.reflection_index(axes),
+                                  np.ravel_multi_index(ijk, (n,) * 3))
+
+
+@pytest.mark.parametrize("n", [2, 14])
+def test_nodes_match_meshgrid(n):
+    x = axis_nodes(n)
+    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
+    nodes = build_grid(n).nodes
+    assert np.array_equal(nodes, np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
+    assert not nodes.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [0, 1, -4, 3, 7])

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,19 @@ from lattice3b import (OutOfDomainError, ThresholdClass, build_grid,
                        pair_energy_sum, resonance_function_norm,
                        sin_axis_form_factor, tabulated_dispersion)
 from lattice3b import twobody
+from lattice3b.modelio import load_model
 from lattice3b.model import ModelSpec
 from lattice3b.threebody import _BSWorkspace
-from lattice3b.twobody import _lambda_line, expansion_slope_extrapolated
+from lattice3b.twobody import _fold_flips, _lambda_line, expansion_slope_extrapolated
 
 Z3 = np.zeros(3)
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def _unfolded_line(spec, alpha, p, zs):
+    """Oracle: the quadrature sum over every node, with no fold."""
+    vals, phi2 = spec.channel_values(alpha, p), spec.phi_values(alpha) ** 2
+    return [float(spec.grid.weight * np.sum(phi2 / (vals - z))) for z in zs]
 
 
 def test_lambda_deep_below_bracket(spec8):
@@ -50,6 +59,41 @@ def test_lambda_line_equals_pointwise(spec8):
         for p in (Z3, spec8.grid.nodes[17]):
             line = _lambda_line(spec8, alpha, p, zs)
             assert line == [lambda_integral(spec8, alpha, p, z) for z in zs]
+
+
+@pytest.mark.parametrize("n", [8, 14])
+@pytest.mark.parametrize("name", ["builtin_critical", "eigenvalue_case", "resonance_strong"])
+def test_lambda_line_fold_shipped_models(name, n):
+    # the p = 0 line of every shipped model folds on all three axes
+    spec = load_model(str(MODELS / f"{name}.json"), n).spec
+    zs = [spec.m, *(spec.m - np.geomspace(1e-4, 2.0, 6))]
+    for alpha in (1, 2):
+        vals, phi2 = spec.channel_values(alpha, Z3), spec.phi_values(alpha) ** 2
+        assert _fold_flips(n, vals, phi2)[2] == 3
+        np.testing.assert_allclose(_lambda_line(spec, alpha, Z3, zs),
+                                   _unfolded_line(spec, alpha, Z3, zs), rtol=1e-13, atol=0)
+
+
+def test_lambda_line_without_fold_is_the_full_sum(spec8):
+    zs = spec8.m - np.geomspace(1e-3, 2.0, 7)
+    for alpha in (1, 2):
+        for i in (0, 17, 300):
+            p = spec8.grid.nodes[i]
+            vals, phi2 = spec8.channel_values(alpha, p), spec8.phi_values(alpha) ** 2
+            assert _fold_flips(8, vals, phi2)[2] == 0
+            assert _lambda_line(spec8, alpha, p, zs) == _unfolded_line(spec8, alpha, p, zs)
+
+
+def test_lambda_line_partial_fold():
+    # u(t, 0) is flip-invariant on every axis, sin^2(q1 + q2) on axis 3 only
+    spec = builtin_model(8, 0.0, 0.0, phi1=form_factor(
+        1, "odd", lambda q: np.sin(q[..., 0] + q[..., 1])))
+    vals, phi2 = spec.channel_values(1, Z3), spec.phi_values(1) ** 2
+    half, half_phi2, k = _fold_flips(8, vals, phi2)
+    assert k == 1 and half.shape == half_phi2.shape == (8, 8, 4)
+    zs = [spec.m, *(spec.m - np.geomspace(1e-4, 2.0, 6))]
+    np.testing.assert_allclose(_lambda_line(spec, 1, Z3, zs),
+                               _unfolded_line(spec, 1, Z3, zs), rtol=1e-13, atol=0)
 
 
 def test_lambda_line_out_of_domain(spec8):
