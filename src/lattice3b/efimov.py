@@ -198,26 +198,25 @@ def count_sphere_operator(params: EfimovParams, lam: float, mu: float,
     return int(_column(params, lam, ell_max).counts(mu)[0])
 
 
-def _table_for(params: EfimovParams, table: ModeTable | None, *grid) -> ModeTable:
-    """The given table, which must belong to params, else mode_table(params, *grid)."""
+def _table_for(params: EfimovParams, table: ModeTable | None) -> ModeTable:
+    """The given table, which must belong to params, else mode_table(params)."""
     if table is None:
-        return mode_table(params, *grid)
+        return mode_table(params)
     if table.params != params:
         raise ModelDataError(f"mode table was built for {table.params}, not {params}")
     return table
 
 
-def ucoef(params: EfimovParams, mu: float, ell_max: int = ELL_MAX,
-          lam_max: float = LAMBDA_MAX, n_lam: int = N_LAMBDA,
-          table: ModeTable | None = None) -> float:
+def ucoef(params: EfimovParams, mu: float, table: ModeTable | None = None) -> float:
     """U(mu) = (4 pi)^{-1} int_R n(mu, Shat(lambda)) dlambda.
 
     The integrand is even and integer valued with exponentially decaying
-    support; trapezoid over [0, lam_max], doubled, on the table's lambdas.
+    support; trapezoid over the lambdas [0, lam_max] of `table` (default
+    mode_table(params)), doubled.
     """
     if not mu > 0:
         raise ModelDataError("mu must be positive")
-    tbl = _table_for(params, table, ell_max, lam_max, n_lam)
+    tbl = _table_for(params, table)
     return float(2.0 * np.trapezoid(tbl.counts(mu), tbl.lams) / (4 * np.pi))
 
 
@@ -299,13 +298,13 @@ def _degree0_psd_bound(params: EfimovParams, col: np.ndarray) -> float:
 
 
 def sobolev_finite(params: EfimovParams, r: float, mu: float,
-                   ell_max: int = ELL_MAX, table: ModeTable | None = None) -> int:
+                   table: ModeTable | None = None) -> int:
     """n(mu, S_r): total count of singular values of the finite operator above mu.
 
-    Per degree l of the table the block K_ij = h s_l(x_i - x_j) is taken on the
-    nn = ceil(8 r) midpoints x_i of (0, r), step h.  Degrees whose symbol
-    maximum sup_lambda |shat_l| stays below mu are skipped outright, since no
-    singular value of K exceeds it.
+    Per degree l of the table (mode_table(params) by default) the block
+    K_ij = h s_l(x_i - x_j) is taken on the nn = ceil(8 r) midpoints x_i of
+    (0, r), step h.  Degrees whose symbol maximum sup_lambda |shat_l| stays
+    below mu are skipped outright, since no singular value of K exceeds it.
 
     At r12 = 0 the kernel is even, so K is symmetric Toeplitz and its singular
     values are its eigenvalue moduli.  The count is then an inertia count,
@@ -326,7 +325,7 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
     nn = int(np.ceil(NODES_PER_UNIT * r))
     # the dense path's nn x nn block; the bound also caps the O(nn^2) pivot work
     require_memory(8 * nn * nn, f"S_r block at r = {r:g}")
-    tbl = _table_for(params, table, ell_max)
+    tbl = _table_for(params, table)
     step = r / nn
     x = (np.arange(nn) + 0.5) * step
     lags = x - x[0]

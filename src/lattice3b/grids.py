@@ -36,6 +36,11 @@ class TorusGrid:
     def size(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def axis(self) -> np.ndarray:
+        """axis_nodes(n), read off the last coordinate of the first n nodes."""
+        return self.nodes[:self.n, 2]
+
     def negation_index(self) -> np.ndarray:
         """Permutation idx with nodes[idx[i]] == -nodes[i] (exact for even n)."""
         return self.reflection_index((0, 1, 2))
@@ -45,6 +50,14 @@ class TorusGrid:
         `axes` negated (exact for even n)."""
         flips = tuple(slice(None, None, -1) if a in axes else slice(None) for a in range(3))
         return np.arange(self.size).reshape((self.n,) * 3)[flips].ravel()
+
+
+def product_nodes(lists) -> np.ndarray:
+    """The C-order product of three per-axis node lists as (points, 3)."""
+    nodes = np.empty(tuple(len(x) for x in lists) + (3,))
+    for a, x in enumerate(lists):
+        nodes[..., a] = x[(slice(None),) + (None,) * (2 - a)]
+    return nodes.reshape(-1, 3)
 
 
 def build_grid(n: int) -> TorusGrid:
@@ -58,12 +71,7 @@ def build_grid(n: int) -> TorusGrid:
     if n % 2:
         raise InvalidResolutionError(
             f"grid resolution must be even (odd n places a node at the origin), got {n}")
-    x = axis_nodes(n)
-    nodes = np.empty((n, n, n, 3))
-    nodes[..., 0] = x[:, None, None]
-    nodes[..., 1] = x[:, None]
-    nodes[..., 2] = x
-    nodes = nodes.reshape(-1, 3)
+    nodes = product_nodes((axis_nodes(n),) * 3)
     nodes.setflags(write=False)
     return TorusGrid(n=int(n), nodes=nodes, weight=(TWO_PI / n) ** 3)
 

@@ -4,10 +4,16 @@ The reference model is u(p,q) = eps(p) + c*eps(p-q) + eps(q) with
 eps(q) = sum_a w_a (1 - cos q_a); c = 1 and w = (1,1,1) is the textbook case.
 Everything downstream only assumes: u even, unique nondegenerate minimum at
 (0,0) whose second-derivative blocks are (l1 U, l U, l2 U).
+
+u on node sets has one evaluator, pair_matrix: rows and columns are C-order
+products of per-axis node lists, and the builtin band is summed from per-axis
+cosine tables in the evaluator's order, so its entries are the model's own u
+bit for bit.  ModelSpec.channel_values is its one-point column or row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -15,11 +21,10 @@ from scipy.optimize import minimize
 
 from .errors import (DegenerateModelError, HypothesisViolationError,
                      ModelDataError, NotProductFormError)
-from .grids import TWO_PI, TorusGrid, axis_nodes, build_grid, wrap_to_torus
+from .grids import TWO_PI, TorusGrid, build_grid, product_nodes, wrap_to_torus
 
 # dense product scans above this many pair evaluations fall back to subsampling
 _PAIR_SCAN_CAP = 200_000_000
-_CHUNK_BYTES = 1 << 28
 # chunk size of the (rows, cols, 3) input handed to a generic pair evaluator
 _EVAL_CHUNK_BYTES = 1 << 22
 
@@ -225,44 +230,19 @@ class ModelSpec:
         return self.phi1 if alpha == 1 else self.phi2
 
     def channel_values(self, alpha: int, p: np.ndarray) -> np.ndarray:
-        """u_p^(alpha) on the integration nodes: u(t,p) for alpha=1, u(p,t) for 2."""
+        """u_p^(alpha) on the integration nodes: u(t,p) for alpha=1, u(p,t) for 2,
+        the pair_matrix column (alpha = 1) or row (alpha = 2) of the one point p."""
         if alpha not in (1, 2):
             raise ModelDataError(f"channel must be 1 or 2, got {alpha}")
-        p = np.asarray(p, dtype=float).reshape(3)
-        if self.pair.separable:
-            vals = _separable_channel_values(self.pair, self.grid.n, alpha, p)
-        else:
-            t = self.grid.nodes
-            pb = np.broadcast_to(p, t.shape)
-            vals = np.asarray(self.pair(t, pb) if alpha == 1 else self.pair(pb, t),
-                              dtype=float)
+        point = np.asarray(p, dtype=float).reshape(3, 1)
+        vals = (pair_matrix(self, cols=point) if alpha == 1
+                else pair_matrix(self, rows=point)).ravel()
         if not np.all(np.isfinite(vals)):
             raise ModelDataError("channel energies contain non-finite values")
         return vals
 
     def with_params(self, **kw) -> "ModelSpec":
         return replace(self, **kw)
-
-
-def _separable_channel_values(pair: PairEnergy, n: int, alpha: int,
-                              p: np.ndarray) -> np.ndarray:
-    """The evaluator's u(t, p) (alpha = 1) or u(p, t) (alpha = 2) on the n^3
-    grid nodes t of a builtin sum form, bit for bit: the cosines are taken on
-    the n node values of each axis, and the axis terms are summed by
-    broadcasting in the evaluator's order."""
-    x = axis_nodes(n)
-    w = pair.dispersion.axis_weights
-
-    def eps(terms):
-        return (terms[0][:, None, None] + terms[1][None, :, None]
-                + terms[2][None, None, :]).ravel()
-
-    e_t = eps([w[a] * (1.0 - np.cos(x)) for a in range(3)])
-    e_rel = eps([w[a] * (1.0 - np.cos(x - p[a] if alpha == 1 else p[a] - x))
-                 for a in range(3)])
-    e_p = pair.dispersion.fn(p)
-    c = pair.cross_weight
-    return e_t + c * e_rel + e_p if alpha == 1 else e_p + c * e_rel + e_t
 
 
 def extrema(pair: PairEnergy, grid: TorusGrid):
@@ -385,18 +365,22 @@ def builtin_model(n: int, mu1: float = 0.0, mu2: float = 0.0,
     return make_model(pair, n, mu1, mu2, phi1, phi2)
 
 
+def grid_equal(moved: np.ndarray, vals: np.ndarray) -> bool:
+    """Grid values equal within 1e-9 max(1, max |vals|), one temporary."""
+    diff = np.subtract(moved, vals)
+    return np.abs(diff, out=diff).max() <= 1e-9 * max(1.0, vals.max(), -vals.min())
+
+
 def _validate_symmetries(spec: ModelSpec, samples: int = 512, seed: int = 0) -> None:
     neg = spec.grid.negation_index()
     for alpha in (1, 2):
         phi = spec.phi(alpha)
         vals = spec.phi_values(alpha)
         sign = 1.0 if phi.parity == "even" else -1.0
-        err = np.max(np.abs(vals[neg] - sign * vals))
-        scale = max(1.0, np.max(np.abs(vals)))
-        if err > 1e-9 * scale:
+        if not grid_equal(sign * vals[neg], vals):
             raise HypothesisViolationError(
                 f"form factor {alpha} violates declared {phi.parity} parity "
-                f"(max deviation {err:.3e})")
+                f"(max deviation {np.max(np.abs(vals[neg] - sign * vals)):.3e})")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, spec.grid.size, size=(samples, 2))
     p = spec.grid.nodes[idx[:, 0]]
@@ -407,40 +391,49 @@ def _validate_symmetries(spec: ModelSpec, samples: int = 512, seed: int = 0) -> 
 
 
 def pair_matrix(spec: ModelSpec, out: Optional[np.ndarray] = None,
-                rows: Optional[np.ndarray] = None,
-                cols: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense u(t_i, p_j) over all point pairs (rows = first slot).
+                rows: Optional[Sequence[np.ndarray]] = None,
+                cols: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+    """Dense u(t_i, p_j) (rows = first slot) over the C-order products t of
+    the three per-axis node lists `rows` and p of `cols`, by default the
+    grid's axis nodes on each axis.
 
-    The points t (rows) and p (cols) default to the grid nodes.  Separable
-    sum-form models assemble through per-axis cosine outer products;
-    everything else evaluates the pair energy chunk by chunk.
+    The builtin sum form is summed from the per-axis tables
+    D_a = w_a (1 - cos(t_a - p_a)) in the evaluator's order, so every entry
+    is spec.pair(t, p) bit for bit: D_0 + D_1 on the small (a0 a1, b0 b1)
+    table, plus D_2 broadcast into `out`, times c, plus eps(t), plus eps(p).
+    Every other form evaluates the pair energy on the products' points
+    chunk by chunk.
     """
-    t = spec.grid.nodes if rows is None else rows
-    p = spec.grid.nodes if cols is None else cols
-    U = np.empty((t.shape[0], p.shape[0])) if out is None else out
-    if spec.pair.separable:
-        w = np.array(spec.pair.dispersion.axis_weights)
-        c = spec.pair.cross_weight
-        C = np.cos(t) * w
-        S = np.sin(t) * w
-        Cu = np.cos(p)
-        Su = np.sin(p)
-        et = np.sum(w * (1.0 - np.cos(t)), axis=1)
-        ep = np.sum(w * (1.0 - Cu), axis=1)
-        wsum = w.sum()
-        step = max(1, _CHUNK_BYTES // (8 * p.shape[0]))
-        for i0 in range(0, t.shape[0], step):
-            i1 = min(t.shape[0], i0 + step)
-            # c * eps(t - p) = c * (wsum - sum_a w_a cos(t_a - p_a))
-            U[i0:i1] = c * (wsum - C[i0:i1] @ Cu.T - S[i0:i1] @ Su.T)
-            U[i0:i1] += et[i0:i1, None]
-            U[i0:i1] += ep[None, :]
+    x = spec.grid.axis
+    rows, cols = ([x] * 3 if v is None else [np.asarray(l, dtype=float).ravel() for l in v]
+                  for v in (rows, cols))
+    shape = tuple(len(l) for l in rows) + tuple(len(l) for l in cols)
+    U = np.empty((prod(shape[:3]), prod(shape[3:]))) if out is None else out
+    pair = spec.pair
+    if pair.separable:
+        w, c = pair.dispersion.axis_weights, pair.cross_weight
+        D = [w[a] * (1.0 - np.cos(np.subtract.outer(t, p)))
+             for a, (t, p) in enumerate(zip(rows, cols))]
+        V = U.view()
+        V.shape = shape     # splits U's two axes, a view for any strides
+        np.add(np.add(D[0][:, None, None, :, None, None], D[1][None, :, None, None, :, None]),
+               D[2][None, None, :, None, None, :], out=V)
+        U *= c
+        U += _eps_on_product(w, rows)[:, None]
+        U += _eps_on_product(w, cols)[None, :]
     else:
+        t, p = product_nodes(rows), product_nodes(cols)
         step = max(1, _EVAL_CHUNK_BYTES // (24 * p.shape[0]))
         for i0 in range(0, t.shape[0], step):
-            U[i0:i0 + step] = spec.pair.evaluator(t[i0:i0 + step, None, :],
-                                                  p[None, :, :])
+            U[i0:i0 + step] = pair.evaluator(t[i0:i0 + step, None, :], p[None, :, :])
     return U
+
+
+def _eps_on_product(w, lists) -> np.ndarray:
+    """The builtin eps = sum_a w_a (1 - cos q_a) on the C-order product of the
+    per-axis lists, summed in the evaluator's order."""
+    e = [w[a] * (1.0 - np.cos(x)) for a, x in enumerate(lists)]
+    return (np.add.outer(e[0], e[1])[:, :, None] + e[2]).ravel()
 
 
 def _fd_second_blocks(f: Callable, h: float) -> np.ndarray:

@@ -17,7 +17,9 @@ On the flip axes A of a model (`_flip_axes`: the builtin separable pair
 energy, invariant under flipping both momenta on any axis, and form factors
 with a parity on that axis, read off the grid values) T(z) commutes with the
 group Z2^A, and the cross block splits exactly into 2^|A| blocks of N/2^|A|
-rows built from the pair energies between representatives positive on A.
+rows built from the pair energies between representatives positive on A:
+the product of per-axis node lists, the positive half on A, from which
+pair_matrix builds each flipped U_k with the lists negated on k's flips.
 The workspace builds the flipped blocks T_k, one per flip k; the sector
 blocks are their character sums, formed in place by one cache-blocked
 transform (`_walsh_hadamard`) where a count needs them.  Lambda_alpha(p, z)
@@ -52,8 +54,9 @@ import scipy.sparse as sp
 from .errors import (HypothesisViolationError, InvalidSpectralPointError,
                      ModelDataError, NotProductFormError, OutOfDomainError,
                      require_memory)
-from .grids import TWO_PI
-from .model import HessianData, ModelSpec, hessian_at_minimum, pair_matrix
+from .grids import TWO_PI, product_nodes
+from .model import (HessianData, ModelSpec, grid_equal, hessian_at_minimum,
+                    pair_matrix)
 from .reports import CountReport, EssentialSpectrumReport
 
 # eigenvalues this close to the counting threshold (relative to ||B||) count as below
@@ -90,8 +93,9 @@ class BSMatrix:
 class _BSWorkspace:
     """Reusable arrays for a z-sweep on one model, built on first use.
 
-    For the model's flip axes A it holds the representatives (nodes positive
-    on every axis of A; all nodes when A = ()), the 2^|A| arrays
+    For the model's flip axes A it holds the representatives r, the C-order
+    product of the per-axis node `lists` (the positive half of the axis nodes
+    on A, all nodes elsewhere; all nodes when A = ()), the 2^|A| arrays
     U_k[i, j] = u(k r_i, r_j) over the flips k on A and one scratch stack, of
     nbytes in all.  Counts, determinants, Lambda, the HS diagnostics and the
     essential bisection work in this one array set, with M x M temporaries.
@@ -104,30 +108,32 @@ class _BSWorkspace:
         self.spec = spec
         self.w = spec.grid.weight
         self.axes, self.chi = _flip_axes(spec)
-        reps = np.flatnonzero(np.all(spec.grid.nodes[:, list(self.axes)] > 0.0, axis=1))
-        self.nbytes = 2 * 2 ** len(self.axes) * len(reps) ** 2 * 8    # U and scratch
-        require_memory(self.nbytes, f"count workspace on the {spec.grid.n}^3 grid")
+        n, x = spec.grid.n, spec.grid.axis
+        self.lists = [x[n // 2:] if a in self.axes else x for a in range(3)]
+        self.r = product_nodes(self.lists)      # the representatives
+        self.nbytes = 2 * 2 ** len(self.axes) * len(self.r) ** 2 * 8    # U and scratch
+        require_memory(self.nbytes, f"count workspace on the {n}^3 grid")
         phi = [spec.phi_values(alpha) for alpha in (1, 2)]
         self.group, self.orbits = _sector_orbits(spec, self.axes, phi)
         self.orbit_slots = [k for k, _ in self.orbits]
-        self.r = spec.grid.nodes[reps]          # the representatives
-        self.f1, self.f2 = (v[reps] for v in phi)
+        half = tuple(slice(n // 2, None) if a in self.axes else slice(None) for a in range(3))
+        self.f1, self.f2 = (v.reshape((n,) * 3)[half].ravel() for v in phi)
         self._stacks = None     # (U stack, scratch stack)
         self._u_min = np.inf    # U's minimum, set with the stacks
 
     def flipped(self):
-        """(k, representatives flipped by k) for the flips k in bit order."""
+        """(k, the per-axis lists of the representatives flipped by k) for the
+        flips k in bit order: negated on the axes of k's set bits."""
         for k, flip in enumerate(np.ndindex((2,) * len(self.axes))):
-            sign = np.ones(3)
-            sign[list(self.axes)] = 1 - 2 * np.array(flip)
-            yield k, self.r * sign
+            neg = [a for a, f in zip(self.axes, flip) if f]
+            yield k, [-x if a in neg else x for a, x in enumerate(self.lists)]
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._stacks is None:
             M = len(self.r)
             U = np.empty((2 ** len(self.axes), M, M))
             for k, t in self.flipped():
-                pair_matrix(self.spec, out=U[k], rows=t, cols=self.r)
+                pair_matrix(self.spec, out=U[k], rows=t, cols=self.lists)
             self._stacks = U, np.empty_like(U)
             self._u_min = float(U.min())
         return self._stacks
@@ -158,14 +164,12 @@ class _BSWorkspace:
     def on_nodes(self, values: np.ndarray) -> np.ndarray:
         """Values on the representatives of the model's axes spread to all
         nodes: Lambda and Delta are invariant under the flips, so each node
-        takes the value of its image."""
-        n, h = self.spec.grid.n, self.spec.grid.n // 2
-        ijk = np.unravel_index(np.arange(self.spec.grid.size), (n,) * 3)
-        fold = np.ravel_multi_index(
-            tuple(np.maximum(i, n - 1 - i) - h if a in self.axes else i
-                  for a, i in enumerate(ijk)),
-            tuple(h if a in self.axes else n for a in range(3)))
-        return values[fold]
+        takes the value of its image, node i < n/2 on an axis of A that of
+        node n - 1 - i, the reversed half prepended along that axis."""
+        v = values.reshape([len(l) for l in self.lists])
+        for a in self.axes:
+            v = np.concatenate([np.flip(v, a), v], axis=a)
+        return v.ravel()
 
     def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
@@ -205,21 +209,18 @@ class _BSWorkspace:
         return S, d1, d2
 
 
-def _walsh_hadamard(S: np.ndarray, rows: Optional[list] = None) -> None:
-    """In place, the stack S_k over the flips k becomes the character sums
-    S_psi = sum_k psi(k) S_k, psi(k) = (-1)^popcount(psi & k), with k and psi
-    both indexing the flip bits of the axes in order: the +-1 character matrix
-    times S as 2^|A| rows, one column slab at a time through one buffer.
-
-    With `rows` (the orbit representatives a count reads) only the slots psi
-    in rows are written, from those rows of the character matrix; the other
-    slots keep flipped blocks and must not be read."""
+def _walsh_hadamard(S: np.ndarray, rows) -> None:
+    """In place, the slots psi in `rows` of the stack S_k over the flips k
+    become the character sums S_psi = sum_k psi(k) S_k,
+    psi(k) = (-1)^popcount(psi & k), with k and psi both indexing the flip
+    bits of the axes in order: those rows of the +-1 character matrix times S
+    as 2^|A| rows, one column slab at a time through one buffer.  A count
+    passes the orbit representatives it reads; the other slots keep flipped
+    blocks and must not be read (range(len(S)) gives the full transform)."""
     n = len(S)
     if n == 1:      # A = (): the one block is its own sector
         return
-    H = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (n.bit_length() - 1))
-    rows = list(range(n)) if rows is None else list(rows)
-    H = H[rows]
+    H = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (n.bit_length() - 1))[rows]
     X = S.reshape(n, -1)
     buf = np.empty((len(rows), min(_SLAB, X.shape[1])))
     for j in range(0, X.shape[1], _SLAB):
@@ -245,18 +246,13 @@ def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
 
     def parity(vals: np.ndarray, axis: int) -> int:     # +1 even, -1 odd, 0 neither
         flipped = vals[spec.grid.reflection_index((axis,))]
-        return next((sign for sign in (1, -1) if _grid_equal(flipped, sign * vals)), 0)
+        return next((sign for sign in (1, -1) if grid_equal(flipped, sign * vals)), 0)
 
     par = np.array([[parity(spec.phi_values(alpha), axis) for axis in range(3)]
                     for alpha in (1, 2)])
     axes = tuple(int(a) for a in np.flatnonzero(np.all(par != 0, axis=0)))
     bits = 1 << np.arange(len(axes))[::-1]      # axis A[0] is the top flip bit
     return axes, tuple(int((p[list(axes)] < 0) @ bits) for p in par)
-
-
-def _grid_equal(moved: np.ndarray, vals: np.ndarray) -> bool:
-    """Grid values equal within the tolerance of the model's parity check."""
-    return np.max(np.abs(moved - vals)) <= 1e-9 * max(1.0, np.max(np.abs(vals)))
 
 
 def _sector_orbits(spec: ModelSpec, axes: tuple,
@@ -271,7 +267,7 @@ def _sector_orbits(spec: ModelSpec, axes: tuple,
     n, w = spec.grid.n, spec.pair.dispersion.axis_weights
     group = [s for s in permutations(range(3)) if {s[a] for a in axes} == set(axes)
              and all(w[s[a]] == w[a] for a in range(3))
-             and all(_grid_equal(v.reshape((n,) * 3).transpose(s).ravel(), v) for v in phi)]
+             and all(grid_equal(v.reshape((n,) * 3).transpose(s).ravel(), v) for v in phi)]
     bit = {a: 1 << (len(axes) - 1 - i) for i, a in enumerate(axes)}    # A[0] on top
     orbits: dict[int, int] = {}
     for k in range(2 ** len(axes)):
@@ -619,7 +615,7 @@ def _hs_of_stack(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
     hs2 = n * float(rows2.sum())
     orbits = (ws.orbits if all(np.array_equal(hess.U[np.ix_(s, s)], hess.U)
                                for s in ws.group) else [(k, 1) for k in range(n)])
-    flips = dict(ws.flipped())
+    flips = {k: product_nodes(lists) for k, lists in ws.flipped()}
     J = _kernel_support(ws.r, hess, delta)[1]
     diff2 = 0.0 if c1 == c2 else hs2
     for k, mult in orbits:

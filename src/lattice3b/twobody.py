@@ -120,14 +120,15 @@ def _lambda_line(spec: ModelSpec, alpha: int, p: np.ndarray, z_values) -> list[f
     The channel energies, phi^2 and the channel bottom do not depend on z and
     are built once, and folded on the axes where both are exactly
     flip-invariant (_fold_flips: on the p = 0 line of a cubic model, all
-    three); each z then costs one subtraction and one sum over what is left,
-    times 2^k.  With no invariant axis that is the plain sum over all nodes,
-    bit for bit; a fold reorders the sum.  Both domain checks bound z from
+    three) and copied to contiguous arrays; each z then costs one subtraction
+    and one sum over what is left, times 2^k.  With no invariant axis that is
+    the plain sum over all nodes, bit for bit; a fold reorders the sum.  Both domain checks bound z from
     above, so they are made on the largest z; as m <= m_alpha(p), the bottom
     is refined only when that z is above m.
     """
     vals = spec.channel_values(alpha, p)
     folded, phi2, k = _fold_flips(spec.grid.n, vals, spec.phi_values(alpha) ** 2)
+    folded, phi2 = np.ascontiguousarray(folded), np.ascontiguousarray(phi2)
     z_top = max(z_values)
     gap = folded.min() - z_top  # == min(vals - z_top): a fold drops no value, rounding is monotone
     if gap <= 0.0:

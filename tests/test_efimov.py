@@ -127,9 +127,6 @@ def test_table_fixes_params_and_degrees():
         ucoef(other, 1.0, table=mode_table(BUILTIN))
     with pytest.raises(ModelDataError):
         sobolev_finite(other, 10.0, 0.3, table=tbl)
-    # a table with fewer degrees than ell_max's default bounds the loop
-    assert sobolev_finite(BUILTIN, 10.0, 0.1, table=tbl) == \
-        sobolev_finite(BUILTIN, 10.0, 0.1, ell_max=2)
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
@@ -180,7 +177,8 @@ def test_count_monotone_in_mu():
 def test_ucoef_reference_and_convergence():
     u1 = ucoef(BUILTIN, 1.0)
     assert u1 == pytest.approx(0.0659, rel=0.01)
-    u1_fine = ucoef(BUILTIN, 1.0, ell_max=80, lam_max=100.0, n_lam=40001)
+    u1_fine = ucoef(BUILTIN, 1.0,
+                    table=mode_table(BUILTIN, ell_max=80, lam_max=100.0, n_lam=40001))
     assert abs(u1_fine - u1) / u1 < 0.005
     assert ucoef(BUILTIN, 1e3) == 0.0
 
@@ -195,7 +193,7 @@ def test_sobolev_gershgorin_bound_zero_count():
     r = 10.0
     mu_big = BUILTIN.u12 / (2 * np.pi) ** 2 * 4 * np.pi \
         / (1.0 - abs(BUILTIN.s12)) * r
-    assert sobolev_finite(BUILTIN, r, mu_big, ell_max=6) == 0
+    assert sobolev_finite(BUILTIN, r, mu_big, table=mode_table(BUILTIN, ell_max=6)) == 0
 
 
 def test_sobolev_linear_growth_and_limit():
@@ -216,11 +214,12 @@ def test_sobolev_linear_growth_and_limit():
 @pytest.mark.parametrize("r12", [0.0, 0.4, -0.4])
 def test_sobolev_matches_toeplitz_oracle(r12):
     p = EfimovParams(u12=BUILTIN.u12, r12=r12, s12=BUILTIN.s12)
+    tbl = mode_table(p, ell_max=3)
     for r in (5.0, 10.0, 20.0, 50.0, 100.0):
         for mu in (1.0, 0.3, 0.1):
             oracle, margin = sobolev_toeplitz_count(p, r, mu, ell_max=3)
             assert margin > 1e-6, (r, mu)
-            assert sobolev_finite(p, r, mu, ell_max=3) == oracle, (r, mu)
+            assert sobolev_finite(p, r, mu, table=tbl) == oracle, (r, mu)
 
 
 def test_sobolev_pinned_counts_monotone_in_mu():
@@ -254,7 +253,7 @@ def test_sobolev_pivot_guard_counts_densely(monkeypatch, case):
     dense, calls = efimov._dense_count, []
     monkeypatch.setattr(efimov, "_dense_count", lambda *a: calls.append(a) or dense(*a))
     with np.errstate(divide="raise", invalid="raise"):
-        got = sobolev_finite(BUILTIN, r, mu, ell_max=ell_max)
+        got = sobolev_finite(BUILTIN, r, mu, table=mode_table(BUILTIN, ell_max=ell_max))
     assert len(calls) == 1 and type(got) is int
     eigs = [np.linalg.eigvalsh(toeplitz(_sobolev_column(BUILTIN, ell, r)))
             for ell in range(ell_max + 1)]
@@ -273,7 +272,7 @@ def test_sobolev_degree0_needs_one_pass():
     assert below[0] == 0 and below[1] == 9
     oracle, margin = sobolev_toeplitz_count(p, r, mu, ell_max=2)
     assert margin > 1e-6
-    assert sobolev_finite(p, r, mu, ell_max=2) == oracle
+    assert sobolev_finite(p, r, mu, table=mode_table(p, ell_max=2)) == oracle
 
 
 @pytest.mark.parametrize("s12", [BUILTIN.s12, 0.5])
@@ -288,9 +287,10 @@ def test_sobolev_degree0_block_within_psd_bound(s12):
 def test_sobolev_phase_irrelevance():
     p_pos = EfimovParams(u12=BUILTIN.u12, r12=0.4, s12=BUILTIN.s12)
     p_neg = EfimovParams(u12=BUILTIN.u12, r12=-0.4, s12=BUILTIN.s12)
+    tbl_pos, tbl_neg = mode_table(p_pos, ell_max=6), mode_table(p_neg, ell_max=6)
     for r in (20.0, 40.0):
-        assert sobolev_finite(p_pos, r, 1.0, ell_max=6) == \
-            sobolev_finite(p_neg, r, 1.0, ell_max=6)
+        assert sobolev_finite(p_pos, r, 1.0, table=tbl_pos) == \
+            sobolev_finite(p_neg, r, 1.0, table=tbl_neg)
     # modes only ever enter through their modulus
     assert legendre_mode(p_pos, 0, 0.8) == legendre_mode(p_neg, 0, 0.8)
 

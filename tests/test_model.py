@@ -10,6 +10,7 @@ from lattice3b import (DegenerateModelError, HypothesisViolationError,
                        custom_pair_energy, extrema, form_factor,
                        hessian_at_minimum, make_model, pair_energy_sum,
                        sin_axis_form_factor, tabulated_dispersion)
+from lattice3b.grids import product_nodes
 from lattice3b.model import Dispersion, pair_matrix
 
 
@@ -148,8 +149,11 @@ def test_odd_form_factor_requires_zero_origin():
 
 def test_declared_parity_checked():
     bad = form_factor(1, "even", lambda q: np.sin(q[..., 0]) + 1e-3)
-    with pytest.raises(HypothesisViolationError):
-        builtin_model(4, 0.0, 0.0, phi1=bad)
+    # non-finite values fail the check rather than pass it
+    nan = form_factor(1, "even", lambda q: np.full(np.shape(q)[:-1], np.nan))
+    for phi in (bad, nan):
+        with pytest.raises(HypothesisViolationError):
+            builtin_model(4, 0.0, 0.0, phi1=phi)
 
 
 def test_cnd_builtin_passes():
@@ -205,13 +209,29 @@ def test_local_quadratic_bounds_discoverable(spec8):
 
 
 def test_pair_matrix_matches_evaluator(spec8):
-    U = pair_matrix(spec8)
-    nodes = spec8.grid.nodes
+    # the builtin band is summed from per-axis tables in the evaluator's
+    # order: every entry is the model's own u, bit for bit, on the grid and
+    # on per-axis lists of different lengths
     rng = np.random.default_rng(3)
-    ii = rng.integers(0, nodes.shape[0], size=50)
-    jj = rng.integers(0, nodes.shape[0], size=50)
-    direct = spec8.pair(nodes[ii], nodes[jj])
-    assert np.allclose(U[ii, jj], direct, atol=1e-12)
+    rows = [rng.uniform(-np.pi, np.pi, k) for k in (2, 3, 4)]
+    cols = [rng.uniform(-np.pi, np.pi, k) for k in (5, 1, 3)]
+    t, p = product_nodes(rows), product_nodes(cols)
+    for spec in (spec8, builtin_model(8, 0.0, 0.0, cross_weight=6.0,
+                                      axis_weights=(1.0, 2.0, 3.0))):
+        nodes = spec.grid.nodes
+        assert np.array_equal(pair_matrix(spec),
+                              spec.pair(nodes[:, None, :], nodes[None, :, :]))
+        assert np.array_equal(pair_matrix(spec, rows=rows, cols=cols),
+                              spec.pair(t[:, None, :], p[None, :, :]))
+
+
+def test_pair_matrix_writes_strided_out(spec8):
+    # the builtin sum is written through a view of `out` split into the six
+    # per-axis dimensions, which exists for any strides: nothing is copied
+    N = spec8.grid.size
+    for out in (np.empty((2 * N, N))[::2], np.empty((N, N)).T):
+        assert pair_matrix(spec8, out=out) is out
+        assert np.array_equal(out, pair_matrix(spec8))
 
 
 def test_pair_matrix_generic_chunks_bit_identical(monkeypatch):
@@ -222,11 +242,12 @@ def test_pair_matrix_generic_chunks_bit_identical(monkeypatch):
     spec = make_model(pair_energy_sum(tabulated_dispersion(grid, builtin_epsilon(grid.nodes))),
                       6, 0.0, 0.0)
     rng = np.random.default_rng(5)
-    rows, cols = rng.uniform(-np.pi, np.pi, (40, 3)), rng.uniform(-np.pi, np.pi, (30, 3))
+    rows = [rng.uniform(-np.pi, np.pi, k) for k in (4, 2, 5)]
+    cols = [rng.uniform(-np.pi, np.pi, k) for k in (3, 5, 2)]
     for chunk in (model._EVAL_CHUNK_BYTES, 24 * 7 * grid.size):     # one chunk; 7 rows
         monkeypatch.setattr(model, "_EVAL_CHUNK_BYTES", chunk)
         for t, p in ((None, None), (rows, cols)):
-            tt = grid.nodes if t is None else t
-            pp = grid.nodes if p is None else p
+            tt = grid.nodes if t is None else product_nodes(t)
+            pp = grid.nodes if p is None else product_nodes(p)
             direct = spec.pair(tt[:, None, :], pp[None, :, :])
             assert np.array_equal(pair_matrix(spec, rows=t, cols=p), direct)

@@ -21,6 +21,7 @@ from lattice3b import (HypothesisViolationError, InvalidSpectralPointError,
 from lattice3b import threebody
 from lattice3b.cli import main
 from lattice3b.errors import MEMORY_LIMIT_BYTES, require_memory
+from lattice3b.grids import product_nodes
 from lattice3b.model import hessian_at_minimum, pair_matrix
 from lattice3b.modelio import load_model
 from lattice3b.threebody import (TIE_RTOL, _BSWorkspace, _count_block_singular_above,
@@ -261,7 +262,7 @@ def _tabulated_band(n):
 def _sector_stack(ws, z):
     """The 2^|A| sector blocks of T12(z): the character sums of the flipped blocks."""
     stack = ws.blocks_into(z)[0]
-    _walsh_hadamard(stack)
+    _walsh_hadamard(stack, range(len(stack)))
     return stack
 
 
@@ -298,6 +299,31 @@ def test_sector_count_exact(case, n):
         assert np.max(np.abs(sv_sectors - sv_full)) <= 1e-12 * sv_full[-1]
 
 
+@pytest.mark.parametrize("case", ["axis-weights", "sin-q1+q2", "tabulated"])
+def test_workspace_pair_stack_is_the_evaluator(case):
+    """Every U_k of the workspace is the model's own u between the
+    representatives flipped by k and the representatives, bit for bit, for
+    three flip axes, one (A = (2,)) and none (the tabulated band, A = ());
+    the representatives are the nodes positive on A in node order, and
+    on_nodes spreads values on them to their images."""
+    n = 6
+    spec = (_tabulated_band(n) if case == "tabulated"
+            else builtin_model(n, 0.0, 0.0, **SECTOR_MODELS[case][0]))
+    ws = _BSWorkspace(spec)
+    assert ws.axes == {"axis-weights": (0, 1, 2), "sin-q1+q2": (2,), "tabulated": ()}[case]
+    nodes = spec.grid.nodes
+    assert np.array_equal(ws.r, nodes[np.all(nodes[:, list(ws.axes)] > 0.0, axis=1)])
+    U = ws._arrays()[0]
+    assert len(U) == 2 ** len(ws.axes)
+    for k, lists in ws.flipped():
+        t = product_nodes(lists)
+        assert np.array_equal(U[k], spec.pair(t[:, None, :], ws.r[None, :, :]))
+    for a in range(3):
+        image = np.abs(nodes[:, a]) if a in ws.axes else nodes[:, a]
+        assert np.array_equal(ws.on_nodes(np.abs(ws.r[:, a]) if a in ws.axes
+                                          else ws.r[:, a]), image)
+
+
 @pytest.mark.parametrize("flips,m", [(1, 30), (2, 70), (8, 100)])
 def test_walsh_hadamard_matches_character_sums(flips, m):
     """The in-place sector transform gives the character sums
@@ -307,7 +333,7 @@ def test_walsh_hadamard_matches_character_sums(flips, m):
     chars = np.array([[(-1) ** bin(psi & k).count("1") for k in range(flips)]
                       for psi in range(flips)])
     expected = np.einsum("pk,kij->pij", chars, S)
-    _walsh_hadamard(S)
+    _walsh_hadamard(S, range(len(S)))
     np.testing.assert_allclose(S, expected, rtol=0, atol=1e-12)
 
 
@@ -320,7 +346,7 @@ def test_walsh_hadamard_orbit_slots_equal_full_transform(flips, m, rows):
     blocks."""
     S = np.random.default_rng(1).standard_normal((flips, m, m))
     full, part = S.copy(), S.copy()
-    _walsh_hadamard(full)
+    _walsh_hadamard(full, range(flips))
     _walsh_hadamard(part, rows)
     assert np.array_equal(part[rows], full[rows])
     rest = [k for k in range(flips) if k not in rows]
