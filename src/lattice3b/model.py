@@ -436,18 +436,33 @@ def _eps_on_product(w, lists) -> np.ndarray:
     return (np.add.outer(e[0], e[1])[:, :, None] + e[2]).ravel()
 
 
-def _fd_second_blocks(f: Callable, h: float) -> np.ndarray:
-    """Central-difference 6x6 Hessian of f: R^6 -> R at the origin."""
-    H = np.empty((6, 6))
+def _fd_stencil(h: float) -> np.ndarray:
+    """The 73 points in R^6 of the central-difference Hessian at the origin
+    with step h, in the order _fd_second_blocks reads their values: the
+    origin, +-h e_i, then +-h (e_i + e_j) and +-h (e_i - e_j) for i < j."""
     e = np.eye(6)
-    f0 = f(np.zeros(6))
+    points = [np.zeros(6)]
     for i in range(6):
-        H[i, i] = (f(h * e[i]) - 2 * f0 + f(-h * e[i])) / h ** 2
+        points += [h * e[i], -h * e[i]]
     for i in range(6):
         for j in range(i + 1, 6):
             v = h * (e[i] + e[j])
             wv = h * (e[i] - e[j])
-            H[i, j] = H[j, i] = (f(v) + f(-v) - f(wv) - f(-wv)) / (4 * h ** 2)
+            points += [v, -v, wv, -wv]
+    return np.array(points)
+
+
+def _fd_second_blocks(f: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference 6x6 Hessian at the origin from the values f of a
+    function R^6 -> R on _fd_stencil(h)."""
+    H = np.empty((6, 6))
+    f0, at = f[0], iter(f[1:])
+    for i in range(6):
+        H[i, i] = (next(at) - 2 * f0 + next(at)) / h ** 2
+    for i in range(6):
+        for j in range(i + 1, 6):
+            fv, fmv, fw, fmw = next(at), next(at), next(at), next(at)
+            H[i, j] = H[j, i] = (fv + fmv - fw - fmw) / (4 * h ** 2)
     return H
 
 
@@ -470,11 +485,10 @@ def hessian_at_minimum(spec: ModelSpec, h: float = 1e-3,
         raise HypothesisViolationError(
             f"minimum is not at the origin: argmin = ({pm}, {qm})")
 
-    def f(v):
-        return float(spec.pair.evaluator(v[:3][None, :], v[3:][None, :])[0])
-
-    H_h = _fd_second_blocks(f, h)
-    H_h2 = _fd_second_blocks(f, h / 2)
+    points = np.concatenate([_fd_stencil(h), _fd_stencil(h / 2)])
+    values = spec.pair.evaluator(points[:, :3], points[:, 3:])     # one call
+    H_h, H_h2 = (_fd_second_blocks(f, step) for f, step in
+                 zip(np.split(values, 2), (h, h / 2)))
     H = H_h2 + (H_h2 - H_h) / 3.0           # one Richardson step, O(h^4)
     B = [H[:3, :3], H[:3, 3:], H[3:, 3:]]
     B = [0.5 * (b + b.T) for b in B]

@@ -20,22 +20,25 @@ group Z2^A, and the cross block splits exactly into 2^|A| blocks of N/2^|A|
 rows built from the pair energies between representatives positive on A:
 the product of per-axis node lists, the positive half on A, from which
 pair_matrix builds each flipped U_k with the lists negated on k's flips.
-The workspace builds the flipped blocks T_k, one per flip k; the sector
-blocks are their character sums, formed in place by one cache-blocked
-transform (`_walsh_hadamard`) where a count needs them.  Lambda_alpha(p, z)
-and Delta_alpha(p, z) are flip-invariant, so the determinants,
-`lambda_on_grid`, the essential-spectrum bisection and `validate`'s Lambda
-maximum are summed on the representatives from the same resolvent and
-spread to all nodes.  The HS diagnostics read the flipped blocks before the
-transform and pair them with those of the threshold model kernel, built
-only on its support.  The full cross block is the case A = (): one block
-over all nodes, which is what tabulated or custom dispersions and form
-factors without any axis parity run on.
+The workspace forms the sector blocks in one pass over cache-sized column
+slabs of its U stack (`_character_sums`): the resolvents 1/(U_k - z) of all
+flips k in one buffer, then only the sector slots its caller reads, their
+character sums R_psi = sum_k psi(k) R_k.  Lambda_alpha(p, z) and
+Delta_alpha(p, z) are flip-invariant, so they come from the trivial slot
+R_0 = sum_k R_k on the representatives; the determinants, `lambda_on_grid`
+and `validate`'s Lambda maximum spread them to all nodes, and the count's
+blocks scale only the formed slots.  The HS diagnostics read the sector
+blocks by Parseval and pair them with the character sums of the threshold
+model kernel's flipped blocks, built only on its support.  The
+essential-spectrum bisection sums the flipped resolvents of a column-cut
+stack.  The full cross block is the case A = (): one block over all nodes,
+which is what tabulated or custom dispersions and form factors without any
+axis parity run on.
 
 Axis permutations that keep A, the axis weights and both form factors
 (`_sector_orbits`) commute with T(z) and permute the flip labels, so the count
-and the HS distance run on one block per orbit, weighted by its size; the
-count's transform forms only those orbit blocks.
+and the HS diagnostics run on one block per orbit, weighted by its size, and
+the pass forms only those orbit blocks.
 
 One kernel counts each block (`_leading_singular_values`): a Frobenius skip,
 then a block Rayleigh-Ritz count certified by the Weyl bound, then the dense
@@ -44,7 +47,7 @@ spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations
 from typing import Optional
 
@@ -61,11 +64,12 @@ from .reports import CountReport, EssentialSpectrumReport
 
 # eigenvalues this close to the counting threshold (relative to ||B||) count as below
 TIE_RTOL = 1e-12
-# columns per slab of the sector transform, whose buffer of 2^|A| x _SLAB
-# doubles (256 KB for three axes) stays in cache: at M = 343 to 1728 rows per
-# block, 4096 ran within 30% of the fastest of 1024 to 8192, 1024 up to 2.4x
-# slower (one BLAS thread).  The blocks are scaled in row slabs of that size.
-_SLAB = 4096
+# columns per slab of the sector pass, whose buffer of 2^|A| x _SLAB
+# resolvents (512 KB for three axes) stays in cache: forming the orbit blocks
+# at M = 125, 343 and 1728 rows per block, 8192 ran fastest of 2048 to 32768,
+# 4096 10-20% and 2048 up to 50% slower (one BLAS thread).  The blocks are
+# scaled in row slabs of about that size.
+_SLAB = 8192
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,14 @@ class _BSWorkspace:
     on A, all nodes elsewhere; all nodes when A = ()), the 2^|A| arrays
     U_k[i, j] = u(k r_i, r_j) over the flips k on A and one scratch stack, of
     nbytes in all.  Counts, determinants, Lambda, the HS diagnostics and the
-    essential bisection work in this one array set, with M x M temporaries.
-    `orbits` holds (k, multiplicity) for each orbit of the flip labels under
-    the model's axis permutations `group`, k the orbit's smallest label, and
-    `orbit_slots` those labels k: the sector blocks a count reads.
+    essential bisection work in this one array set, with M x M temporaries:
+    one pass over cache-sized slabs (sector_blocks) writes only the sector
+    blocks a caller reads to the front of the scratch stack, Lambda and the
+    determinants come from the trivial one, and only the formed blocks are
+    scaled.  `orbits` holds (k, multiplicity) for each orbit of the flip
+    labels under the model's axis permutations `group`, k the orbit's
+    smallest label, and `orbit_slots` those labels k: the sector blocks a
+    count reads.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -128,6 +136,11 @@ class _BSWorkspace:
             neg = [a for a, f in zip(self.axes, flip) if f]
             yield k, [-x if a in neg else x for a, x in enumerate(self.lists)]
 
+    @cached_property
+    def flipped_nodes(self) -> np.ndarray:
+        """The representatives flipped by k, k r, stacked over the flips k."""
+        return np.stack([product_nodes(lists) for _, lists in self.flipped()])
+
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._stacks is None:
             M = len(self.r)
@@ -138,28 +151,30 @@ class _BSWorkspace:
             self._u_min = float(U.min())
         return self._stacks
 
-    def _resolvents(self, z: float) -> np.ndarray:
-        """The scratch stack overwritten with 1/(U_k - z) over the flips k.
+    def _character_sums(self, z: float, slots) -> np.ndarray:
+        """The character sums of the resolvents 1/(U_k - z) in the front of
+        the scratch stack, entry i for the label slots[i] (_character_sums).
         fl(u - z) <= 0 exactly when u <= z, so the domain check reads U's
         minimum instead of the differences."""
         U, S = self._arrays()
         if self._u_min <= z:
             raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
-        np.subtract(U, z, out=S)
-        np.reciprocal(S, out=S)
-        return S
+        _character_sums(U, S, z, slots)
+        return S[:len(slots)]
 
     def _lambda(self, alpha: int, S: np.ndarray) -> np.ndarray:
-        """Lambda_alpha on the representatives from the stack 1/(U_k - z), summed
-        over k: channel 1 sums the rows and leaves p on the columns, channel 2
-        the reverse, so a stack cut to some p gives Lambda on those p."""
+        """Lambda_alpha on the representatives from a stack of resolvents,
+        summed over its slots: channel 1 sums the rows and leaves p on the
+        columns, channel 2 the reverse, so the trivial slot S[:1] = R_0 gives
+        Lambda on the representatives and a stack cut to some p gives it on
+        those p."""
         if alpha == 1:
             return self.w * (self.f1 ** 2 @ S).sum(axis=0)
         return self.w * (S @ self.f2 ** 2).sum(axis=0)
 
     def lambdas(self, alpha: int, z: float) -> np.ndarray:
         """Lambda_alpha(p, z) on the representatives p of the model's axes."""
-        return self._lambda(alpha, self._resolvents(z))
+        return self._lambda(alpha, self._character_sums(z, [0]))
 
     def on_nodes(self, values: np.ndarray) -> np.ndarray:
         """Values on the representatives of the model's axes spread to all
@@ -173,27 +188,30 @@ class _BSWorkspace:
 
     def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
-        S = self._resolvents(z)
-        return tuple(self.on_nodes(1.0 - self.spec.mu(a) * self._lambda(a, S))
+        R0 = self._character_sums(z, [0])
+        return tuple(self.on_nodes(1.0 - self.spec.mu(a) * self._lambda(a, R0))
                      for a in (1, 2))
 
-    def blocks_into(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Overwrite the scratch stack with the 2^|A| flipped blocks
-        T_k[t, p] = col(t) row(p) / (U_k[t, p] - z) of T12(z); returns
-        (stack, d1, d2), the determinants on the representatives.
+    def sector_blocks(self, z: float, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stack, d1, d2): entry i of the stack, in the scratch stack, is the
+        sector block B_psi = col(t) row(p) R_psi[t, p] of T12(z) for the
+        label psi = slots[i] (slots[0] = 0), R_psi = sum_k psi(k) / (U_k[t, p]
+        - z); d1 and d2 are the determinants on the representatives.
 
         Blocks are indexed (t, p), first slot of u first, so for A = () the
         cross block T12 is stack[0].T.  With u invariant under every flip k
         on A and phi_alpha(k q) = chi_alpha(k) phi_alpha(q), T12 maps the
         sector of the character psi onto that of psi chi_1 chi_2, and on the
-        representatives its block is sum_k psi(k) chi_2(k) T_k.  Multiplying
-        by chi_2 only permutes the labels psi, so the sector blocks are the
-        character sums of the flipped blocks (_walsh_hadamard).  col and row
-        do not depend on k, so all blocks are scaled in one pass, row slab by
-        row slab with their outer product.
+        representatives its block is the character sum with psi chi_2 of the
+        flipped blocks col row / (U_k - z).  Multiplying by chi_2 only
+        permutes the labels psi, and col and row do not depend on k, so the
+        sector blocks are col row times the character sums of the
+        resolvents.  Lambda_alpha and the determinants come from the trivial
+        one, R_0 = sum_k 1/(U_k - z); then only the formed blocks are
+        scaled, row slab by row slab with the outer product of col and row.
         """
-        S = self._resolvents(z)
-        d1, d2 = (1.0 - self.spec.mu(a) * self._lambda(a, S) for a in (1, 2))
+        S = self._character_sums(z, slots)
+        d1, d2 = (1.0 - self.spec.mu(a) * self._lambda(a, S[:1]) for a in (1, 2))
         if d1.min() <= 0.0 or d2.min() <= 0.0:
             raise InvalidSpectralPointError(
                 f"nonpositive determinant at z = {z} "
@@ -203,31 +221,55 @@ class _BSWorkspace:
         col = self.f1 / np.sqrt(d2)            # t: spectator of channel 2
         row = scale * self.f2 / np.sqrt(d1)    # p: spectator of channel 1
         M = len(row)
-        step = max(1, len(S) * _SLAB // M)      # a slab buffer's worth of rows
+        step = max(1, _SLAB // M)       # rows of one slab of the outer product
         for i in range(0, M, step):
             S[:, i:i + step] *= np.multiply.outer(col[i:i + step], row)
         return S, d1, d2
 
 
-def _walsh_hadamard(S: np.ndarray, rows) -> None:
-    """In place, the slots psi in `rows` of the stack S_k over the flips k
-    become the character sums S_psi = sum_k psi(k) S_k,
-    psi(k) = (-1)^popcount(psi & k), with k and psi both indexing the flip
-    bits of the axes in order: those rows of the +-1 character matrix times S
-    as 2^|A| rows, one column slab at a time through one buffer.  A count
-    passes the orbit representatives it reads; the other slots keep flipped
-    blocks and must not be read (range(len(S)) gives the full transform)."""
-    n = len(S)
-    if n == 1:      # A = (): the one block is its own sector
-        return
-    H = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (n.bit_length() - 1))[rows]
-    X = S.reshape(n, -1)
-    buf = np.empty((len(rows), min(_SLAB, X.shape[1])))
-    for j in range(0, X.shape[1], _SLAB):
-        cols = X[:, j:j + _SLAB]
-        out = buf[:, :cols.shape[1]]
-        np.matmul(H, cols, out=out)
-        cols[rows] = out
+@lru_cache(maxsize=None)
+def _characters(n: int) -> np.ndarray:
+    """The n x n +-1 character matrix of Z2^|A|, n = 2^|A| (read-only): entry
+    (psi, k) is psi(k) = (-1)^popcount(psi & k), with psi and k both indexing
+    the flip bits of the axes in order."""
+    H = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (n.bit_length() - 1),
+               np.ones((1, 1)))
+    H.flags.writeable = False
+    return H
+
+
+def _character_sums(U: np.ndarray, S: np.ndarray, z: float, slots) -> None:
+    """In place, S[i] becomes the character sum R_psi = sum_k psi(k) / (U_k -
+    z) over the stack U_k of the flips k, for psi = slots[i]; the rest of S
+    is scratch.
+
+    One column slab of the flattened stacks at a time: the resolvents of
+    every flip go to one buffer of 2^|A| x _SLAB doubles, and those rows of
+    the character matrix times it go straight to S.  A slot's bits must not
+    depend on which other slots are formed.  A row of a BLAS product of at
+    least two rows and two columns is the same dot product over k whatever
+    the other rows, but a one-row or one-column product takes the
+    matrix-vector path, which rounds differently.  So a single slot is
+    formed twice (into S[0] and S[1]: 2^|A| >= 2 slots), the last slab is
+    moved back to hold two columns and a one-column stack (M = 1) is
+    widened; with |A| = 0 the one product is exact (1.0 times the
+    resolvent)."""
+    n = len(U)
+    rows = list(slots) * (2 if len(slots) == 1 and n > 1 else 1)
+    H = _characters(n)[rows]
+    X, Y = U.reshape(n, -1), S.reshape(n, -1)
+    width = X.shape[1]
+    buf = np.empty((n, min(_SLAB, width)))
+    for j in range(0, width, _SLAB):
+        j = max(0, min(j, width - 2))
+        cols = slice(j, j + _SLAB)
+        R = buf[:, :min(_SLAB, width - j)]
+        np.subtract(X[:, cols], z, out=R)
+        np.reciprocal(R, out=R)
+        if width == 1:
+            Y[:len(rows), cols] = (H @ np.repeat(R, 2, axis=1))[:, :1]
+        else:
+            np.matmul(H, R, out=Y[:len(rows), cols])
 
 
 def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
@@ -317,21 +359,21 @@ def count_above(matrix: np.ndarray, lam: float) -> int:
 
 
 def _count_block_singular_above(stack: np.ndarray, mu: float,
-                                orbits: Optional[tuple] = None) -> int:
+                                mults: Optional[list] = None) -> int:
     """#{singular values > mu} of one block, or of the block-diagonal sum of a
-    stack of blocks: every block once, or with `orbits` ((k, multiplicity),
-    see _BSWorkspace) only the blocks k, each counted multiplicity times.
+    stack or list of blocks: every block once, or block i counted mults[i]
+    times (the sizes of the sector orbits, see _BSWorkspace).
 
     Values within TIE_RTOL times the largest singular value of the whole count
     as not above; the certificates clear that band at the largest Frobenius
     norm, which bounds the largest singular value from above.
     """
-    blocks = stack[None] if stack.ndim == 2 else stack
-    orbits = orbits if orbits is not None else [(k, 1) for k in range(len(blocks))]
-    fro2 = [_squared_norm(blocks[k]) for k, _ in orbits]
+    blocks = [stack] if isinstance(stack, np.ndarray) and stack.ndim == 2 else stack
+    mults = mults if mults is not None else [1] * len(blocks)
+    fro2 = [_squared_norm(b) for b in blocks]
     band = TIE_RTOL * np.sqrt(max(fro2))
-    sv = [(_leading_singular_values(blocks[k], mu, f2, band), mult)
-          for (k, mult), f2 in zip(orbits, fro2)]
+    sv = [(_leading_singular_values(b, mu, f2, band), mult)
+          for b, mult, f2 in zip(blocks, mults, fro2)]
     top = max((float(v.max()) for v, _ in sv if v.size), default=0.0)
     return int(sum(mult * np.sum(v > mu + TIE_RTOL * top) for v, mult in sv))
 
@@ -366,6 +408,15 @@ def _leading_singular_values(block: np.ndarray, mu: float, fro2: float,
     return np.linalg.svd(block, compute_uv=False)
 
 
+@lru_cache(maxsize=16)
+def _test_matrix(cols: int, p: int) -> np.ndarray:
+    """The Gaussian test matrix Omega of _ritz_bounds, cols x p from seed 0,
+    read-only and kept for the next block of the same shape."""
+    Omega = np.random.default_rng(0).standard_normal((cols, p))
+    Omega.flags.writeable = False
+    return Omega
+
+
 def _ritz_bounds(block: np.ndarray, p: int, fro2: float) -> tuple[np.ndarray, float, float]:
     """(s, rho, r): the p Ritz values s of B = block, fro2 = ||B||_F^2 from
     _squared_norm, and radii with s_i - r <= sigma_i(B) <= s_i + rho.
@@ -387,8 +438,7 @@ def _ritz_bounds(block: np.ndarray, p: int, fro2: float) -> tuple[np.ndarray, fl
     covers both: r = sqrt(slack) >= e ||B||_F, and as rho <= 1.5 ||B||_F,
     adding slack to rho^2 raises rho at least e ||B||_F above the residual.
     """
-    Omega = np.random.default_rng(0).standard_normal((block.shape[1], p))
-    Q = np.linalg.qr(block @ Omega)[0]
+    Q = np.linalg.qr(block @ _test_matrix(block.shape[1], p))[0]
     Q = np.linalg.qr(block @ (block.T @ Q))[0]
     C = Q.T @ block
     s = np.linalg.svd(C, compute_uv=False)
@@ -410,9 +460,14 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    stack, _, _ = ws.blocks_into(z)
-    _walsh_hadamard(stack, ws.orbit_slots)
-    return _count_block_singular_above(stack, 1.0, ws.orbits)
+    return _count_orbits(ws, ws.sector_blocks(z, ws.orbit_slots)[0], ws.orbit_slots)
+
+
+def _count_orbits(ws: _BSWorkspace, stack: np.ndarray, slots: list) -> int:
+    """N(z) from the sector blocks stack[i] of the labels slots[i], which
+    hold the orbit representatives: one block per orbit, times its size."""
+    return _count_block_singular_above([stack[slots.index(k)] for k in ws.orbit_slots],
+                                       1.0, [mult for _, mult in ws.orbits])
 
 
 def assemble_direct_hamiltonian(spec: ModelSpec) -> np.ndarray:
@@ -588,46 +643,60 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
     _check_cutoff(delta)
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    return _hs_of_stack(ws, ws.blocks_into(z)[0], z, delta, hess)
+    orbits = _hs_orbits(ws, hess)
+    stack = ws.sector_blocks(z, [k for k, _ in orbits])[0]
+    return _hs_of_sectors(ws, stack, z, delta, hess, orbits)
 
 
-def _hs_of_stack(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
-                 hess: HessianData) -> tuple[float, float]:
-    """hs_diagnostics from the flipped blocks S = ws.blocks_into(z)[0], T_k
-    indexed (t, p), which it leaves unchanged.
+def _hs_orbits(ws: _BSWorkspace, hess: HessianData) -> list:
+    """(psi, multiplicity) over the sector labels the HS diagnostics read:
+    one per orbit when every permutation of ws.group leaves U unchanged (the
+    model kernel is then invariant under them too), else every label once."""
+    if all(np.array_equal(hess.U[np.ix_(s, s)], hess.U) for s in ws.group):
+        return list(ws.orbits)
+    return [(k, 1) for k in range(2 ** len(ws.axes))]
 
-    The sector blocks are the character sums of the T_k, so by Parseval over
-    the flips ||T||_HS^2 = 2 * 2^|A| sum_k ||T_k||^2.  U is diagonal on every
-    model with flip axes (the builtin separable ones: off-diagonal Hessian
-    entries exactly 0.0), so the model kernel is flip invariant and its sector
-    blocks are the character sums of its flipped blocks K_k, indexed (p, t).
-    The distance is summed one flip at a time, one per orbit when every
-    permutation of ws.group leaves U unchanged (the model kernel is then
-    invariant under them too), else every flip.  K_k vanishes off the rows I
-    and columns J of its support, so with c1 == c2 (T's block psi chi_2 meets
-    the model's psi: sign chi_2(k))
-        ||K_k - chi_2(k) T_k^T||^2 = ||T_k off J x I||^2
-                                     + ||K_k[I, J] - chi_2(k) T_k[J, I]^T||^2,
-    exact for any superset of the support; else T and the model sit in
-    disjoint sector pairs and the distance is ||T||^2 + ||K||^2."""
-    n, (c1, c2) = len(S), ws.chi
-    rows2 = np.einsum("kij,kij->ki", S, S)      # ||T_k[t, :]||^2
-    hs2 = n * float(rows2.sum())
-    orbits = (ws.orbits if all(np.array_equal(hess.U[np.ix_(s, s)], hess.U)
-                               for s in ws.group) else [(k, 1) for k in range(n)])
-    flips = {k: product_nodes(lists) for k, lists in ws.flipped()}
-    J = _kernel_support(ws.r, hess, delta)[1]
-    diff2 = 0.0 if c1 == c2 else hs2
-    for k, mult in orbits:
-        I = _kernel_support(flips[k], hess, delta)[1]
-        K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta,
-                               rows=flips[k][I], cols=ws.r[J])
+
+def _hs_of_sectors(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
+                   hess: HessianData, orbits) -> tuple[float, float]:
+    """hs_diagnostics from the sector blocks S[i] = B_psi, indexed (t, p), of
+    the labels psi of orbits[i] (_hs_orbits), which it leaves unchanged.
+
+    The sector blocks are the blocks of T12 in an orthonormal basis, so
+    ||T||_HS^2 = 2 sum_psi ||B_psi||^2, each orbit's block weighted by its
+    size.  U is diagonal on every model with flip axes (the builtin separable
+    ones: off-diagonal Hessian entries exactly 0.0), so the model kernel is
+    flip invariant and its sector blocks are the character sums
+    K_psi = sum_k psi(k) K_k of its flipped blocks K_k, indexed (p, t).  With
+    c1 == c2, T's block psi chi_2 meets the model's psi, so by Parseval the
+    squared distance is the sum over the slots psi of
+    ||K_{psi ^ c2} - B_psi^T||^2.  Every K_k vanishes off the rows and
+    columns I of the union of the flipped supports, so
+        ||K_{psi ^ c2} - B_psi^T||^2 = ||B_psi off I x I||^2
+                                       + ||K_{psi ^ c2}[I, I] - B_psi[I, I]^T||^2,
+    exact for any superset of the support, with the K_k built on I in one
+    call; else T and the model sit in disjoint sector pairs and the distance
+    is ||T||^2 + ||K||^2, ||K||^2 = 2^|A| sum_k ||K_k||^2."""
+    n, (c1, c2) = 2 ** len(ws.axes), ws.chi
+    F = ws.flipped_nodes
+    I = _kernel_support(F.reshape(-1, 3), hess, delta)[1].reshape(n, -1).any(axis=0)
+    K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta,
+                           rows=F[:, I].reshape(-1, 3), cols=ws.r[I])
+    K = K.reshape(n, -1)        # row k: K_k on I x I
+    hs2 = diff2 = 0.0
+    if c1 == c2:
+        K = _characters(n)[[psi ^ c2 for psi, _ in orbits]] @ K
+    for i, (psi, mult) in enumerate(orbits):
+        rows2 = np.einsum("ij,ij->i", S[i], S[i])      # ||B_psi[t, :]||^2
+        hs2 += mult * float(rows2.sum())
         if c1 == c2:
-            TJ = S[k][J]        # the rows of the support, a copy
-            K -= (-1) ** bin(c2 & k).count("1") * TJ[:, I].T
-            TJ[:, I] = 0.0
-            diff2 += mult * n * (float(rows2[k][~J].sum()) + _squared_norm(TJ))
-        diff2 += mult * n * _squared_norm(K)
+            BI = S[i][I]            # the rows of the support, a copy
+            D = K[i].reshape(len(BI), len(BI))
+            D -= BI[:, I].T
+            BI[:, I] = 0.0
+            diff2 += mult * (float(rows2[~I].sum()) + _squared_norm(BI) + _squared_norm(D))
+    if c1 != c2:
+        diff2 = hs2 + n * _squared_norm(K)
     return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2))
 
 
@@ -644,12 +713,14 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         raise ModelDataError("m - z values must be positive and nonempty")
     _check_cutoff(delta)
     ws = _BSWorkspace(spec)
-    hess = None
+    orbits = ws.orbits
     if with_hs:
         try:
             hess = hessian_at_minimum(spec)
+            orbits = _hs_orbits(ws, hess)    # the count's slots among them
         except NotProductFormError:
             with_hs = False     # e.g. tabulated models: HS columns stay NaN
+    slots = [k for k, _ in orbits]
     counts = np.empty(s_list.size, dtype=int)
     detmin = np.empty(s_list.size)
     hs = np.full(s_list.size, np.nan)
@@ -659,12 +730,11 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         z = spec.m - s
         # Delta is invariant under the flips, so its minimum over the
         # representatives is its minimum over all nodes
-        stack, d1, d2 = ws.blocks_into(z)
+        stack, d1, d2 = ws.sector_blocks(z, slots)
         detmin[i] = min(float(d1.min()), float(d2.min()))
         if with_hs:
-            hs[i], hsd[i] = _hs_of_stack(ws, stack, z, delta, hess)
-        _walsh_hadamard(stack, ws.orbit_slots)
-        counts[i] = _count_block_singular_above(stack, 1.0, ws.orbits)
+            hs[i], hsd[i] = _hs_of_sectors(ws, stack, z, delta, hess, orbits)
+        counts[i] = _count_orbits(ws, stack, slots)
         if i and counts[i] < counts[i - 1]:
             raise HypothesisViolationError(
                 f"N(z) fell from {counts[i - 1]} at m - z = {s_list[i - 1]:.6g} to "

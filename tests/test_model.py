@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,11 @@ from lattice3b import (DegenerateModelError, HypothesisViolationError,
                        custom_pair_energy, extrema, form_factor,
                        hessian_at_minimum, make_model, pair_energy_sum,
                        sin_axis_form_factor, tabulated_dispersion)
+from lattice3b.modelio import load_model
 from lattice3b.grids import product_nodes
-from lattice3b.model import Dispersion, pair_matrix
+from lattice3b.model import Dispersion, _fd_stencil, pair_matrix
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_builtin_epsilon_values():
@@ -107,6 +112,30 @@ def test_hessian_cross_weight():
     assert h.l1 == pytest.approx(7.0, rel=1e-7)
     assert h.l == pytest.approx(-6.0, rel=1e-7)
     assert h.n1 == pytest.approx(13.0 / 7.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("case", ["resonance_strong", "builtin_critical", "eigenvalue_case",
+                                  "custom-asymmetric"])
+def test_hessian_stencil_in_one_evaluator_call(case):
+    """hessian_at_minimum evaluates the pair energy once, on both stencils
+    (h and h/2), and those values equal one evaluator call per point bit for
+    bit, so the Hessian data is that of the pointwise differences."""
+    eps = builtin_dispersion().fn
+    calls = []
+
+    def u(t, p):
+        calls.append(t.shape)
+        return eps(t) + eps(t - p) + 2.0 * eps(p)
+
+    spec = (make_model(custom_pair_energy(u), 8, 0.0, 0.0) if case == "custom-asymmetric"
+            else load_model(str(MODELS / f"{case}.json"), 8).spec)
+    points = np.concatenate([_fd_stencil(1e-3), _fd_stencil(5e-4)])
+    batch = spec.pair.evaluator(points[:, :3], points[:, 3:])
+    pointwise = [spec.pair.evaluator(v[:3][None, :], v[3:][None, :])[0] for v in points]
+    assert np.array_equal(batch, pointwise)
+    calls.clear()
+    hessian_at_minimum(spec)
+    assert calls == ([(146, 3)] if case == "custom-asymmetric" else [])
 
 
 def test_hessian_rejects_non_product_form():

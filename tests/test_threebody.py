@@ -24,9 +24,10 @@ from lattice3b.errors import MEMORY_LIMIT_BYTES, require_memory
 from lattice3b.grids import product_nodes
 from lattice3b.model import hessian_at_minimum, pair_matrix
 from lattice3b.modelio import load_model
-from lattice3b.threebody import (TIE_RTOL, _BSWorkspace, _count_block_singular_above,
-                                 _leading_singular_values, _ritz_bounds, _squared_norm,
-                                 _walsh_hadamard, model_kernel_block)
+from lattice3b.threebody import (_SLAB, TIE_RTOL, _BSWorkspace, _character_sums,
+                                 _count_block_singular_above, _leading_singular_values,
+                                 _ritz_bounds, _squared_norm, _test_matrix,
+                                 model_kernel_block)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -260,10 +261,9 @@ def _tabulated_band(n):
 
 
 def _sector_stack(ws, z):
-    """The 2^|A| sector blocks of T12(z): the character sums of the flipped blocks."""
-    stack = ws.blocks_into(z)[0]
-    _walsh_hadamard(stack, range(len(stack)))
-    return stack
+    """The 2^|A| sector blocks of T12(z), in label order: the character sums
+    of the flipped blocks."""
+    return ws.sector_blocks(z, list(range(2 ** len(ws.axes))))[0]
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -324,33 +324,40 @@ def test_workspace_pair_stack_is_the_evaluator(case):
                                           else ws.r[:, a]), image)
 
 
+def _resolvent_stack(seed, flips, m):
+    """A seeded stack of flips m x m pair-energy-like arrays in [1, 2)."""
+    return 1.0 + np.random.default_rng(seed).random((flips, m, m))
+
+
 @pytest.mark.parametrize("flips,m", [(1, 30), (2, 70), (8, 100)])
 def test_walsh_hadamard_matches_character_sums(flips, m):
-    """The in-place sector transform gives the character sums
-    sum_k (-1)^popcount(psi & k) S_k, also over several column slabs and a
-    partial last one (m^2 = 10^4 columns per flip)."""
-    S = np.random.default_rng(0).standard_normal((flips, m, m))
+    """The sector pass's Walsh-Hadamard transform of the resolvents gives the
+    character sums sum_k (-1)^popcount(psi & k) / (U_k - z), also over
+    several column slabs and a partial last one (m^2 = 10^4 columns per
+    flip)."""
+    U = _resolvent_stack(0, flips, m)
+    S = np.empty_like(U)
     chars = np.array([[(-1) ** bin(psi & k).count("1") for k in range(flips)]
                       for psi in range(flips)])
-    expected = np.einsum("pk,kij->pij", chars, S)
-    _walsh_hadamard(S, range(len(S)))
+    expected = np.einsum("pk,kij->pij", chars, 1.0 / (U - 0.5))
+    _character_sums(U, S, 0.5, range(flips))
     np.testing.assert_allclose(S, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("flips,m,rows", [(1, 30, [0]), (2, 70, [0]), (4, 40, [0, 3]),
                                           (8, 100, [0, 1, 3, 7]), (8, 20, [2, 5])])
 def test_walsh_hadamard_orbit_slots_equal_full_transform(flips, m, rows):
-    """The count path writes only the orbit slots, from those rows of the
-    character matrix: they equal the full transform's bit for bit, over several
-    column slabs and a partial last one, and the other slots keep the flipped
-    blocks."""
-    S = np.random.default_rng(1).standard_normal((flips, m, m))
-    full, part = S.copy(), S.copy()
-    _walsh_hadamard(full, range(flips))
-    _walsh_hadamard(part, rows)
-    assert np.array_equal(part[rows], full[rows])
-    rest = [k for k in range(flips) if k not in rows]
-    assert np.array_equal(part[rest], S[rest])
+    """The count path forms only the orbit slots, from those rows of the
+    character matrix, at the front of the scratch stack: they equal the full
+    transform's bit for bit, over several column slabs and a partial last
+    one, and the rest of the scratch stack is not written (a single slot is
+    formed twice, into entries 0 and 1)."""
+    U = _resolvent_stack(1, flips, m)
+    full, part = np.empty_like(U), np.full_like(U, np.nan)
+    _character_sums(U, full, 0.5, range(flips))
+    _character_sums(U, part, 0.5, rows)
+    assert np.array_equal(part[:len(rows)], full[rows])
+    assert np.all(np.isnan(part[max(len(rows), min(flips, 2)):]))
 
 
 def test_no_axis_parity_takes_full_block():
@@ -495,6 +502,15 @@ def test_uncertified_block_ends_in_dense_spectrum(case):
     fro2 = _squared_norm(block)
     assert _leading_singular_values(block, 1.0, fro2, TIE_RTOL * np.sqrt(fro2)).size == 300
     assert _count_block_singular_above(block, 1.0) == dense
+
+
+def test_ritz_test_matrix_is_cached_and_unchanged():
+    """The Gaussian test matrix of the Ritz step is drawn once per shape, from
+    seed 0 as before, and handed out read-only."""
+    omega = _test_matrix(343, 8)
+    assert _test_matrix(343, 8) is omega
+    assert np.array_equal(omega, np.random.default_rng(0).standard_normal((343, 8)))
+    assert not omega.flags.writeable
 
 
 def test_ritz_bounds_are_certified():
@@ -642,6 +658,45 @@ def test_hs_diagnostics_match_dense_block(case, n):
     assert [a.shape for a in ws._arrays()] == [blocks, blocks]
 
 
+@pytest.mark.parametrize("case", ["sin-1-1", "cos-2-sin-3", "sin-q1+q2", "no-parity"])
+def test_sector_pass_equals_character_sums(case):
+    """Every sector block of the one pass equals sum_k psi(k) T_k built
+    independently, from pair_matrix on the flipped lists, a dense reciprocal
+    and the determinants of the full pair matrix, to 1e-13 relative, for
+    c1 == c2 != 0, c1 != c2, A = (2,) and A = () on a grid whose M^2 is not
+    a multiple of _SLAB; a slot's bits do not depend on which other slots
+    the pass forms ({0}, the orbit representatives or all labels), and the
+    determinants are those of the full pair matrix on the representatives."""
+    kwargs, axes, chi = HS_MODELS[case]
+    spec = builtin_model(10, 0.0, 0.0, **kwargs)
+    spec = spec.with_params(mu1=coupling_threshold(spec, 1), mu2=coupling_threshold(spec, 2))
+    ws = _BSWorkspace(spec)
+    assert (ws.axes, ws.chi) == (axes, chi)
+    n, M = 2 ** len(axes), len(ws.r)
+    assert M * M > _SLAB and M * M % _SLAB != 0
+    z = spec.m - 1e-2
+    w, f1, f2 = spec.grid.weight, spec.phi_values(1), spec.phi_values(2)
+    R = 1.0 / (pair_matrix(spec) - z)
+    d1 = 1.0 - spec.mu1 * w * (f1 ** 2 @ R)
+    d2 = 1.0 - spec.mu2 * w * (R @ f2 ** 2)
+    nodes = spec.grid.nodes
+    reps = np.all(nodes[:, list(axes)] > 0.0, axis=1)
+    col = f1[reps] / np.sqrt(d2[reps])
+    row = np.sqrt(spec.mu1 * spec.mu2) * w * f2[reps] / np.sqrt(d1[reps])
+    T = np.array([np.outer(col, row) / (pair_matrix(spec, rows=lists, cols=ws.lists) - z)
+                  for _, lists in ws.flipped()])
+    ref = np.array([sum((-1) ** bin(psi & k).count("1") * T[k] for k in range(n))
+                    for psi in range(n)])
+    formed = {}
+    for slots in ([0], ws.orbit_slots, list(range(n))):
+        stack, e1, e2 = ws.sector_blocks(z, slots)
+        assert np.max(np.abs(e1 - d1[reps])) <= 1e-13 * np.max(np.abs(d1))
+        assert np.max(np.abs(e2 - d2[reps])) <= 1e-13 * np.max(np.abs(d2))
+        for i, psi in enumerate(slots):
+            assert np.max(np.abs(stack[i] - ref[psi])) <= 1e-13 * np.max(np.abs(T))
+            assert np.array_equal(stack[i], formed.setdefault(psi, stack[i].copy()))
+
+
 def test_hs_diagnostics_with_a_hessian_the_axis_permutations_move():
     """The HS distance runs on one flip per orbit only when the permutations
     of the sector orbits leave the model kernel's U unchanged: with a caller's
@@ -703,23 +758,17 @@ def test_count_report_refuses_a_decreasing_count(spec8, monkeypatch, tmp_path, c
 
 def test_count_report_columns_and_trust(spec16_critical, monkeypatch):
     s_vals = np.geomspace(1e-3, 1e-1, 5)
-    blocks_into = _BSWorkspace.blocks_into
+    character_sums = threebody._character_sums
     calls = []
 
-    def count_blocks(self, z):
-        calls.append("blocks")
-        return blocks_into(self, z)
+    def count_passes(*args):
+        calls.append("pass")
+        return character_sums(*args)
 
-    def count_transforms(stack, rows=None):
-        calls.append("transform")
-        _walsh_hadamard(stack, rows)
-
-    monkeypatch.setattr(_BSWorkspace, "blocks_into", count_blocks)
-    monkeypatch.setattr(threebody, "_walsh_hadamard", count_transforms)
+    monkeypatch.setattr(threebody, "_character_sums", count_passes)
     rep = count_report(spec16_critical, s_vals, with_hs=True)
-    # the count and HS share each row's stack, and the sector transform runs
-    # once per row, after HS has read the flipped blocks
-    assert calls == ["blocks", "transform"] * len(s_vals)
+    # the count, det_min and HS share each row's sector blocks: one pass per row
+    assert calls == ["pass"] * len(s_vals)
     monkeypatch.undo()
     assert rep.m_minus_z[0] > rep.m_minus_z[-1]
     assert np.all(np.diff(rep.counts) >= 0)            # counts grow toward threshold
@@ -727,8 +776,8 @@ def test_count_report_columns_and_trust(spec16_critical, monkeypatch):
     assert np.array_equal(rep.trusted, rep.m_minus_z >= floor)
     assert np.all(np.isfinite(rep.hs_norm))
     assert np.all(rep.det_min > 0)
-    # one blocks_into call per row gives the count, det_min and HS columns of
-    # the standalone counter, the determinants on every node and hs_diagnostics
+    # one sector pass per row gives the count, det_min and HS columns of the
+    # standalone counter, the determinants on every node and hs_diagnostics
     ws = _BSWorkspace(spec16_critical)
     hess = hessian_at_minimum(spec16_critical)
     for s, count, det_min, hs, hsd in zip(rep.m_minus_z, rep.counts, rep.det_min,
