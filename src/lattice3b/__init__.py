@@ -20,12 +20,9 @@ from .model import (CndReport, Dispersion, FormFactor, HessianData, ModelSpec,
                     hessian_at_minimum, make_model, pair_energy_sum,
                     sin_axis_form_factor, tabulated_dispersion)
 from .reports import CountReport, CurveReport, EssentialSpectrumReport, write_report
-from .threebody import (BSMatrix, assemble_bs_matrix,
-                        assemble_direct_hamiltonian, count_above,
-                        count_eigenvalues_below, count_report,
-                        direct_count_below, essential_spectrum,
-                        finite_dim_bs_identity_check, hs_diagnostics,
-                        lambda_on_grid, trust_floor)
+from .threebody import (count_eigenvalues_below, count_report,
+                        essential_spectrum, hs_diagnostics, lambda_on_grid,
+                        trust_floor)
 from .twobody import (ChannelRange, ExpansionFit, ThresholdClass,
                       channel_eigenvalue, channel_range, classify_threshold,
                       coupling_threshold, delta_at_threshold_bounds,

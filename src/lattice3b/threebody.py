@@ -1,6 +1,6 @@
 """Three-body machinery: the sandwich (Birman-Schwinger) operator T(z), counting
-N(z) = n(1, T(z)), a direct dense Hamiltonian oracle, the essential-spectrum
-scan and Hilbert-Schmidt diagnostics.
+N(z) = n(1, T(z)), the essential-spectrum scan and Hilbert-Schmidt
+diagnostics.
 
 T(z) has zero diagonal blocks and cross kernel
 
@@ -43,16 +43,18 @@ the pass forms only those orbit blocks.
 One kernel counts each block (`_leading_singular_values`): a Frobenius skip,
 then a block Rayleigh-Ritz count certified by the Weyl bound, then the dense
 spectrum.
+
+The dense references these counts are checked against (the full Nystrom
+matrix of T(z), the direct Hamiltonian and the determinant identity) are not
+part of the package; they live with the tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (HypothesisViolationError, InvalidSpectralPointError,
                      ModelDataError, NotProductFormError, OutOfDomainError,
@@ -70,28 +72,6 @@ TIE_RTOL = 1e-12
 # 4096 10-20% and 2048 up to 50% slower (one BLAS thread).  The blocks are
 # scaled in row slabs of about that size.
 _SLAB = 8192
-
-
-@dataclass(frozen=True)
-class BSMatrix:
-    """Nystrom discretization of T(z): symmetric, zero diagonal blocks."""
-
-    z: float
-    block12: np.ndarray = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.block12.shape[0]
-
-    def full(self) -> np.ndarray:
-        N = self.block12.shape[0]
-        out = np.zeros((2 * N, 2 * N))
-        out[:N, N:] = self.block12
-        out[N:, :N] = self.block12.T
-        return out
-
-    def hs_norm(self) -> float:
-        return float(np.sqrt(2.0) * np.linalg.norm(self.block12))
 
 
 class _BSWorkspace:
@@ -115,13 +95,13 @@ class _BSWorkspace:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.w = spec.grid.weight
-        self.axes, self.chi = _flip_axes(spec)
+        phi = [spec.phi_values(alpha) for alpha in (1, 2)]
+        self.axes, self.chi = _flip_axes(spec, phi)
         n, x = spec.grid.n, spec.grid.axis
         self.lists = [x[n // 2:] if a in self.axes else x for a in range(3)]
         self.r = product_nodes(self.lists)      # the representatives
         self.nbytes = 2 * 2 ** len(self.axes) * len(self.r) ** 2 * 8    # U and scratch
         require_memory(self.nbytes, f"count workspace on the {n}^3 grid")
-        phi = [spec.phi_values(alpha) for alpha in (1, 2)]
         self.group, self.orbits = _sector_orbits(spec, self.axes, phi)
         self.orbit_slots = [k for k, _ in self.orbits]
         half = tuple(slice(n // 2, None) if a in self.axes else slice(None) for a in range(3))
@@ -272,7 +252,7 @@ def _character_sums(U: np.ndarray, S: np.ndarray, z: float, slots) -> None:
             np.matmul(H, R, out=Y[:len(rows), cols])
 
 
-def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
+def _flip_axes(spec: ModelSpec, phi: list) -> tuple[tuple, tuple[int, int]]:
     """(A, (c1, c2)): the axes A on which T(z) commutes with flipping both
     momenta, and the labels of the parity characters chi_alpha of phi_alpha
     on A, whose flip bits are set on the axes where phi_alpha is odd.
@@ -280,18 +260,19 @@ def _flip_axes(spec: ModelSpec) -> tuple[tuple, tuple[int, int]]:
     The shifted grid has no zero coordinate, so the flips act freely on it.
     An axis counts when the pair energy is the builtin separable sum
     (invariant under flipping both momenta on any axis) and both form factors
-    have a parity on that axis, read off their grid values with the tolerance
-    of the model's own parity check.  A = () for any other model.
+    have a parity on that axis, read off their grid values phi (node i on an
+    axis is node n - 1 - i negated, so a flip reverses that axis of the
+    values) with the tolerance of the model's own parity check.  A = () for
+    any other model.
     """
     if not spec.pair.separable:
         return (), (0, 0)
 
     def parity(vals: np.ndarray, axis: int) -> int:     # +1 even, -1 odd, 0 neither
-        flipped = vals[spec.grid.reflection_index((axis,))]
-        return next((sign for sign in (1, -1) if grid_equal(flipped, sign * vals)), 0)
+        v = vals.reshape((spec.grid.n,) * 3)
+        return next((sign for sign in (1, -1) if grid_equal(np.flip(v, axis), sign * v)), 0)
 
-    par = np.array([[parity(spec.phi_values(alpha), axis) for axis in range(3)]
-                    for alpha in (1, 2)])
+    par = np.array([[parity(v, axis) for axis in range(3)] for v in phi])
     axes = tuple(int(a) for a in np.flatnonzero(np.all(par != 0, axis=0)))
     bits = 1 << np.arange(len(axes))[::-1]      # axis A[0] is the top flip bit
     return axes, tuple(int((p[list(axes)] < 0) @ bits) for p in par)
@@ -316,46 +297,6 @@ def _sector_orbits(spec: ModelSpec, axes: tuple,
         rep = min(sum(bit[s[a]] for a in axes if k & bit[a]) for s in group)
         orbits[rep] = orbits.get(rep, 0) + 1
     return group, tuple(orbits.items())
-
-
-def assemble_bs_matrix(spec: ModelSpec, z: float) -> BSMatrix:
-    """Build the symmetric Nystrom matrix of T(z) (cross block materialized),
-    the dense test oracle: from the full pair matrix, not the workspace.
-
-    Requires z < m and positive determinants at every node; sized as the
-    2N x 2N doubles of its full() matrix.
-    """
-    if z >= spec.m:
-        raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
-    require_memory(8 * (2 * spec.grid.size) ** 2,
-                   "dense T(z) (count_report works blockwise)")
-    R = 1.0 / (pair_matrix(spec) - z)           # R[t, p], first slot of u first
-    w = spec.grid.weight
-    f1, f2 = spec.phi_values(1), spec.phi_values(2)
-    d1 = 1.0 - spec.mu1 * w * (f1 ** 2 @ R)
-    d2 = 1.0 - spec.mu2 * w * (R @ f2 ** 2)
-    if d1.min() <= 0.0 or d2.min() <= 0.0:
-        raise InvalidSpectralPointError(f"nonpositive determinant at z = {z}")
-    row = np.sqrt(spec.mu1 * spec.mu2) * w * f2 / np.sqrt(d1)
-    return BSMatrix(z=float(z), block12=row[:, None] * R.T * (f1 / np.sqrt(d2))[None, :])
-
-
-def count_above(matrix: np.ndarray, lam: float) -> int:
-    """Number of eigenvalues of a symmetric matrix strictly above lam.
-
-    Eigenvalues within TIE_RTOL * ||B|| of lam count as not above.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {matrix.shape}")
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    if not np.allclose(matrix, matrix.T, atol=1e-12 * max(1.0, scale), rtol=0.0):
-        raise ValueError("matrix is not symmetric")
-    if matrix.size == 0:
-        return 0
-    ev = np.linalg.eigvalsh(matrix)
-    tie = TIE_RTOL * max(np.abs(ev[0]), np.abs(ev[-1]))
-    return int(np.sum(ev > lam + tie))
 
 
 def _count_block_singular_above(stack: np.ndarray, mu: float,
@@ -468,59 +409,6 @@ def _count_orbits(ws: _BSWorkspace, stack: np.ndarray, slots: list) -> int:
     hold the orbit representatives: one block per orbit, times its size."""
     return _count_block_singular_above([stack[slots.index(k)] for k in ws.orbit_slots],
                                        1.0, [mult for _, mult in ws.orbits])
-
-
-def assemble_direct_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Dense n^6 Hamiltonian: diag(u) minus the two Nystrom rank-n^3 potentials.
-
-    The quadrature-weight normalization makes each potential the Nystrom image
-    of phi (x) phi, so its eigenvalue counts match the sandwich-operator counts
-    exactly on the same grid.
-    """
-    N = spec.grid.size
-    require_memory(3 * 8 * N ** 4, "direct Hamiltonian (H and its two np.kron terms)")
-    U = pair_matrix(spec)
-    H = np.diag(U.ravel())      # row-major: index = (t-slot, q-slot)
-    w = spec.grid.weight
-    f1 = spec.phi_values(1)
-    f2 = spec.phi_values(2)
-    H -= spec.mu1 * np.kron(w * np.outer(f1, f1), np.eye(N))
-    H -= spec.mu2 * np.kron(np.eye(N), w * np.outer(f2, f2))
-    return H
-
-
-def direct_count_below(spec: ModelSpec, z_values) -> list[int]:
-    """Eigenvalue counts of the dense Hamiltonian below each z (one eigensolve)."""
-    ev = np.linalg.eigvalsh(assemble_direct_hamiltonian(spec))
-    return [int(np.sum(ev < z)) for z in np.atleast_1d(z_values)]
-
-
-def finite_dim_bs_identity_check(spec: ModelSpec, z: float) -> float:
-    """Max residual of  I - mu_a Phi_a R0(z) Phi_a* = D_a(z)  at matched quadrature.
-
-    The operators are materialized sparsely and multiplied out; the right side
-    is the diagonal of determinant values from lambda_on_grid, the flip-reduced
-    resolvent sums.  Exact up to rounding, for every z below the grid spectrum.
-    """
-    if z >= spec.m:
-        raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
-    N = spec.grid.size
-    # per pair entry: U and R0 (8 bytes each), Phi, Phi R0 and Phi R0 Phi* in
-    # CSR (12 each: value and index) and the four dense N x N sides (8 each)
-    require_memory((2 * 8 + 3 * 12 + 4 * 8) * N * N, "identity check")
-    U = pair_matrix(spec)
-    sw = np.sqrt(spec.grid.weight)
-    R0 = sp.diags(1.0 / (U.ravel() - z))
-    worst = 0.0
-    for alpha, f in ((1, spec.phi_values(1)), (2, spec.phi_values(2))):
-        if alpha == 1:
-            Phi = sp.kron(sp.csr_matrix(sw * f[None, :]), sp.eye(N), format="csr")
-        else:
-            Phi = sp.kron(sp.eye(N), sp.csr_matrix(sw * f[None, :]), format="csr")
-        lhs = np.eye(N) - spec.mu(alpha) * (Phi @ R0 @ Phi.T).toarray()
-        rhs = np.diag(1.0 - spec.mu(alpha) * lambda_on_grid(spec, alpha, z))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
 
 
 def lambda_on_grid(spec: ModelSpec, alpha: int, z: float) -> np.ndarray:

@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 
 from helpers import sphere_nystrom_count
-from lattice3b import (assemble_bs_matrix, builtin_model,
-                       check_conditionally_negative_definite, builtin_dispersion,
-                       count_above, count_eigenvalues_below, count_report,
+from oracles import (assemble_bs_matrix, count_above, direct_count_below,
+                     finite_dim_bs_identity_check)
+from lattice3b import (builtin_model, check_conditionally_negative_definite,
+                       builtin_dispersion, count_eigenvalues_below, count_report,
                        coupling_threshold, delta_at_threshold_bounds,
-                       direct_count_below, efimov_params,
-                       finite_dim_bs_identity_check, fredholm_det,
-                       hessian_at_minimum, legendre_mode, mode_table,
-                       sin_axis_form_factor, sobolev_finite, trust_floor, ucoef)
+                       efimov_params, fredholm_det, hessian_at_minimum,
+                       legendre_mode, mode_table, sin_axis_form_factor,
+                       sobolev_finite, trust_floor, ucoef)
 from lattice3b.efimov import asymptotic_slope
 from lattice3b.threebody import _BSWorkspace, hs_diagnostics
 from lattice3b.twobody import expansion_slope_extrapolated

@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import traced_peak
+from oracles import (assemble_bs_matrix, assemble_direct_hamiltonian, count_above,
+                     direct_count_below, finite_dim_bs_identity_check,
+                     sandwich_blocks)
 from lattice3b import (HypothesisViolationError, InvalidSpectralPointError,
-                       OutOfDomainError, ResourceCapError, assemble_bs_matrix,
-                       assemble_direct_hamiltonian, build_grid,
+                       OutOfDomainError, ResourceCapError, build_grid,
                        builtin_dispersion, builtin_epsilon, builtin_model,
-                       channel_eigenvalue, cos_axis_form_factor, count_above,
+                       channel_eigenvalue, cos_axis_form_factor,
                        count_eigenvalues_below, count_report,
-                       coupling_threshold, custom_pair_energy, direct_count_below,
-                       essential_spectrum, finite_dim_bs_identity_check,
-                       form_factor, hs_diagnostics, lambda_on_grid, make_model,
-                       pair_energy_sum, sin_axis_form_factor,
-                       tabulated_dispersion, trust_floor)
+                       coupling_threshold, custom_pair_energy,
+                       essential_spectrum, form_factor, hs_diagnostics,
+                       lambda_on_grid, make_model, pair_energy_sum,
+                       sin_axis_form_factor, tabulated_dispersion, trust_floor)
 from lattice3b import threebody
 from lattice3b.cli import main
 from lattice3b.errors import MEMORY_LIMIT_BYTES, require_memory
@@ -136,6 +137,24 @@ def test_bs_dense_cap():
         assemble_bs_matrix(spec, -1.0)
 
 
+def test_dense_oracles_are_not_package_api():
+    """The dense test oracles live in tests/oracles.py: neither the package
+    nor its threebody module exposes them, and threebody imports no
+    scipy.sparse."""
+    import ast
+    import inspect
+
+    import lattice3b
+    for name in ("BSMatrix", "assemble_bs_matrix", "count_above",
+                 "assemble_direct_hamiltonian", "direct_count_below",
+                 "finite_dim_bs_identity_check"):
+        assert not hasattr(lattice3b, name) and not hasattr(threebody, name), name
+    imported = [alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}"
+                for node in ast.walk(ast.parse(inspect.getsource(threebody)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert not [m for m in imported if (m + ".").startswith("scipy.sparse.")]
+
+
 def test_memory_limit_is_inclusive():
     assert MEMORY_LIMIT_BYTES == 2 ** 31
     require_memory(2 ** 31, "exactly the limit")
@@ -166,7 +185,7 @@ def test_workspace_limit_on_three_axes(n, fits):
 
 
 def test_count_with_hs_stays_in_the_workspace(spec16_critical):
-    """The HS diagnostics read the flipped blocks in the workspace instead of
+    """The HS diagnostics read the sector blocks of the one pass instead of
     building a model kernel stack beside it, and build each model block on the
     kernel's support only: a count sweep with HS stays within the checked
     two-stack bytes plus small temporaries (1.01x)."""
@@ -202,18 +221,7 @@ def _intermediate_count(spec, z):
     """n(1, M(z)) for the independently assembled sandwich M(z): the
     quadrature-symmetrized Phi_a R0 Phi_b* blocks, sparse, never the cross
     block of T(z)."""
-    import scipy.sparse as sp
-    N = spec.grid.size
-    sw = np.sqrt(spec.grid.weight)
-    f1 = spec.phi_values(1)
-    f2 = spec.phi_values(2)
-    Phi1 = sp.kron(sp.csr_matrix(sw * f1[None, :]), sp.eye(N), format="csr")
-    Phi2 = sp.kron(sp.eye(N), sp.csr_matrix(sw * f2[None, :]), format="csr")
-    R0 = sp.diags(1.0 / (pair_matrix(spec).ravel() - z))
-    blocks = {}
-    for (a, Pa, ma) in ((1, Phi1, spec.mu1), (2, Phi2, spec.mu2)):
-        for (b, Pb, mb) in ((1, Phi1, spec.mu1), (2, Phi2, spec.mu2)):
-            blocks[a, b] = np.sqrt(ma * mb) * (Pa @ R0 @ Pb.T).toarray()
+    blocks = sandwich_blocks(spec, z)
     M = np.block([[blocks[1, 1], blocks[1, 2]],
                   [blocks[2, 1], blocks[2, 2]]])
     return count_above(M, 1.0)
@@ -224,10 +232,10 @@ def test_intermediate_sandwich_same_counts():
     spec = builtin_model(4, 0.0, 0.0)
     mu0 = coupling_threshold(spec, 1)
     spec = spec.with_params(mu1=0.9 * mu0, mu2=0.9 * mu0)
-    for z in (-0.5, -0.05):
+    zs = (-0.5, -0.05)
+    for z, n_direct in zip(zs, direct_count_below(spec, zs)):
         n_m = _intermediate_count(spec, z)
         n_t = count_eigenvalues_below(spec, z)
-        n_direct = direct_count_below(spec, [z])[0]
         assert n_direct == n_m == n_t
 
 
