@@ -2,7 +2,12 @@
 
 The mesh is shifted by half a cell so the origin is never a node; threshold
 integrands stay finite at every node without special-casing.  The node set is
-still closed under q -> -q, which the parity checks rely on.
+still closed under q -> -q, which the parity checks rely on, and its order
+reads every flip as a view: the nodes are the C-order product of axis_nodes,
+and axis node n - 1 - i is axis node i negated, exactly.  So negating every
+coordinate is the reversal of the flat node order, and negating the
+coordinate on one axis reverses that axis of the (n, n, n) view of values on
+the nodes.
 """
 from __future__ import annotations
 
@@ -40,16 +45,6 @@ class TorusGrid:
     def axis(self) -> np.ndarray:
         """axis_nodes(n), read off the last coordinate of the first n nodes."""
         return self.nodes[:self.n, 2]
-
-    def negation_index(self) -> np.ndarray:
-        """Permutation idx with nodes[idx[i]] == -nodes[i] (exact for even n)."""
-        return self.reflection_index((0, 1, 2))
-
-    def reflection_index(self, axes) -> np.ndarray:
-        """Permutation idx: nodes[idx[i]] is nodes[i] with the coordinates on
-        `axes` negated (exact for even n)."""
-        flips = tuple(slice(None, None, -1) if a in axes else slice(None) for a in range(3))
-        return np.arange(self.size).reshape((self.n,) * 3)[flips].ravel()
 
 
 def product_nodes(lists) -> np.ndarray:

@@ -371,21 +371,29 @@ def grid_equal(moved: np.ndarray, vals: np.ndarray) -> bool:
     return np.abs(diff, out=diff).max() <= 1e-9 * max(1.0, vals.max(), -vals.min())
 
 
-def _validate_symmetries(spec: ModelSpec, samples: int = 512, seed: int = 0) -> None:
-    neg = spec.grid.negation_index()
+def has_flip_parity(v: np.ndarray, axes, sign: int) -> bool:
+    """Whether grid values v, as an (n, n, n) array, equal sign times their
+    flip on `axes` under grid_equal: the flip reverses those axes (see grids)."""
+    return grid_equal(np.flip(v, axes), v if sign > 0 else -v)
+
+
+def evenness_deviation(spec: ModelSpec, samples: int, seed: int) -> float:
+    """max |u(p, q) - u(-p, -q)| on `samples` node pairs drawn from `seed`."""
+    idx = np.random.default_rng(seed).integers(0, spec.grid.size, size=(samples, 2))
+    p, q = spec.grid.nodes[idx[:, 0]], spec.grid.nodes[idx[:, 1]]
+    return float(np.max(np.abs(spec.pair(p, q) - spec.pair(-p, -q))))
+
+
+def _validate_symmetries(spec: ModelSpec) -> None:
     for alpha in (1, 2):
         phi = spec.phi(alpha)
-        vals = spec.phi_values(alpha)
-        sign = 1.0 if phi.parity == "even" else -1.0
-        if not grid_equal(sign * vals[neg], vals):
+        v = spec.phi_values(alpha).reshape((spec.grid.n,) * 3)
+        sign = 1 if phi.parity == "even" else -1
+        if not has_flip_parity(v, (0, 1, 2), sign):
             raise HypothesisViolationError(
                 f"form factor {alpha} violates declared {phi.parity} parity "
-                f"(max deviation {np.max(np.abs(vals[neg] - sign * vals)):.3e})")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, spec.grid.size, size=(samples, 2))
-    p = spec.grid.nodes[idx[:, 0]]
-    q = spec.grid.nodes[idx[:, 1]]
-    err = np.max(np.abs(spec.pair(p, q) - spec.pair(-p, -q)))
+                f"(max deviation {np.max(np.abs(np.flip(v) - sign * v)):.3e})")
+    err = evenness_deviation(spec, 512, 0)
     if err > 1e-9 * max(1.0, abs(spec.M)):
         raise HypothesisViolationError(f"pair energy is not even: max deviation {err:.3e}")
 

@@ -60,8 +60,8 @@ from .errors import (HypothesisViolationError, InvalidSpectralPointError,
                      ModelDataError, NotProductFormError, OutOfDomainError,
                      require_memory)
 from .grids import TWO_PI, product_nodes
-from .model import (HessianData, ModelSpec, grid_equal, hessian_at_minimum,
-                    pair_matrix)
+from .model import (HessianData, ModelSpec, grid_equal, has_flip_parity,
+                    hessian_at_minimum, pair_matrix)
 from .reports import CountReport, EssentialSpectrumReport
 
 # eigenvalues this close to the counting threshold (relative to ||B||) count as below
@@ -95,9 +95,9 @@ class _BSWorkspace:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.w = spec.grid.weight
-        phi = [spec.phi_values(alpha) for alpha in (1, 2)]
-        self.axes, self.chi = _flip_axes(spec, phi)
         n, x = spec.grid.n, spec.grid.axis
+        phi = [spec.phi_values(alpha).reshape((n,) * 3) for alpha in (1, 2)]
+        self.axes, self.chi = _flip_axes(spec, phi)
         self.lists = [x[n // 2:] if a in self.axes else x for a in range(3)]
         self.r = product_nodes(self.lists)      # the representatives
         self.nbytes = 2 * 2 ** len(self.axes) * len(self.r) ** 2 * 8    # U and scratch
@@ -105,7 +105,7 @@ class _BSWorkspace:
         self.group, self.orbits = _sector_orbits(spec, self.axes, phi)
         self.orbit_slots = [k for k, _ in self.orbits]
         half = tuple(slice(n // 2, None) if a in self.axes else slice(None) for a in range(3))
-        self.f1, self.f2 = (v.reshape((n,) * 3)[half].ravel() for v in phi)
+        self.f1, self.f2 = (v[half].ravel() for v in phi)
         self._stacks = None     # (U stack, scratch stack)
         self._u_min = np.inf    # U's minimum, set with the stacks
 
@@ -260,19 +260,14 @@ def _flip_axes(spec: ModelSpec, phi: list) -> tuple[tuple, tuple[int, int]]:
     The shifted grid has no zero coordinate, so the flips act freely on it.
     An axis counts when the pair energy is the builtin separable sum
     (invariant under flipping both momenta on any axis) and both form factors
-    have a parity on that axis, read off their grid values phi (node i on an
-    axis is node n - 1 - i negated, so a flip reverses that axis of the
-    values) with the tolerance of the model's own parity check.  A = () for
-    any other model.
+    have a parity on that axis, read off their (n, n, n) grid values phi by
+    the model's own parity check, has_flip_parity.  A = () for any other
+    model.
     """
     if not spec.pair.separable:
         return (), (0, 0)
-
-    def parity(vals: np.ndarray, axis: int) -> int:     # +1 even, -1 odd, 0 neither
-        v = vals.reshape((spec.grid.n,) * 3)
-        return next((sign for sign in (1, -1) if grid_equal(np.flip(v, axis), sign * v)), 0)
-
-    par = np.array([[parity(v, axis) for axis in range(3)] for v in phi])
+    par = np.array([[next((sign for sign in (1, -1) if has_flip_parity(v, axis, sign)), 0)
+                     for axis in range(3)] for v in phi])     # +1 even, -1 odd, 0 neither
     axes = tuple(int(a) for a in np.flatnonzero(np.all(par != 0, axis=0)))
     bits = 1 << np.arange(len(axes))[::-1]      # axis A[0] is the top flip bit
     return axes, tuple(int((p[list(axes)] < 0) @ bits) for p in par)
@@ -281,16 +276,16 @@ def _flip_axes(spec: ModelSpec, phi: list) -> tuple[tuple, tuple[int, int]]:
 def _sector_orbits(spec: ModelSpec, axes: tuple,
                    phi: list) -> tuple[list, tuple[tuple[int, int], ...]]:
     """(group, orbits): the axis permutations s (axis a to s[a]) that map A
-    onto A, keep the builtin axis weights exactly and leave the grid values
-    phi of both form factors unchanged, so that they commute with T(z), and
-    the orbits of the flip labels under them, (smallest label, size) in label
-    order.  A = () gives the trivial group."""
+    onto A, keep the builtin axis weights exactly and leave the (n, n, n)
+    grid values phi of both form factors unchanged, so that they commute with
+    T(z), and the orbits of the flip labels under them, (smallest label,
+    size) in label order.  A = () gives the trivial group."""
     if not axes:
         return [(0, 1, 2)], ((0, 1),)
-    n, w = spec.grid.n, spec.pair.dispersion.axis_weights
+    w = spec.pair.dispersion.axis_weights
     group = [s for s in permutations(range(3)) if {s[a] for a in axes} == set(axes)
              and all(w[s[a]] == w[a] for a in range(3))
-             and all(grid_equal(v.reshape((n,) * 3).transpose(s).ravel(), v) for v in phi)]
+             and all(grid_equal(v.transpose(s), v) for v in phi)]
     bit = {a: 1 << (len(axes) - 1 - i) for i, a in enumerate(axes)}    # A[0] on top
     orbits: dict[int, int] = {}
     for k in range(2 ** len(axes)):
@@ -596,7 +591,7 @@ def trust_floor(n: int) -> float:
 def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
                  with_hs: bool = True) -> CountReport:
     """Sweep N(z), determinant minima and HS diagnostics over a z-list."""
-    s_list = np.sort(np.unique(np.asarray(m_minus_z, dtype=float)))[::-1]
+    s_list = np.unique(np.asarray(m_minus_z, dtype=float))[::-1]
     if s_list.size == 0 or s_list.min() <= 0:
         raise ModelDataError("m - z values must be positive and nonempty")
     _check_cutoff(delta)

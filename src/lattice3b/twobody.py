@@ -122,9 +122,9 @@ def _lambda_line(spec: ModelSpec, alpha: int, p: np.ndarray, z_values) -> list[f
     flip-invariant (_fold_flips: on the p = 0 line of a cubic model, all
     three) and copied to contiguous arrays; each z then costs one subtraction
     and one sum over what is left, times 2^k.  With no invariant axis that is
-    the plain sum over all nodes, bit for bit; a fold reorders the sum.  Both domain checks bound z from
-    above, so they are made on the largest z; as m <= m_alpha(p), the bottom
-    is refined only when that z is above m.
+    the plain sum over all nodes, bit for bit; a fold reorders the sum.  Both
+    domain checks bound z from above, so they are made on the largest z; as
+    m <= m_alpha(p), the bottom is refined only when that z is above m.
     """
     vals = spec.channel_values(alpha, p)
     folded, phi2, k = _fold_flips(spec.grid.n, vals, spec.phi_values(alpha) ** 2)

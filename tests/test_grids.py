@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lattice3b import InvalidResolutionError, build_grid
 from lattice3b.grids import axis_nodes
+from lattice3b.model import has_flip_parity
 
 
 def test_n2_weights():
@@ -24,21 +25,27 @@ def test_no_origin_node():
 
 
 def test_negation_closure():
+    # negation is the reversal of the flat node order, exactly
     grid = build_grid(8)
-    idx = grid.negation_index()
-    assert np.array_equal(grid.nodes[idx], -grid.nodes)
+    assert np.array_equal(grid.nodes[::-1], -grid.nodes)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 10])
-def test_reflection_index_matches_multi_index(n):
+def test_flip_is_a_view_of_the_node_order(n):
+    # values at the nodes negated on `axes` are the (n, n, n) view of the
+    # values reversed on those axes, bit for bit, and the parity reader sees it
     grid = build_grid(n)
+    weights = np.array([1.0, 10.0, 100.0])
+    v = np.sin(grid.nodes) @ weights
     for k in range(4):
         for axes in itertools.combinations(range(3), k):
-            ijk = list(np.unravel_index(np.arange(grid.size), (n,) * 3))
-            for a in axes:
-                ijk[a] = n - 1 - ijk[a]
-            assert np.array_equal(grid.reflection_index(axes),
-                                  np.ravel_multi_index(ijk, (n,) * 3))
+            moved = grid.nodes.copy()
+            moved[:, list(axes)] *= -1
+            flipped = np.flip(v.reshape((n,) * 3), axes).ravel()
+            assert np.array_equal(np.sin(moved) @ weights, flipped)
+    cube = (np.sin(grid.nodes[:, 0]) * (2.0 + np.cos(grid.nodes[:, 2]))).reshape((n,) * 3)
+    for axes, sign in (((0,), -1), ((1,), 1), ((2,), 1), ((0, 2), -1), ((0, 1, 2), -1)):
+        assert has_flip_parity(cube, axes, sign) and not has_flip_parity(cube, axes, -sign)
 
 
 @pytest.mark.parametrize("n", [2, 14])
@@ -64,5 +71,4 @@ def test_invariants_any_even_n(n):
     assert grid.weight * grid.size == pytest.approx((2 * np.pi) ** 3, rel=1e-12)
     assert np.linalg.norm(grid.nodes, axis=1).min() > 1e-12
     assert np.all(grid.nodes > -np.pi) and np.all(grid.nodes <= np.pi)
-    idx = grid.negation_index()
-    assert np.array_equal(grid.nodes[idx], -grid.nodes)
+    assert np.array_equal(grid.nodes[::-1], -grid.nodes)

@@ -14,7 +14,8 @@ from lattice3b import (DegenerateModelError, HypothesisViolationError,
                        sin_axis_form_factor, tabulated_dispersion)
 from lattice3b.modelio import load_model
 from lattice3b.grids import product_nodes
-from lattice3b.model import Dispersion, _fd_stencil, pair_matrix
+from lattice3b.model import (Dispersion, _fd_stencil, _validate_symmetries,
+                             evenness_deviation, pair_matrix)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -183,6 +184,42 @@ def test_declared_parity_checked():
     for phi in (bad, nan):
         with pytest.raises(HypothesisViolationError):
             builtin_model(4, 0.0, 0.0, phi1=phi)
+
+
+def test_pair_evenness_checked():
+    """A pair energy that is not even is rejected, and the shared sampler is
+    the direct two-call max |u(p, q) - u(-p, -q)| on the same seeded draws."""
+    eps = builtin_dispersion().fn
+    pair = custom_pair_energy(
+        lambda p, q: eps(p) + eps(p - q) + eps(q) + 1e-3 * np.sin(np.asarray(p)[..., 0]))
+    with pytest.raises(HypothesisViolationError, match="pair energy is not even"):
+        make_model(pair, 4, 0.0, 0.0)
+    spec = builtin_model(4).with_params(pair=pair)
+    for samples, seed in ((512, 0), (2048, 3)):
+        idx = np.random.default_rng(seed).integers(0, spec.grid.size, size=(samples, 2))
+        p, q = spec.grid.nodes[idx[:, 0]], spec.grid.nodes[idx[:, 1]]
+        direct = float(np.max(np.abs(pair(p, q) - pair(-p, -q))))
+        assert evenness_deviation(spec, samples, seed) == direct > 1e-4
+
+
+def test_symmetry_read_from_views():
+    """Grid symmetry has one reader each: no index arrays on the grid, no
+    sampling options on the model check, and no node pairs drawn by the CLI."""
+    import ast
+    import inspect
+
+    from lattice3b import cli
+    from lattice3b.grids import TorusGrid
+    assert not hasattr(TorusGrid, "reflection_index")
+    assert not hasattr(TorusGrid, "negation_index")
+    assert list(inspect.signature(_validate_symmetries).parameters) == ["spec"]
+    validate = next(node for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                    if isinstance(node, ast.FunctionDef) and node.name == "cmd_validate")
+    evenness = next(node for node in ast.walk(validate)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_evenness")
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+              for node in ast.walk(evenness) if isinstance(node, ast.Call)}
+    assert "evenness_deviation" in called and "default_rng" not in called
 
 
 def test_cnd_builtin_passes():

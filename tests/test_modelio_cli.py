@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import checkout_env, traced_peak
-from lattice3b import ModelDataError, builtin_epsilon, build_grid
+from lattice3b import ModelDataError, builtin_epsilon, build_grid, threebody
 from lattice3b.cli import main
 from lattice3b.modelio import load_dispersion_csv, load_model
 from lattice3b.reports import CountReport
@@ -409,6 +409,21 @@ def test_cli_workspace_over_limit_exit4(capsys, command):
         assert "FAIL" not in out       # the refusal is an exit, not a failed check
     else:
         assert out == ""
+
+
+def test_cli_validate_sizes_the_workspace_first(tmp_path, capsys, monkeypatch):
+    # an oversized grid is refused before the first check prints, and the one
+    # workspace built up front serves the Lambda-maximum check
+    model = str(Path(__file__).resolve().parent.parent / "models" / "builtin_critical.json")
+    assert main(["validate", "--model", model, "--grid", "34"]) == 4
+    assert capsys.readouterr().out == ""
+    built = []
+    init = threebody._BSWorkspace.__init__
+    monkeypatch.setattr(threebody._BSWorkspace, "__init__",
+                        lambda ws, spec: built.append(spec) or init(ws, spec))
+    assert main(["validate", "--model", write_model(tmp_path / "m.json"), "--grid", "6"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_cli_seed_only_on_validate(tmp_path, capsys):
