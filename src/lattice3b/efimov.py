@@ -23,13 +23,17 @@ only.  At r12 != 0, and for a degree whose
 smallest pivot falls below PIVOT_RTOL, one dense eigvalsh of the block's
 Hankel form counts it instead.
 
-The mode table is filled in slabs of LAMBDA_SLAB lambdas, so its integrand
-never exists at full size; the entries are those of one whole-table einsum.
+The mode table folds the symmetric 64-node Gauss-Legendre rule onto its 32
+positive nodes, where even degrees read cosh and odd degrees sinh ratios, and
+is filled in slabs of LAMBDA_SLAB lambdas by one BLAS product per parity.
+Every slab has the same width, the last one padded, so a column's bits do not
+depend on the lambdas around it: legendre_mode is an entry of the default
+table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -52,9 +56,9 @@ PIVOT_RTOL = 1e-8
 # bound on -lambda_min of the computed degree-0 block of S_r at r12 = 0,
 # relative to sum_d |h s_0(d h)| / (1 - |s12|); see _degree0_psd_bound
 PSD_RTOL = 1e-12
-# lambdas per slab of the mode table: a slab's 64-node integrand (256 KB)
-# stays in cache, where the whole (n_lam, 64) integrand and its temporaries
-# (about ten of 10 MB at the default grid) did not
+# lambdas per slab of the mode table: a slab's three (32, LAMBDA_SLAB)
+# half-node buffers (384 KB) stay in cache, and every slab, the padded last
+# one and a single column included, is one BLAS product shape per parity
 LAMBDA_SLAB = 512
 
 
@@ -86,20 +90,22 @@ def efimov_params(h: HessianData) -> EfimovParams:
 
 
 _GLX, _GLW = leggauss(GL_NODES)
+# the rule is exactly symmetric, _GLX[-1 - k] == -_GLX[k] and _GLW[-1 - k] ==
+# _GLW[k]: the mode table reads its positive half
+_GLX_POS, _GLW_POS = _GLX[GL_NODES // 2:], _GLW[GL_NODES // 2:]
 
 
 def _legendre_rows(ell_max: int) -> np.ndarray:
     return legvander(_GLX, ell_max).T
 
 
-def _sinh_ratio(lam, b):
-    """sinh(lam b)/sinh(lam pi) for b in (0, pi), stable for any lam >= 0 (arrays)."""
-    lam_b = lam * b
-    lam_pi = lam * np.pi
-    small = lam_pi < 1e-8
-    safe = np.where(small, 1.0, lam_pi)
-    out = np.exp(lam_b - safe) * (-np.expm1(-2 * lam_b)) / (-np.expm1(-2 * safe))
-    return np.where(small, b / np.pi, out)
+@lru_cache(maxsize=4)
+def _half_legendre_rows(ell_max: int) -> np.ndarray:
+    """P_l at the positive nodes, l = 0..ell_max: read-only and kept, as every
+    single column (legendre_mode) reads the same rows."""
+    rows = legvander(_GLX_POS, ell_max).T
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -135,54 +141,103 @@ def _modes(params: EfimovParams, lams: np.ndarray, ell_max: int) -> ModeTable:
     """All modes l = 0..ell_max at the given lambdas.
 
     shat_l(lambda) = 2 pi int P_l(t) (2 pi)^{-1} u12 sinh[lambda(pi - arccos(s12 t))]
-    / (sqrt(1 - s12^2 t^2) sinh(pi lambda)) dt by 64-node Gauss-Legendre (lambda = 0
-    takes the limit (pi - arccos(s t))/pi of the sinh ratio); the phase
-    e^{i r12 lambda} is dropped since only |mode| enters any count.
+    / (sqrt(1 - s12^2 t^2) sinh(pi lambda)) dt by 64-node Gauss-Legendre; the
+    phase e^{i r12 lambda} is dropped since only |mode| enters any count.
 
-    The table is filled LAMBDA_SLAB lambdas at a time, each slab's integrand
-    then one einsum into the table's columns.  einsum sums each entry over the
-    64 nodes in the same order at any slab width, so every entry, and every
-    single column of legendre_mode, is bit-identical to a whole-table product
-    (a BLAS matmul is not: its summation order follows the width).
+    The rule is folded onto its 32 positive nodes x: leggauss is exactly
+    symmetric, P_l(-x) = (-1)^l P_l(x), and the integrand at -x is the one at
+    x with pi - arccos(s12 x) replaced by arccos(s12 x).  With beta =
+    arcsin(s12 x) = pi/2 - arccos(s12 x) and root = sqrt(1 - s12^2 x^2), each
+    pair of nodes contributes
+        even l:  cosh(lambda beta) / (cosh(lambda pi/2) root),
+        odd l:   sinh(lambda beta) / (sinh(lambda pi/2) root),
+    read in the stable forms g (2 + f) / (1 + e^{-lambda pi}) and
+    sign(beta) g f / expm1(-lambda pi), g = e^{lambda(|beta| - pi/2)} and
+    f = expm1(-2 lambda |beta|), with the odd limit 2 beta / (pi root) where
+    lambda pi < 1e-8 (the even form is exact at lambda = 0).  The weights,
+    1/root and sign(beta) = sign(s12) sit in the Legendre rows, the lambda
+    factors and u12 scale the columns.  At s12 = 0, beta = 0 and every odd
+    mode is exactly 0.
+
+    The table is filled LAMBDA_SLAB lambdas at a time by two BLAS products,
+    the even rows times the even sums and the odd rows times the odd sums.  A
+    BLAS product's summation order can follow its shape, so every slab has
+    exactly LAMBDA_SLAB columns, the last one padded with its last lambda:
+    each column is then bit-identical to the one-lambda table with the same
+    ell_max.
     """
-    b = np.pi - np.arccos(params.s12 * _GLX)
-    root = np.sqrt(1.0 - params.s12 ** 2 * _GLX ** 2)
-    P = _legendre_rows(ell_max) * _GLW
+    s12 = params.s12
+    beta = np.abs(np.arcsin(s12 * _GLX_POS))[:, None]
+    P = _half_legendre_rows(ell_max) * (_GLW_POS / np.sqrt(1.0 - (s12 * _GLX_POS) ** 2))
+    P_even = np.ascontiguousarray(P[0::2])
+    P_odd = np.ascontiguousarray(P[1::2] * np.sign(s12))
     values = np.empty((ell_max + 1, lams.size))
+    lam = np.empty(LAMBDA_SLAB)
+    grow, fall, sums = np.empty((3, _GLX_POS.size, LAMBDA_SLAB))
+    out_even = np.empty((P_even.shape[0], LAMBDA_SLAB))
+    out_odd = np.empty((P_odd.shape[0], LAMBDA_SLAB))
     for j in range(0, lams.size, LAMBDA_SLAB):
-        integ = _sinh_ratio(lams[j:j + LAMBDA_SLAB, None], b[None, :]) / root
-        np.einsum("lk,nk->ln", P, integ, out=values[:, j:j + LAMBDA_SLAB])
-    values *= params.u12
+        width = min(LAMBDA_SLAB, lams.size - j)
+        lam[:width] = lams[j:j + width]
+        lam[width:] = lam[width - 1]
+        lam_pi = lam * np.pi
+        small = lam_pi < 1e-8
+        np.exp(np.multiply(beta - np.pi / 2, lam, out=grow), out=grow)
+        np.expm1(np.multiply(beta, -2.0 * lam, out=fall), out=fall)
+        np.multiply(grow, np.add(fall, 2.0, out=sums), out=sums)
+        np.matmul(P_even, sums, out=out_even)
+        np.multiply(grow, fall, out=sums)
+        sums[:, small] = beta
+        np.matmul(P_odd, sums, out=out_odd)
+        scale_even = params.u12 / (1.0 + np.exp(-lam_pi))
+        scale_odd = params.u12 * np.where(small, 2.0 / np.pi,
+                                          1.0 / np.expm1(-np.where(small, 1.0, lam_pi)))
+        np.multiply(out_even[:, :width], scale_even[:width], out=values[0::2, j:j + width])
+        np.multiply(out_odd[:, :width], scale_odd[:width], out=values[1::2, j:j + width])
     return ModeTable(params=params, ells=np.arange(ell_max + 1), lams=lams,
                      values=values)
 
 
+def _modes_bytes(rows: int, n_lam: int) -> int:
+    """Bytes _modes allocates for rows degrees at n_lam lambdas: the table and
+    its lambdas, the Legendre rows (three copies while they are built), the
+    products of a slab with every row, and the slab's three (32, LAMBDA_SLAB)
+    buffers and eight lambda vectors."""
+    half = _GLX_POS.size
+    return 8 * ((rows + 1) * n_lam + 3 * rows * half + rows * LAMBDA_SLAB
+                + (3 * half + 8) * LAMBDA_SLAB)
+
+
 def _column(params: EfimovParams, lam: float, ell_max: int) -> ModeTable:
-    """The mode table at the single lambda lam."""
+    """The mode table at the single lambda lam: one padded slab with the
+    max(ell_max, ELL_MAX) + 1 rows of the default table, cut to ell_max + 1, so
+    every entry of the default table is its own column's."""
     if ell_max < 0:
         raise ModelDataError("ell must be nonnegative")
     if not lam >= 0:
         raise ModelDataError("lam must be nonnegative (modes are even in lambda)")
-    require_memory(8 * (ell_max + 1) * GL_NODES, "mode column")
-    return _modes(params, np.array([float(lam)]), ell_max)
+    rows = max(ell_max, ELL_MAX) + 1
+    require_memory(_modes_bytes(rows, 1), "mode column")
+    tbl = _modes(params, np.array([float(lam)]), rows - 1)
+    return ModeTable(params=params, ells=tbl.ells[:ell_max + 1], lams=tbl.lams,
+                     values=tbl.values[:ell_max + 1])
 
 
 def legendre_mode(params: EfimovParams, ell: int, lam: float) -> float:
     """Degree-ell eigenvalue of the off-diagonal sphere-operator block: the
-    (ell, lam) entry of the mode table."""
+    (ell, lam) entry of the default mode table (of the table with ell_max =
+    ell above ELL_MAX)."""
     return float(_column(params, lam, ell).values[ell, 0])
 
 
 def mode_table(params: EfimovParams, ell_max: int = ELL_MAX,
                lam_max: float = LAMBDA_MAX, n_lam: int = N_LAMBDA) -> ModeTable:
-    """Tabulate all modes on n_lam equispaced lambdas in [0, lam_max]; the table
-    and its Legendre rows each fit in the checked size of
-    max(ell_max + 1, 64) * max(n_lam, 64) doubles, and the integrand is built
-    LAMBDA_SLAB lambdas at a time."""
+    """Tabulate all modes on n_lam equispaced lambdas in [0, lam_max]; the
+    memory check counts the table, its Legendre rows and the slab buffers."""
     if ell_max < 0 or not 0 < lam_max < np.inf or n_lam < 2:
         raise ModelDataError(f"mode table needs ell_max >= 0, finite lam_max > 0 and "
                              f"n_lam >= 2, got {ell_max}, {lam_max}, {n_lam}")
-    require_memory(8 * max(ell_max + 1, GL_NODES) * max(n_lam, GL_NODES), "mode table")
+    require_memory(_modes_bytes(ell_max + 1, n_lam), "mode table")
     return _modes(params, np.linspace(0.0, lam_max, n_lam), ell_max)
 
 

@@ -295,10 +295,12 @@ def _sector_orbits(spec: ModelSpec, axes: tuple,
 
 
 def _count_block_singular_above(stack: np.ndarray, mu: float,
-                                mults: Optional[list] = None) -> int:
+                                mults: Optional[list] = None,
+                                fro2: Optional[list] = None) -> int:
     """#{singular values > mu} of one block, or of the block-diagonal sum of a
     stack or list of blocks: every block once, or block i counted mults[i]
-    times (the sizes of the sector orbits, see _BSWorkspace).
+    times (the sizes of the sector orbits, see _BSWorkspace).  fro2[i], when
+    given, is _squared_norm of block i, computed by the caller.
 
     Values within TIE_RTOL times the largest singular value of the whole count
     as not above; the certificates clear that band at the largest Frobenius
@@ -306,7 +308,7 @@ def _count_block_singular_above(stack: np.ndarray, mu: float,
     """
     blocks = [stack] if isinstance(stack, np.ndarray) and stack.ndim == 2 else stack
     mults = mults if mults is not None else [1] * len(blocks)
-    fro2 = [_squared_norm(b) for b in blocks]
+    fro2 = fro2 if fro2 is not None else [_squared_norm(b) for b in blocks]
     band = TIE_RTOL * np.sqrt(max(fro2))
     sv = [(_leading_singular_values(b, mu, f2, band), mult)
           for b, mult, f2 in zip(blocks, mults, fro2)]
@@ -399,11 +401,15 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
     return _count_orbits(ws, ws.sector_blocks(z, ws.orbit_slots)[0], ws.orbit_slots)
 
 
-def _count_orbits(ws: _BSWorkspace, stack: np.ndarray, slots: list) -> int:
+def _count_orbits(ws: _BSWorkspace, stack: np.ndarray, slots: list,
+                  fro2: Optional[list] = None) -> int:
     """N(z) from the sector blocks stack[i] of the labels slots[i], which
-    hold the orbit representatives: one block per orbit, times its size."""
-    return _count_block_singular_above([stack[slots.index(k)] for k in ws.orbit_slots],
-                                       1.0, [mult for _, mult in ws.orbits])
+    hold the orbit representatives: one block per orbit, times its size.
+    fro2[i], when given, is the squared Frobenius norm of stack[i]."""
+    at = [slots.index(k) for k in ws.orbit_slots]
+    return _count_block_singular_above([stack[i] for i in at], 1.0,
+                                       [mult for _, mult in ws.orbits],
+                                       None if fro2 is None else [fro2[i] for i in at])
 
 
 def lambda_on_grid(spec: ModelSpec, alpha: int, z: float) -> np.ndarray:
@@ -528,7 +534,7 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     orbits = _hs_orbits(ws, hess)
     stack = ws.sector_blocks(z, [k for k, _ in orbits])[0]
-    return _hs_of_sectors(ws, stack, z, delta, hess, orbits)
+    return _hs_of_sectors(ws, stack, z, delta, hess, orbits)[:2]
 
 
 def _hs_orbits(ws: _BSWorkspace, hess: HessianData) -> list:
@@ -541,9 +547,11 @@ def _hs_orbits(ws: _BSWorkspace, hess: HessianData) -> list:
 
 
 def _hs_of_sectors(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
-                   hess: HessianData, orbits) -> tuple[float, float]:
+                   hess: HessianData, orbits) -> tuple[float, float, list]:
     """hs_diagnostics from the sector blocks S[i] = B_psi, indexed (t, p), of
-    the labels psi of orbits[i] (_hs_orbits), which it leaves unchanged.
+    the labels psi of orbits[i] (_hs_orbits), which it leaves unchanged, and
+    the squared norms ||B_psi||_F^2 per block, the _squared_norm sums the
+    count reads.
 
     The sector blocks are the blocks of T12 in an orthonormal basis, so
     ||T||_HS^2 = 2 sum_psi ||B_psi||^2, each orbit's block weighted by its
@@ -567,11 +575,13 @@ def _hs_of_sectors(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
                            rows=F[:, I].reshape(-1, 3), cols=ws.r[I])
     K = K.reshape(n, -1)        # row k: K_k on I x I
     hs2 = diff2 = 0.0
+    norms = []
     if c1 == c2:
         K = _characters(n)[[psi ^ c2 for psi, _ in orbits]] @ K
     for i, (psi, mult) in enumerate(orbits):
         rows2 = np.einsum("ij,ij->i", S[i], S[i])      # ||B_psi[t, :]||^2
-        hs2 += mult * float(rows2.sum())
+        norms.append(float(rows2.sum()))
+        hs2 += mult * norms[-1]
         if c1 == c2:
             BI = S[i][I]            # the rows of the support, a copy
             D = K[i].reshape(len(BI), len(BI))
@@ -580,7 +590,7 @@ def _hs_of_sectors(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
             diff2 += mult * (float(rows2[~I].sum()) + _squared_norm(BI) + _squared_norm(D))
     if c1 != c2:
         diff2 = hs2 + n * _squared_norm(K)
-    return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2))
+    return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2)), norms
 
 
 def trust_floor(n: int) -> float:
@@ -615,9 +625,10 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         # representatives is its minimum over all nodes
         stack, d1, d2 = ws.sector_blocks(z, slots)
         detmin[i] = min(float(d1.min()), float(d2.min()))
+        fro2 = None
         if with_hs:
-            hs[i], hsd[i] = _hs_of_sectors(ws, stack, z, delta, hess, orbits)
-        counts[i] = _count_orbits(ws, stack, slots)
+            hs[i], hsd[i], fro2 = _hs_of_sectors(ws, stack, z, delta, hess, orbits)
+        counts[i] = _count_orbits(ws, stack, slots, fro2)
         if i and counts[i] < counts[i - 1]:
             raise HypothesisViolationError(
                 f"N(z) fell from {counts[i - 1]} at m - z = {s_list[i - 1]:.6g} to "

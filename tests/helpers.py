@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately built on different machinery than the package:
-Bessel-function reductions, adaptive quadrature and direct sphere-mesh
-discretizations, so oracle and implementation never share a code path.
+Bessel-function reductions, adaptive quadrature, direct sphere-mesh
+discretizations and the unfolded 64-node sinh-ratio rule for the Efimov modes,
+so oracle and implementation never share a code path.
 `checkout_env` points subprocess tests at the package under test, and
 `traced_peak` measures what a call allocates.
 """
@@ -12,7 +13,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legval
+from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.integrate import quad
 from scipy.linalg import svdvals, toeplitz
 from scipy.special import ive
@@ -98,6 +99,24 @@ def sphere_nystrom_count(params, lam: float, mu: float,
     A = sw[:, None] * kernel * sw[None, :]
     sv = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(sv > mu))
+
+
+def sinh_ratio_modes(params, lams, ell_max: int) -> np.ndarray:
+    """Modes shat_l(lambda), l = 0..ell_max, by the unfolded 64-node
+    Gauss-Legendre rule: the sinh ratio sinh(lambda b)/sinh(lambda pi),
+    b = pi - arccos(s12 t), over sqrt(1 - s12^2 t^2) on all 64 nodes, projected
+    onto the Legendre rows by one einsum (lambda pi < 1e-8 takes the limit
+    b/pi).  Shape (ell_max + 1, lams.size)."""
+    x, w = _gauss(64)
+    lam_b = np.asarray(lams, dtype=float)[:, None] * (np.pi - np.arccos(params.s12 * x))
+    lam_pi = np.asarray(lams, dtype=float)[:, None] * np.pi
+    small = lam_pi < 1e-8
+    safe = np.where(small, 1.0, lam_pi)
+    ratio = np.exp(lam_b - safe) * (-np.expm1(-2 * lam_b)) / (-np.expm1(-2 * safe))
+    integ = np.where(small, (np.pi - np.arccos(params.s12 * x)) / np.pi, ratio) \
+        / np.sqrt(1.0 - params.s12 ** 2 * x ** 2)
+    P = legvander(x, ell_max).T * w
+    return params.u12 * np.einsum("lk,nk->ln", P, integ)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legvander
 from scipy.linalg import toeplitz
 
-from helpers import sobolev_toeplitz_count, sphere_nystrom_count
+from helpers import (sinh_ratio_modes, sobolev_toeplitz_count, sphere_nystrom_count,
+                     traced_peak)
 from lattice3b import efimov
+from lattice3b.efimov import ModeTable
 from lattice3b import (CountReport, DegenerateCouplingError, EfimovParams,
                        HessianData, ModelDataError, InsufficientDataError,
                        ResourceCapError, asymptotic_slope,
@@ -69,6 +70,14 @@ def test_mode_s_zero_kills_higher_degrees():
         assert abs(legendre_mode(p, ell, 0.7)) < 1e-14
 
 
+def test_mode_s_zero_odd_degrees_exactly_zero():
+    # at s12 = 0, beta = arcsin(0) = 0 and the odd sums vanish term by term
+    p = EfimovParams(u12=1.5, r12=0.0, s12=0.0)
+    tbl = mode_table(p, ell_max=9, n_lam=1001)
+    assert np.all(tbl.values[1::2] == 0.0)
+    assert all(legendre_mode(p, ell, lam) == 0.0 for ell in (1, 3, 7) for lam in (0.0, 0.7))
+
+
 def test_mode_table_decay_at_edges():
     tbl = mode_table(BUILTIN, ell_max=12, lam_max=30.0, n_lam=3001)
     assert np.abs(tbl.values[:, -1]).max() < 1e-10       # lambda edge
@@ -101,16 +110,34 @@ def test_oversized_requests_refused_before_allocation():
 @pytest.mark.parametrize("n_lam", [2, 513, 1025, 20001])
 def test_mode_table_slabs_equal_one_product(n_lam):
     # 513, 1025 and 20001 end in a partial slab, so a slab loop that drops its
-    # last slab, or writes it to the wrong columns, fails here
+    # last slab, writes it to the wrong columns or lets its width change the
+    # product's bits fails here
     assert n_lam == 2 or n_lam % efimov.LAMBDA_SLAB != 0
-    lams = np.linspace(0.0, efimov.LAMBDA_MAX, n_lam)
-    glx, glw = efimov._GLX, efimov._GLW
-    b = np.pi - np.arccos(BUILTIN.s12 * glx)
-    integ = efimov._sinh_ratio(lams[:, None], b[None, :]) \
-        / np.sqrt(1.0 - BUILTIN.s12 ** 2 * glx ** 2)
-    P = legvander(glx, efimov.ELL_MAX).T * glw
-    whole = BUILTIN.u12 * np.einsum("lk,nk->ln", P, integ)
-    assert np.array_equal(mode_table(BUILTIN, n_lam=n_lam).values, whole)
+    tbl = mode_table(BUILTIN, n_lam=n_lam)
+    for j, lam in enumerate(tbl.lams):
+        one = efimov._modes(BUILTIN, tbl.lams[j:j + 1], efimov.ELL_MAX).values
+        assert np.array_equal(one[:, 0], tbl.values[:, j]), (j, lam)
+
+
+@pytest.mark.parametrize("s12", [-0.5, 0.0, 0.3, 0.95, -0.95])
+def test_folded_modes_match_sinh_ratio_rule(s12):
+    # the fold onto the positive nodes is exact in arithmetic: it moves the
+    # 64-node rule's values by rounding only, and no count or U(mu) moves
+    p = EfimovParams(u12=BUILTIN.u12, r12=0.0, s12=s12)
+    for ell_max in (2, 12, 40, 80):
+        tbl = mode_table(p, ell_max=ell_max)
+        ref = ModeTable(params=p, ells=tbl.ells, lams=tbl.lams,
+                        values=sinh_ratio_modes(p, tbl.lams, ell_max))
+        assert np.abs(tbl.values - ref.values).max() <= 4e-15, ell_max
+        for mu in (0.05, 0.2, 0.5, 1.0, 1.2):
+            assert np.array_equal(tbl.counts(mu), ref.counts(mu)), (ell_max, mu)
+            assert ucoef(p, mu, table=tbl) == ucoef(p, mu, table=ref), (ell_max, mu)
+
+
+def test_mode_table_traced_peak():
+    # the table and one slab's buffers, not a whole-table integrand
+    tbl = mode_table(BUILTIN)
+    assert traced_peak(lambda: mode_table(BUILTIN)) <= tbl.values.nbytes + 2 ** 21
 
 
 def test_legendre_mode_is_a_table_entry():

@@ -195,6 +195,24 @@ def test_count_with_hs_stays_in_the_workspace(spec16_critical):
     assert peak <= 1.05 * nbytes
 
 
+def test_count_with_hs_reads_its_norms(spec16_critical, monkeypatch):
+    """With HS on, the count takes each sector block's squared norm from the
+    HS row sums (the same einsum, so the same bits) instead of a second pass
+    over the block: _squared_norm never sees an M x M block, and the counts
+    are those of the sweep without HS, which does."""
+    M = spec16_critical.grid.n ** 3 // 8
+    squared_norm, shapes = threebody._squared_norm, []
+    monkeypatch.setattr(threebody, "_squared_norm",
+                        lambda X: shapes.append(X.shape) or squared_norm(X))
+    s_vals = [1e-1, 1e-3, 1e-6]
+    with_hs = count_report(spec16_critical, s_vals, with_hs=True)
+    assert shapes and (M, M) not in shapes
+    shapes.clear()
+    without = count_report(spec16_critical, s_vals, with_hs=False)
+    assert (M, M) in shapes
+    assert np.array_equal(with_hs.counts, without.counts)
+
+
 def test_essential_bisection_stays_in_the_workspace(spec16_critical):
     """Overcritical, every node has a root below m, and the bisection still
     evaluates the open brackets in the scratch stack, not in copies of U."""
