@@ -27,6 +27,8 @@ from .grids import TWO_PI, TorusGrid, build_grid, product_nodes, wrap_to_torus
 _PAIR_SCAN_CAP = 200_000_000
 # chunk size of the (rows, cols, 3) input handed to a generic pair evaluator
 _EVAL_CHUNK_BYTES = 1 << 22
+# pair_matrix's default row indices: axis a of the product runs over list a
+_PRODUCT_AXES = [tuple(slice(None) if b == a else None for b in range(3)) for a in range(3)]
 
 
 def builtin_epsilon(q: np.ndarray) -> np.ndarray:
@@ -400,40 +402,68 @@ def _validate_symmetries(spec: ModelSpec) -> None:
 
 def pair_matrix(spec: ModelSpec, out: Optional[np.ndarray] = None,
                 rows: Optional[Sequence[np.ndarray]] = None,
-                cols: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+                cols: Optional[Sequence[np.ndarray]] = None,
+                at: Optional[np.ndarray] = None,
+                flips: Optional[Sequence[Sequence[int]]] = None) -> np.ndarray:
     """Dense u(t_i, p_j) (rows = first slot) over the C-order products t of
     the three per-axis node lists `rows` and p of `cols`, by default the
-    grid's axis nodes on each axis.
+    grid's axis nodes on each axis.  `at`, a (3, R) array of per-axis
+    indices into `rows`, keeps the R product rows it names, in its order
+    (indices that broadcast against each other name the rows of their
+    broadcast shape in C order).
+    With `flips`, a sequence of axis tuples, the result is a stack: entry k
+    is the matrix with the rows' coordinates negated on the axes flips[k].
 
     The builtin sum form is summed from the per-axis tables
     D_a = w_a (1 - cos(t_a - p_a)) in the evaluator's order, so every entry
-    is spec.pair(t, p) bit for bit: D_0 + D_1 on the small (a0 a1, b0 b1)
-    table, plus D_2 broadcast into `out`, times c, plus eps(t), plus eps(p).
-    Every other form evaluates the pair energy on the products' points
-    chunk by chunk.
+    is spec.pair(t, p) bit for bit: D_0 + D_1 gathered on the rows, plus
+    D_2 broadcast into `out`, times c, plus eps(t), plus eps(p).  The tables
+    of each axis and sign and eps(p) are computed once per call.  Every
+    other form evaluates the pair energy on the products' points chunk by
+    chunk.
     """
     x = spec.grid.axis
     rows, cols = ([x] * 3 if v is None else [np.asarray(l, dtype=float).ravel() for l in v]
                   for v in (rows, cols))
-    shape = tuple(len(l) for l in rows) + tuple(len(l) for l in cols)
-    U = np.empty((prod(shape[:3]), prod(shape[3:]))) if out is None else out
     pair = spec.pair
+    t = None if pair.separable else product_nodes(rows)
+    if at is None:      # every row: axis a of the product indexes axis a's list
+        at, shown = _PRODUCT_AXES, tuple(len(l) for l in rows)
+    else:
+        at = [np.asarray(i) for i in at]
+        shown = np.broadcast(*at).shape
+        t = None if t is None else t[np.ravel_multi_index(at, [len(l) for l in rows]).ravel()]
+    stack = [()] if flips is None else [tuple(f) for f in flips]
+    shape = (len(stack), prod(shown), prod(len(l) for l in cols))
+    U = np.empty(shape[flips is None:]) if out is None else out
+    V = U.view()
+    V.shape = shape     # a view for any strides; entry 0 is U when flips is None
     if pair.separable:
         w, c = pair.dispersion.axis_weights, pair.cross_weight
-        D = [w[a] * (1.0 - np.cos(np.subtract.outer(t, p)))
-             for a, (t, p) in enumerate(zip(rows, cols))]
-        V = U.view()
-        V.shape = shape     # splits U's two axes, a view for any strides
-        np.add(np.add(D[0][:, None, None, :, None, None], D[1][None, :, None, None, :, None]),
-               D[2][None, None, :, None, None, :], out=V)
-        U *= c
-        U += _eps_on_product(w, rows)[:, None]
-        U += _eps_on_product(w, cols)[None, :]
+        eps_cols = _eps_on_product(w, cols)
+        tables = {}     # (axis, negated): D_a and eps_a on the signed row list
+        for Vk, f in zip(V, stack):
+            keys = [(a, a in f) for a in range(3)]
+            for a, neg in keys:
+                if (a, neg) not in tables:
+                    v = -rows[a] if neg else rows[a]
+                    D = w[a] * (1.0 - np.cos(np.subtract.outer(v, cols[a])))
+                    tables[a, neg] = D[at[a]], (w[a] * (1.0 - np.cos(v)))[at[a]]
+            (d0, e0), (d1, e1), (d2, e2) = (tables[key] for key in keys)
+            split = Vk.view()
+            split.shape = shown + tuple(len(l) for l in cols)
+            np.add(np.add(d0[..., :, None, None], d1[..., None, :, None]),
+                   d2[..., None, None, :], out=split)
+            Vk *= c
+            Vk += ((e0 + e1) + e2).reshape(-1, 1)
+            Vk += eps_cols[None, :]
     else:
-        t, p = product_nodes(rows), product_nodes(cols)
+        p = product_nodes(cols)
         step = max(1, _EVAL_CHUNK_BYTES // (24 * p.shape[0]))
-        for i0 in range(0, t.shape[0], step):
-            U[i0:i0 + step] = pair.evaluator(t[i0:i0 + step, None, :], p[None, :, :])
+        for k, f in enumerate(stack):
+            tk = t * [-1.0 if a in f else 1.0 for a in range(3)] if f else t
+            for i0 in range(0, tk.shape[0], step):
+                V[k, i0:i0 + step] = pair.evaluator(tk[i0:i0 + step, None, :], p[None, :, :])
     return U
 
 

@@ -18,27 +18,29 @@ energy, invariant under flipping both momenta on any axis, and form factors
 with a parity on that axis, read off the grid values) T(z) commutes with the
 group Z2^A, and the cross block splits exactly into 2^|A| blocks of N/2^|A|
 rows built from the pair energies between representatives positive on A:
-the product of per-axis node lists, the positive half on A, from which
-pair_matrix builds each flipped U_k with the lists negated on k's flips.
-The workspace forms the sector blocks in one pass over cache-sized column
-slabs of its U stack (`_character_sums`): the resolvents 1/(U_k - z) of all
-flips k in one buffer, then only the sector slots its caller reads, their
-character sums R_psi = sum_k psi(k) R_k.  Lambda_alpha(p, z) and
-Delta_alpha(p, z) are flip-invariant, so they come from the trivial slot
-R_0 = sum_k R_k on the representatives; the determinants, `lambda_on_grid`
-and `validate`'s Lambda maximum spread them to all nodes, and the count's
-blocks scale only the formed slots.  The HS diagnostics read the sector
-blocks by Parseval and pair them with the character sums of the threshold
-model kernel's flipped blocks, built only on its support.  The
-essential-spectrum bisection sums the flipped resolvents of a column-cut
-stack.  The full cross block is the case A = (): one block over all nodes,
-which is what tabulated or custom dispersions and form factors without any
-axis parity run on.
+the product of per-axis node lists, the positive half on A.  The full cross
+block is the case A = (): one block over all nodes, which is what tabulated
+or custom dispersions and form factors without any axis parity run on.
 
 Axis permutations that keep A, the axis weights and both form factors
-(`_sector_orbits`) commute with T(z) and permute the flip labels, so the count
-and the HS diagnostics run on one block per orbit, weighted by its size, and
-the pass forms only those orbit blocks.
+(`_sector_orbits`, the group G) commute with T(z) as well and move the flip
+labels, so every row of a sector block is a permuted row of another: with
+s t = d, B_psi[t, p] = B_{s psi}[d, s p].  The workspace therefore holds the
+pair energies U_k only on the rows D, one representative per G-orbit
+(about N / 2^|A| / |G| of them), built by pair_matrix; one pass over
+cache-sized slabs (`_character_sums`) forms the character sums
+R_psi = sum_k psi(k) / (U_k - z) of every label on those rows, and the rest
+reads them, weighted by the orbit sizes.  Lambda_alpha(p, z) and
+Delta_alpha(p, z) are invariant under the flips and G, so they come from the
+trivial sum R_0 on the rows D; the determinants, `lambda_on_grid` and
+`validate`'s Lambda maximum spread them to all nodes.  The HS diagnostics
+read the squared norms of the rows and the rows on the threshold model
+kernel's support.  The count reads one block per orbit of the flip labels,
+weighted by its size: the block of the symmetric irrep of its little group,
+whose other irreps a Frobenius bound certifies empty (else the whole block,
+formed from the rows D).  The essential-spectrum bisection runs on the rows
+D of a column-cut stack.  With a trivial G, D is every representative and
+the count reads the sector blocks themselves.
 
 One kernel counts each block (`_leading_singular_values`): a Frobenius skip,
 then a block Rayleigh-Ritz count certified by the Weyl bound, then the dense
@@ -72,6 +74,7 @@ TIE_RTOL = 1e-12
 # 4096 10-20% and 2048 up to 50% slower (one BLAS thread).  The blocks are
 # scaled in row slabs of about that size.
 _SLAB = 8192
+_EPS = float(np.finfo(float).eps)
 
 
 class _BSWorkspace:
@@ -79,17 +82,27 @@ class _BSWorkspace:
 
     For the model's flip axes A it holds the representatives r, the C-order
     product of the per-axis node `lists` (the positive half of the axis nodes
-    on A, all nodes elsewhere; all nodes when A = ()), the 2^|A| arrays
-    U_k[i, j] = u(k r_i, r_j) over the flips k on A and one scratch stack, of
-    nbytes in all.  Counts, determinants, Lambda, the HS diagnostics and the
-    essential bisection work in this one array set, with M x M temporaries:
-    one pass over cache-sized slabs (sector_blocks) writes only the sector
-    blocks a caller reads to the front of the scratch stack, Lambda and the
-    determinants come from the trivial one, and only the formed blocks are
-    scaled.  `orbits` holds (k, multiplicity) for each orbit of the flip
-    labels under the model's axis permutations `group`, k the orbit's
-    smallest label, and `orbit_slots` those labels k: the sector blocks a
-    count reads.
+    on A, all nodes elsewhere; all nodes when A = ()), and the rows D of them,
+    one per orbit of the model's axis permutations `group` (each orbit's
+    smallest index; `rows`, with `orbit_of` the orbit of every representative
+    and `sizes` the orbit sizes).  Its arrays, nbytes in all, are the 2^|A|
+    pair energies U_k[d, p] = u(k r_d, r_p) over the flips k on A on the rows
+    D, one stack of the same shape for their character sums, and, when the
+    group is not trivial, the count's symmetric blocks and one scratch array
+    of M x M or two D x M gathers (M representatives).
+
+    T(z) commutes with the permutations: U_{s k}[s t, s p] = U_k[t, p] with
+    s k the flip moved by s, so R_psi[s t, s p] = R_{s^-1 psi}[t, p] for
+    the character sums R_psi = sum_k psi(k) / (U_k - z), and every row of a
+    sector block is a permuted row D of another (`_twisted_rows`): with h t
+    = d in D, B_psi[t, p] = B_{h psi}[d, h p].  One pass (_sector_rows)
+    forms all 2^|A| character sums on the rows D and scales them to the
+    sector rows; Lambda, the determinants, the HS diagnostics, the count and
+    the essential bisection read everything from them, weighted by the orbit
+    sizes.  With a trivial group D is every representative and the pass is
+    the full sector pass.  `orbits` holds (k, multiplicity) for each orbit of
+    the flip labels, k the orbit's smallest label, and `orbit_slots` those
+    labels k: the sector blocks a count reads.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -100,20 +113,79 @@ class _BSWorkspace:
         self.axes, self.chi = _flip_axes(spec, phi)
         self.lists = [x[n // 2:] if a in self.axes else x for a in range(3)]
         self.r = product_nodes(self.lists)      # the representatives
-        self.nbytes = 2 * 2 ** len(self.axes) * len(self.r) ** 2 * 8    # U and scratch
-        require_memory(self.nbytes, f"count workspace on the {n}^3 grid")
         self.group, self.orbits = _sector_orbits(spec, self.axes, phi)
         self.orbit_slots = [k for k, _ in self.orbits]
+        self._orbit_tables()
+        M, rows, labels = len(self.r), len(self.rows), 2 ** len(self.axes)
+        count = (sum(plan[0] ** 2 for plan in self._plans) + max(M * M, 2 * rows * M)
+                 if self._plans else 0)
+        self.nbytes = 8 * (2 * labels * rows * M + labels * min(_SLAB, rows * M) + count)
+        require_memory(self.nbytes, f"count workspace on the {n}^3 grid")
         half = tuple(slice(n // 2, None) if a in self.axes else slice(None) for a in range(3))
         self.f1, self.f2 = (v[half].ravel() for v in phi)
-        self._stacks = None     # (U stack, scratch stack)
+        self._f1w = self.sizes * self.f1[self.rows] ** 2    # Lambda_1's weights on D
+        self._stacks = None     # (U stack, character sums) on the rows D
         self._u_min = np.inf    # U's minimum, set with the stacks
+
+    def _orbit_tables(self) -> None:
+        """The group's action on the representatives and the flip labels, the
+        rows D, and one plan per orbit slot for its symmetric block."""
+        shape = [len(l) for l in self.lists]
+        idx = np.indices(shape).reshape(3, -1)
+        # perms[g, t]: the representative with the coordinates of t moved by
+        # group[g], coordinate a to axis group[g][a]; labels[g, k]: the flip k
+        # moved the same way (axis A[0] is the top flip bit)
+        self.perms = np.array([np.ravel_multi_index([idx[s.index(b)] for b in range(3)], shape)
+                               for s in self.group])
+        bit = {a: 1 << (len(self.axes) - 1 - i) for i, a in enumerate(self.axes)}
+        self.labels = np.array([[sum(bit[s[a]] for a in self.axes if k & bit[a])
+                                 for k in range(2 ** len(self.axes))] for s in self.group])
+        self.rows, self.orbit_of = np.unique(self.perms.min(axis=0), return_inverse=True)
+        self.sizes = np.bincount(self.orbit_of).astype(float)
+        self._h = np.argmax(self.perms == self.rows[self.orbit_of], axis=0)    # h t = d
+        self.orbit_members = [np.unique(self.labels[:, k]) for k in self.orbit_slots]
+        self._plans = [self._symmetric_plan(k) for k in self.orbit_slots] \
+            if len(self.group) > 1 else []
+
+    def _symmetric_plan(self, psi: int) -> tuple:
+        """(size, parts, row scale, column scale) of the symmetric block of the
+        sector psi under its little group G_psi = {s: s psi = psi}.
+
+        B_sym[O, O'] = sqrt(|O| / |O'|) sum_{y in O'} B_psi[x0(O), y] over the
+        G_psi-orbits O and O' of the representatives.  A G_psi-orbit in the
+        G-orbit of d holds c d for some c of the right cosets G_psi c, so
+        x0(O) = c d for the first such c in group order, and the orbit sum is
+        |O'| / |G_psi| times sum_{g in G_psi} B_psi[x0, g y0], y0 the smallest
+        index in O'.  Part (label, rows, cols) gives the rows c d = h^-1 d of
+        one c: B_psi[c d, y] = Y[h psi][d, h y], so cols[g] = h g y0."""
+        little = np.flatnonzero(self.labels[:, psi] == psi)
+        first, oid = np.unique(self.perms[little].min(axis=0), return_inverse=True)
+        size = np.bincount(oid)
+        index = {s: g for g, s in enumerate(self.group)}
+        seen, covered, parts, row_orbits = np.zeros(len(size), bool), set(), [], []
+        for g, c in enumerate(self.group):
+            if g in covered:
+                continue
+            covered |= {index[tuple(self.group[f][c[a]] for a in range(3))] for f in little}
+            o = oid[self.perms[g][self.rows]]
+            new = np.flatnonzero(~seen[o])
+            seen[o[new]] = True
+            h = index[tuple(c.index(b) for b in range(3))]
+            cols = self.perms[h][self.perms[little][:, first]]
+            parts.append((int(self.labels[h, psi]), new, cols))
+            row_orbits.append(o[new])
+        return (len(size), parts, np.sqrt(size[np.concatenate(row_orbits)]),
+                np.sqrt(size) / len(little))
+
+    def flips(self) -> list:
+        """The axis sets of the flips k on A in bit order: k's set bits."""
+        return [tuple(a for a, f in zip(self.axes, flip) if f)
+                for flip in np.ndindex((2,) * len(self.axes))]
 
     def flipped(self):
         """(k, the per-axis lists of the representatives flipped by k) for the
         flips k in bit order: negated on the axes of k's set bits."""
-        for k, flip in enumerate(np.ndindex((2,) * len(self.axes))):
-            neg = [a for a, f in zip(self.axes, flip) if f]
+        for k, neg in enumerate(self.flips()):
             yield k, [-x if a in neg else x for a, x in enumerate(self.lists)]
 
     @cached_property
@@ -123,38 +195,49 @@ class _BSWorkspace:
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._stacks is None:
-            M = len(self.r)
-            U = np.empty((2 ** len(self.axes), M, M))
-            for k, t in self.flipped():
-                pair_matrix(self.spec, out=U[k], rows=t, cols=self.lists)
+            M, rows = len(self.r), len(self.rows)
+            U = np.empty((2 ** len(self.axes), rows, M))
+            pair_matrix(self.spec, out=U, rows=self.lists, cols=self.lists,
+                        at=np.unravel_index(self.rows, [len(l) for l in self.lists]),
+                        flips=self.flips())
             self._stacks = U, np.empty_like(U)
+            self._slab = np.empty((len(U), min(_SLAB, rows * M)))
             self._u_min = float(U.min())
+            if self._plans:
+                self._sym = np.empty(sum(plan[0] ** 2 for plan in self._plans))
+                self._scratch = np.empty(max(M * M, 2 * rows * M))
         return self._stacks
 
     def _character_sums(self, z: float, slots) -> np.ndarray:
-        """The character sums of the resolvents 1/(U_k - z) in the front of
-        the scratch stack, entry i for the label slots[i] (_character_sums).
-        fl(u - z) <= 0 exactly when u <= z, so the domain check reads U's
-        minimum instead of the differences."""
+        """The character sums of the resolvents 1/(U_k - z) on the rows D, in
+        the front of the second stack, entry i for the label slots[i]
+        (_character_sums).  fl(u - z) <= 0 exactly when u <= z, so the domain
+        check reads U's minimum instead of the differences."""
         U, S = self._arrays()
         if self._u_min <= z:
             raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
-        _character_sums(U, S, z, slots)
+        _character_sums(U, S, z, slots, self._slab)
         return S[:len(slots)]
 
-    def _lambda(self, alpha: int, S: np.ndarray) -> np.ndarray:
-        """Lambda_alpha on the representatives from a stack of resolvents,
-        summed over its slots: channel 1 sums the rows and leaves p on the
-        columns, channel 2 the reverse, so the trivial slot S[:1] = R_0 gives
-        Lambda on the representatives and a stack cut to some p gives it on
-        those p."""
-        if alpha == 1:
-            return self.w * (self.f1 ** 2 @ S).sum(axis=0)
-        return self.w * (S @ self.f2 ** 2).sum(axis=0)
+    def _lambda(self, alpha: int, S: np.ndarray,
+                cols: Optional[np.ndarray] = None) -> np.ndarray:
+        """Lambda_alpha on the rows D from a stack of resolvents on them,
+        summed over its slots, so the trivial slot S[:1] = R_0 gives Lambda.
+        Channel 2 sums each row over p (a stack cut to some rows D gives it
+        on those).  Channel 1 sums over t at each column p, every row t a
+        permuted row D, (sum_d |G d| phi1(d)^2 R_0[d, s p]) averaged over the
+        group elements s: the column sums with the orbit-size weights averaged
+        over each orbit (a stack cut to the whole orbits `cols` gives it on
+        their rows D)."""
+        if alpha == 2:
+            return self.w * (S @ self.f2 ** 2).sum(axis=0)
+        v = self.w * (self._f1w @ S).sum(axis=0)
+        orbit = self.orbit_of if cols is None else self.orbit_of[cols]
+        return np.bincount(orbit, weights=v, minlength=len(self.rows)) / self.sizes
 
     def lambdas(self, alpha: int, z: float) -> np.ndarray:
         """Lambda_alpha(p, z) on the representatives p of the model's axes."""
-        return self._lambda(alpha, self._character_sums(z, [0]))
+        return self._lambda(alpha, self._character_sums(z, [0]))[self.orbit_of]
 
     def on_nodes(self, values: np.ndarray) -> np.ndarray:
         """Values on the representatives of the model's axes spread to all
@@ -169,28 +252,28 @@ class _BSWorkspace:
     def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
         R0 = self._character_sums(z, [0])
-        return tuple(self.on_nodes(1.0 - self.spec.mu(a) * self._lambda(a, R0))
+        return tuple(self.on_nodes((1.0 - self.spec.mu(a) * self._lambda(a, R0))[self.orbit_of])
                      for a in (1, 2))
 
-    def sector_blocks(self, z: float, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(stack, d1, d2): entry i of the stack, in the scratch stack, is the
-        sector block B_psi = col(t) row(p) R_psi[t, p] of T12(z) for the
-        label psi = slots[i] (slots[0] = 0), R_psi = sum_k psi(k) / (U_k[t, p]
-        - z); d1 and d2 are the determinants on the representatives.
+    def _sector_rows(self, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Y, d1, d2): Y[psi] the rows D of the sector block B_psi = col(t)
+        row(p) R_psi[t, p] of T12(z) for every label psi, in the second
+        stack, and the determinants d1, d2 on the rows D.
 
         Blocks are indexed (t, p), first slot of u first, so for A = () the
-        cross block T12 is stack[0].T.  With u invariant under every flip k
-        on A and phi_alpha(k q) = chi_alpha(k) phi_alpha(q), T12 maps the
-        sector of the character psi onto that of psi chi_1 chi_2, and on the
-        representatives its block is the character sum with psi chi_2 of the
-        flipped blocks col row / (U_k - z).  Multiplying by chi_2 only
-        permutes the labels psi, and col and row do not depend on k, so the
-        sector blocks are col row times the character sums of the
+        cross block T12 is its one block transposed.  With u invariant under
+        every flip k on A and phi_alpha(k q) = chi_alpha(k) phi_alpha(q), T12
+        maps the sector of the character psi onto that of psi chi_1 chi_2,
+        and on the representatives its block is the character sum with
+        psi chi_2 of the flipped blocks col row / (U_k - z).  Multiplying by
+        chi_2 only permutes the labels psi, and col and row do not depend on
+        k, so the sector blocks are col row times the character sums of the
         resolvents.  Lambda_alpha and the determinants come from the trivial
-        one, R_0 = sum_k 1/(U_k - z); then only the formed blocks are
-        scaled, row slab by row slab with the outer product of col and row.
+        one, R_0 = sum_k 1/(U_k - z); col and row are invariant under the
+        group, so the rows are scaled row slab by row slab with the outer
+        product of col on D and row on every representative.
         """
-        S = self._character_sums(z, slots)
+        S = self._character_sums(z, range(2 ** len(self.axes)))
         d1, d2 = (1.0 - self.spec.mu(a) * self._lambda(a, S[:1]) for a in (1, 2))
         if d1.min() <= 0.0 or d2.min() <= 0.0:
             raise InvalidSpectralPointError(
@@ -198,13 +281,96 @@ class _BSWorkspace:
                 f"(min d1 = {d1.min():.3e}, min d2 = {d2.min():.3e}); "
                 f"z is not below the channel branches")
         scale = np.sqrt(self.spec.mu1 * self.spec.mu2) * self.w
-        col = self.f1 / np.sqrt(d2)            # t: spectator of channel 2
-        row = scale * self.f2 / np.sqrt(d1)    # p: spectator of channel 1
-        M = len(row)
-        step = max(1, _SLAB // M)       # rows of one slab of the outer product
-        for i in range(0, M, step):
+        col = self.f1[self.rows] / np.sqrt(d2)              # t: spectator of channel 2
+        row = scale * self.f2 / np.sqrt(d1[self.orbit_of])  # p: spectator of channel 1
+        step = max(1, _SLAB // len(row))       # rows of one slab of the outer product
+        for i in range(0, len(col), step):
             S[:, i:i + step] *= np.multiply.outer(col[i:i + step], row)
         return S, d1, d2
+
+    def _twisted_rows(self, Y: np.ndarray, psi: int, t: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """B_psi[t, :] for the representatives t from the sector rows Y on D:
+        with h the group element that takes t to its row d = h t in D,
+        B_psi[t, p] = Y[h psi][d, h p].  Rows go in chunks of 16 _SLAB
+        entries, so the gathers stay small beside out."""
+        out = np.empty((len(t), Y.shape[2])) if out is None else out
+        h = self._h[t]
+        step = max(1, 16 * _SLAB // Y.shape[2])
+        for g in np.unique(h):
+            group_rows = np.flatnonzero(h == g)
+            for i in range(0, len(group_rows), step):
+                at = group_rows[i:i + step]
+                rows = Y[self.labels[g, psi]][self.orbit_of[t[at]]]
+                out[at] = rows if g == 0 else rows[:, self.perms[g]]    # group[0]: identity
+        return out
+
+    def sector_blocks(self, z: float, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stack, d1, d2): entry i of the new stack is the sector block B_psi
+        of T12(z) on all representatives for the label psi = slots[i], read
+        off the sector rows (_sector_rows, _twisted_rows); d1 and d2 are the
+        determinants on the representatives."""
+        Y, d1, d2 = self._sector_rows(z)
+        t = np.arange(len(self.r))
+        stack = np.empty((len(slots), len(t), len(t)))
+        for i, psi in enumerate(slots):
+            self._twisted_rows(Y, psi, t, out=stack[i])
+        return stack, d1[self.orbit_of], d2[self.orbit_of]
+
+    def _count_blocks(self, Y: np.ndarray, full2: list) -> tuple:
+        """(blocks, fro2): per orbit slot, the block the count reads and its
+        squared Frobenius norm, given the squared norms full2 of the slots'
+        sector blocks.  With a trivial group a slot's block is its sector
+        rows.  Else it is its symmetric block (_symmetric_plan): B_psi
+        commutes with the permutations of G_psi, so its singular values are
+        those of B_sym and of its restriction to the other irreps of G_psi,
+        whose Frobenius norm rest obeys rest^2 = ||B_psi||^2 - ||B_sym||^2.
+        rest <= 1 certifies that none of them exceeds 1.  Rounding, u the
+        unit roundoff: both squared norms are sums of nonnegative terms,
+        each within (2 M + 2^|A| + 4) u of its value, and an entry of B_sym
+        adds at most |G| <= 6 entries of B_psi and takes two scale factors,
+        so it is within 8 u of the same entry of the symmetric block of
+        |B_psi|, whose norm is at most ||B_psi||_F; that moves ||B_sym||^2 by
+        at most 17 u full2.  The slack 8 (M + 2^|A| + 8) eps full2 (eps =
+        2 u) covers the three, and rest^2 + slack <= 1 certifies the slot.
+        A slot whose full2 is at most 1 needs no block.  Where a slot is not
+        certified, its whole sector block is formed from the rows D in the
+        scratch array, one at a time, and counted instead."""
+        if not self._plans:
+            return [Y[k] for k in self.orbit_slots], full2
+        M, rows = Y.shape[2], Y.shape[1]
+        scratch = self._scratch
+        blocks, fro2, at = [], [], 0
+        for psi, (size, parts, rscale, cscale), f2 in zip(self.orbit_slots, self._plans, full2):
+            B = self._sym[at:at + size * size].reshape(size, size)
+            at += size * size
+            if f2 <= 1.0:       # the sector block's norm already bounds every value
+                blocks.append(B)
+                fro2.append(f2)
+                continue
+            i = 0
+            for label, sel, cols in parts:
+                r = len(sel)
+                src = Y[label] if r == rows else np.take(
+                    Y[label], sel, axis=0, out=scratch[:r * M].reshape(r, M), mode="clip")
+                dst = B[i:i + r]
+                i += r
+                np.take(src, cols[0], axis=1, out=dst, mode="clip")
+                add = scratch[r * M:r * (M + size)].reshape(r, size)
+                for g in cols[1:]:
+                    dst += np.take(src, g, axis=1, out=add, mode="clip")
+            if size < M:
+                B *= cscale
+                B *= rscale[:, None]
+            sym2 = _squared_norm(B)
+            slack = 8 * (M + len(Y) + 8) * _EPS * f2
+            certified = f2 - sym2 + slack <= 1.0
+            blocks.append(B if certified else psi)
+            fro2.append(sym2 if certified else f2)
+        t = np.arange(M)
+        full = self._scratch[:M * M].reshape(M, M)
+        return (b if isinstance(b, np.ndarray) else self._twisted_rows(Y, b, t, out=full)
+                for b in blocks), fro2
 
 
 @lru_cache(maxsize=None)
@@ -218,13 +384,15 @@ def _characters(n: int) -> np.ndarray:
     return H
 
 
-def _character_sums(U: np.ndarray, S: np.ndarray, z: float, slots) -> None:
+def _character_sums(U: np.ndarray, S: np.ndarray, z: float, slots,
+                    buf: Optional[np.ndarray] = None) -> None:
     """In place, S[i] becomes the character sum R_psi = sum_k psi(k) / (U_k -
     z) over the stack U_k of the flips k, for psi = slots[i]; the rest of S
     is scratch.
 
     One column slab of the flattened stacks at a time: the resolvents of
-    every flip go to one buffer of 2^|A| x _SLAB doubles, and those rows of
+    every flip go to one buffer of 2^|A| x _SLAB doubles (`buf`, when given,
+    of at least 2^|A| x min(_SLAB, columns)), and those rows of
     the character matrix times it go straight to S.  A slot's bits must not
     depend on which other slots are formed.  A row of a BLAS product of at
     least two rows and two columns is the same dot product over k whatever
@@ -239,7 +407,7 @@ def _character_sums(U: np.ndarray, S: np.ndarray, z: float, slots) -> None:
     H = _characters(n)[rows]
     X, Y = U.reshape(n, -1), S.reshape(n, -1)
     width = X.shape[1]
-    buf = np.empty((n, min(_SLAB, width)))
+    buf = np.empty((n, min(_SLAB, width))) if buf is None else buf
     for j in range(0, width, _SLAB):
         j = max(0, min(j, width - 2))
         cols = slice(j, j + _SLAB)
@@ -294,22 +462,24 @@ def _sector_orbits(spec: ModelSpec, axes: tuple,
     return group, tuple(orbits.items())
 
 
-def _count_block_singular_above(stack: np.ndarray, mu: float,
-                                mults: Optional[list] = None,
-                                fro2: Optional[list] = None) -> int:
+def _count_block_singular_above(stack, mu: float, mults: Optional[list] = None,
+                                fro2: Optional[list] = None,
+                                band: Optional[float] = None) -> int:
     """#{singular values > mu} of one block, or of the block-diagonal sum of a
-    stack or list of blocks: every block once, or block i counted mults[i]
+    stack or sequence of blocks: every block once, or block i counted mults[i]
     times (the sizes of the sector orbits, see _BSWorkspace).  fro2[i], when
-    given, is _squared_norm of block i, computed by the caller.
+    given, is _squared_norm of block i, computed by the caller, and the blocks
+    may then come from an iterator, each formed after the last one's count.
 
     Values within TIE_RTOL times the largest singular value of the whole count
-    as not above; the certificates clear that band at the largest Frobenius
-    norm, which bounds the largest singular value from above.
+    as not above; the certificates clear that band, by default at the largest
+    Frobenius norm, which bounds the largest singular value from above (the
+    caller passes the band of larger blocks the given ones are parts of).
     """
     blocks = [stack] if isinstance(stack, np.ndarray) and stack.ndim == 2 else stack
-    mults = mults if mults is not None else [1] * len(blocks)
     fro2 = fro2 if fro2 is not None else [_squared_norm(b) for b in blocks]
-    band = TIE_RTOL * np.sqrt(max(fro2))
+    mults = mults if mults is not None else [1] * len(fro2)
+    band = band if band is not None else TIE_RTOL * np.sqrt(max(fro2))
     sv = [(_leading_singular_values(b, mu, f2, band), mult)
           for b, mult, f2 in zip(blocks, mults, fro2)]
     top = max((float(v.max()) for v, _ in sv if v.size), default=0.0)
@@ -398,18 +568,28 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
     if z >= spec.m:
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    return _count_orbits(ws, ws.sector_blocks(z, ws.orbit_slots)[0], ws.orbit_slots)
+    Y = ws._sector_rows(z)[0]
+    return _count_orbits(ws, Y, _row_norms(ws, Y)[1])
 
 
-def _count_orbits(ws: _BSWorkspace, stack: np.ndarray, slots: list,
-                  fro2: Optional[list] = None) -> int:
-    """N(z) from the sector blocks stack[i] of the labels slots[i], which
-    hold the orbit representatives: one block per orbit, times its size.
-    fro2[i], when given, is the squared Frobenius norm of stack[i]."""
-    at = [slots.index(k) for k in ws.orbit_slots]
-    return _count_block_singular_above([stack[i] for i in at], 1.0,
-                                       [mult for _, mult in ws.orbits],
-                                       None if fro2 is None else [fro2[i] for i in at])
+def _row_norms(ws: _BSWorkspace, Y: np.ndarray) -> tuple[np.ndarray, list]:
+    """(rows2, full2): rows2[psi, d] = ||B_psi[d, :]||^2 on the rows D of the
+    sector rows Y, each summed as _squared_norm sums a row, and full2[psi] =
+    sum_d |G d| rows2[psi, d].  Row t = s d of B_psi is a permuted row d of
+    B_{s^-1 psi}, so over the labels of an orbit these sums are the squared
+    norms of its sector blocks, and over all labels ||T12||_F^2."""
+    rows2 = np.einsum("kij,kij->ki", Y, Y)
+    return rows2, [float((r * ws.sizes).sum()) for r in rows2]
+
+
+def _count_orbits(ws: _BSWorkspace, Y: np.ndarray, full2: list) -> int:
+    """N(z) from the sector rows Y and the label sums full2 of _row_norms:
+    one block per orbit (_count_blocks), times its size, with the tie band
+    of the largest sector block."""
+    norms = [sum(full2[k] for k in members) / len(members) for members in ws.orbit_members]
+    blocks, fro2 = ws._count_blocks(Y, norms)
+    return _count_block_singular_above(blocks, 1.0, [mult for _, mult in ws.orbits], fro2,
+                                       TIE_RTOL * np.sqrt(max(norms)))
 
 
 def lambda_on_grid(spec: ModelSpec, alpha: int, z: float) -> np.ndarray:
@@ -439,41 +619,55 @@ def essential_spectrum(spec: ModelSpec) -> EssentialSpectrumReport:
 
 
 def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
-    """Vectorized bisection of Delta_alpha(p, .) = 0 below m over the
-    representatives p of the model's flip axes, spread to all nodes."""
+    """Vectorized bisection of Delta_alpha(p, .) = 0 below m over the rows D
+    of the model's flip axes and axis permutations, spread to all nodes."""
     spec = ws.spec
     mu = spec.mu(alpha)
     # min over t of u_p(t): t runs over the flips k of every representative,
-    # the first slot (U_k rows) in channel 1 and the second in channel 2
+    # the first slot (U_k rows) in channel 1 and the second in channel 2; a
+    # row of U on D holds the values of every row of its orbit
     U, S = ws._arrays()
-    vals_min = U.min(axis=(0, 1) if alpha == 1 else (0, 2))
+    D = len(ws.rows)
+    if alpha == 1:
+        vals_min = np.full(D, np.inf)
+        np.minimum.at(vals_min, ws.orbit_of, U.min(axis=(0, 1)))
+    else:
+        vals_min = U.min(axis=(0, 2))
     # bracket top just below the three-body threshold: quadrature sums are
     # finite there (every node value exceeds m) and roots above m are not
     # reported (they sit inside the band)
     top = spec.m - 1e-12 * max(1.0, abs(spec.m))
     phi2max = float(np.max(spec.phi_values(alpha) ** 2))
     lo = vals_min - (spec.M - spec.m) - mu * TWO_PI ** 3 * phi2max
-    has_root = 1.0 - mu * ws.lambdas(alpha, top) < 0.0
-    out = np.full(vals_min.size, np.nan)
+    has_root = 1.0 - mu * ws._lambda(alpha, ws._character_sums(top, [0])) < 0.0
+    out = np.full(D, np.nan)
     if has_root.any():
-        # Delta_alpha(p, .) > 0 below a bracket without a root, so only the columns
-        # (channel 1) or rows (2) of roots p go to the scratch stack ("clip": unbuffered)
+        # Delta_alpha(p, .) > 0 below a bracket without a root, so only the
+        # columns of the roots' orbits (channel 1) or the rows of the roots
+        # (2) go to the second stack ("clip": unbuffered)
         roots = np.flatnonzero(has_root)
-        n, M = U.shape[:2]
-        R = S.reshape(-1)[:n * M * roots.size].reshape((n, M, -1) if alpha == 1 else (n, -1, M))
-        a, b = lo, np.full(vals_min.size, top)
+        cols = np.flatnonzero(has_root[ws.orbit_of]) if alpha == 1 else None
+        n, M = U.shape[0], U.shape[2]
+        R = (S.reshape(-1)[:n * D * cols.size].reshape(n, D, -1) if alpha == 1
+             else S.reshape(-1)[:n * roots.size * M].reshape(n, -1, M))
+        a, b = lo, np.full(D, top)
         for _ in range(60):
             c = 0.5 * (a + b)
-            np.take(U, roots, axis=2 if alpha == 1 else 1, out=R, mode="clip")
-            R -= c[roots][None, :] if alpha == 1 else c[roots][:, None]
-            pos = np.ones(vals_min.size, dtype=bool)
-            pos[roots] = 1.0 - mu * ws._lambda(alpha, np.reciprocal(R, out=R)) > 0.0
+            if alpha == 1:
+                np.take(U, cols, axis=2, out=R, mode="clip")
+                R -= c[ws.orbit_of[cols]][None, :]
+            else:
+                np.take(U, roots, axis=1, out=R, mode="clip")
+                R -= c[roots][:, None]
+            lam = ws._lambda(alpha, np.reciprocal(R, out=R), cols)
+            pos = np.ones(D, dtype=bool)
+            pos[roots] = 1.0 - mu * (lam[roots] if alpha == 1 else lam) > 0.0
             a = np.where(pos, c, a)
             b = np.where(pos, b, c)
             if float(np.max(b - a)) < 1e-10:
                 break
         out[roots] = (0.5 * (a + b))[roots]
-    return ws.on_nodes(out)
+    return ws.on_nodes(out[ws.orbit_of])
 
 
 def _kernel_support(points: np.ndarray, hess: HessianData,
@@ -532,42 +726,33 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
     _check_cutoff(delta)
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
-    orbits = _hs_orbits(ws, hess)
-    stack = ws.sector_blocks(z, [k for k, _ in orbits])[0]
-    return _hs_of_sectors(ws, stack, z, delta, hess, orbits)[:2]
+    Y = ws._sector_rows(z)[0]
+    return _hs_of_rows(ws, Y, *_row_norms(ws, Y), z, delta, hess)
 
 
-def _hs_orbits(ws: _BSWorkspace, hess: HessianData) -> list:
-    """(psi, multiplicity) over the sector labels the HS diagnostics read:
-    one per orbit when every permutation of ws.group leaves U unchanged (the
-    model kernel is then invariant under them too), else every label once."""
-    if all(np.array_equal(hess.U[np.ix_(s, s)], hess.U) for s in ws.group):
-        return list(ws.orbits)
-    return [(k, 1) for k in range(2 ** len(ws.axes))]
-
-
-def _hs_of_sectors(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
-                   hess: HessianData, orbits) -> tuple[float, float, list]:
-    """hs_diagnostics from the sector blocks S[i] = B_psi, indexed (t, p), of
-    the labels psi of orbits[i] (_hs_orbits), which it leaves unchanged, and
-    the squared norms ||B_psi||_F^2 per block, the _squared_norm sums the
-    count reads.
+def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, rows2: np.ndarray, full2: list,
+                z: float, delta: float, hess: HessianData) -> tuple[float, float]:
+    """hs_diagnostics from the sector rows Y on D, which it leaves unchanged,
+    and their norms (_row_norms).
 
     The sector blocks are the blocks of T12 in an orthonormal basis, so
-    ||T||_HS^2 = 2 sum_psi ||B_psi||^2, each orbit's block weighted by its
-    size.  U is diagonal on every model with flip axes (the builtin separable
-    ones: off-diagonal Hessian entries exactly 0.0), so the model kernel is
-    flip invariant and its sector blocks are the character sums
-    K_psi = sum_k psi(k) K_k of its flipped blocks K_k, indexed (p, t).  With
-    c1 == c2, T's block psi chi_2 meets the model's psi, so by Parseval the
-    squared distance is the sum over the slots psi of
-    ||K_{psi ^ c2} - B_psi^T||^2.  Every K_k vanishes off the rows and
-    columns I of the union of the flipped supports, so
+    ||T||_HS^2 = 2 sum_psi ||B_psi||^2 = 2 sum_psi full2[psi].  U is diagonal
+    on every model with flip axes (the builtin separable ones: off-diagonal
+    Hessian entries exactly 0.0), so the model kernel is flip invariant and
+    its sector blocks are the character sums K_psi = sum_k psi(k) K_k of its
+    flipped blocks K_k, indexed (p, t).  With c1 == c2, T's block psi chi_2
+    meets the model's psi, so by Parseval the squared distance is the sum
+    over the labels psi of ||K_{psi ^ c2} - B_psi^T||^2.  Every K_k vanishes
+    off the rows and columns I of the union of the flipped supports, so
         ||K_{psi ^ c2} - B_psi^T||^2 = ||B_psi off I x I||^2
                                        + ||K_{psi ^ c2}[I, I] - B_psi[I, I]^T||^2,
     exact for any superset of the support, with the K_k built on I in one
-    call; else T and the model sit in disjoint sector pairs and the distance
-    is ||T||^2 + ||K||^2, ||K||^2 = 2^|A| sum_k ||K_k||^2."""
+    call.  The rows of I are read off the rows D (_twisted_rows), and the
+    rows outside I come from rows2: summed over the labels, the rows t of
+    the orbit of d outside I give their number times rows2[psi, d], so the model
+    kernel need not be invariant under the axis permutations.  Else T and
+    the model sit in disjoint sector pairs and the distance is ||T||^2 +
+    ||K||^2, ||K||^2 = 2^|A| sum_k ||K_k||^2."""
     n, (c1, c2) = 2 ** len(ws.axes), ws.chi
     F = ws.flipped_nodes
     I = _kernel_support(F.reshape(-1, 3), hess, delta)[1].reshape(n, -1).any(axis=0)
@@ -575,22 +760,23 @@ def _hs_of_sectors(ws: _BSWorkspace, S: np.ndarray, z: float, delta: float,
                            rows=F[:, I].reshape(-1, 3), cols=ws.r[I])
     K = K.reshape(n, -1)        # row k: K_k on I x I
     hs2 = diff2 = 0.0
-    norms = []
+    for f2 in full2:
+        hs2 += f2
     if c1 == c2:
-        K = _characters(n)[[psi ^ c2 for psi, _ in orbits]] @ K
-    for i, (psi, mult) in enumerate(orbits):
-        rows2 = np.einsum("ij,ij->i", S[i], S[i])      # ||B_psi[t, :]||^2
-        norms.append(float(rows2.sum()))
-        hs2 += mult * norms[-1]
-        if c1 == c2:
-            BI = S[i][I]            # the rows of the support, a copy
-            D = K[i].reshape(len(BI), len(BI))
+        K = _characters(n)[[psi ^ c2 for psi in range(n)]] @ K
+        t = np.flatnonzero(I)
+        outside = ws.sizes - np.bincount(ws.orbit_of[t], minlength=len(ws.rows))
+        keep = outside > 0
+        for psi in range(n):
+            BI = ws._twisted_rows(Y, psi, t)        # the rows of the support
+            D = K[psi].reshape(len(t), len(t))
             D -= BI[:, I].T
             BI[:, I] = 0.0
-            diff2 += mult * (float(rows2[~I].sum()) + _squared_norm(BI) + _squared_norm(D))
-    if c1 != c2:
+            diff2 += (float((rows2[psi][keep] * outside[keep]).sum())
+                      + _squared_norm(BI) + _squared_norm(D))
+    else:
         diff2 = hs2 + n * _squared_norm(K)
-    return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2)), norms
+    return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2))
 
 
 def trust_floor(n: int) -> float:
@@ -606,14 +792,11 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         raise ModelDataError("m - z values must be positive and nonempty")
     _check_cutoff(delta)
     ws = _BSWorkspace(spec)
-    orbits = ws.orbits
     if with_hs:
         try:
             hess = hessian_at_minimum(spec)
-            orbits = _hs_orbits(ws, hess)    # the count's slots among them
         except NotProductFormError:
             with_hs = False     # e.g. tabulated models: HS columns stay NaN
-    slots = [k for k, _ in orbits]
     counts = np.empty(s_list.size, dtype=int)
     detmin = np.empty(s_list.size)
     hs = np.full(s_list.size, np.nan)
@@ -621,14 +804,14 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
     floor = trust_floor(spec.grid.n)
     for i, s in enumerate(s_list):
         z = spec.m - s
-        # Delta is invariant under the flips, so its minimum over the
-        # representatives is its minimum over all nodes
-        stack, d1, d2 = ws.sector_blocks(z, slots)
+        # Delta is invariant under the flips and the axis permutations, so
+        # its minimum on the rows D is its minimum over all nodes
+        Y, d1, d2 = ws._sector_rows(z)
         detmin[i] = min(float(d1.min()), float(d2.min()))
-        fro2 = None
+        rows2, full2 = _row_norms(ws, Y)
         if with_hs:
-            hs[i], hsd[i], fro2 = _hs_of_sectors(ws, stack, z, delta, hess, orbits)
-        counts[i] = _count_orbits(ws, stack, slots, fro2)
+            hs[i], hsd[i] = _hs_of_rows(ws, Y, rows2, full2, z, delta, hess)
+        counts[i] = _count_orbits(ws, Y, full2)
         if i and counts[i] < counts[i - 1]:
             raise HypothesisViolationError(
                 f"N(z) fell from {counts[i - 1]} at m - z = {s_list[i - 1]:.6g} to "

@@ -12,6 +12,7 @@ assembly checks the bytes it is about to allocate with the package's
 `require_memory` first.
 """
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,9 +106,66 @@ def assemble_direct_hamiltonian(spec) -> np.ndarray:
 
 
 def direct_count_below(spec, z_values) -> list[int]:
-    """Eigenvalue counts of the dense Hamiltonian below each z (one eigensolve)."""
-    ev = np.linalg.eigvalsh(assemble_direct_hamiltonian(spec))
+    """Eigenvalue counts of the dense Hamiltonian below each z, one eigensolve
+    per symmetry sector of the flips the Hamiltonian commutes with
+    (hamiltonian_flips); the full solve when it commutes with none."""
+    flips = hamiltonian_flips(spec)
+    ev = (np.concatenate([np.linalg.eigvalsh(b) for b in sector_hamiltonians(spec, flips)])
+          if len(flips) > 1 else np.linalg.eigvalsh(assemble_direct_hamiltonian(spec)))
     return [int(np.sum(ev < z)) for z in np.atleast_1d(z_values)]
+
+
+def _node_flip(n: int, axes) -> np.ndarray:
+    """The node permutation that negates the coordinates on `axes`: the
+    reversal of those axes of the (n, n, n) node order (see grids)."""
+    return np.flip(np.arange(n ** 3).reshape((n,) * 3), axes).ravel()
+
+
+def hamiltonian_flips(spec) -> list:
+    """The axis sets k (k = () first) whose flip R_k of both momenta, (t, q)
+    -> (k t, k q), commutes with the direct Hamiltonian, read off its parts
+    by the exact check H[P_k][:, P_k] == H on each: diag(u), and the rank
+    terms w phi_a phi_a^T of both channels.  They form a subgroup of Z2^3."""
+    n = spec.grid.n
+    U = pair_matrix(spec)
+    W = [np.outer(spec.phi_values(a), spec.phi_values(a)) for a in (1, 2)]
+    found = []
+    for k in (ax for r in range(4) for ax in combinations(range(3), r)):
+        P = _node_flip(n, k)
+        if all(np.array_equal(X[np.ix_(P, P)], X) for X in [U] + W):
+            found.append(k)
+    return found
+
+
+def sector_hamiltonians(spec, flips) -> list:
+    """The blocks of the direct Hamiltonian on the sectors of the characters
+    psi of the flip group `flips` (hamiltonian_flips), dense, each built from
+    diag(u) and the two rank terms, never from the n^6 matrix.
+
+    The group acts freely on the node pairs (the shifted grid has no zero
+    coordinate), so a sector's rows are the pairs (t, q) with t the smallest
+    node of its orbit, N^2 / |group| of them, and its block is
+    sum_k psi(k) H[(t, q), R_k (t', q')]: u(t, q) on the diagonal (only k = ()
+    maps a row onto a row), minus mu1 w sum_k psi(k) phi1(t) phi1(k t')
+    [q = k q'] and minus mu2 w [t = t'] phi2(q) phi2(q') (only k = () keeps
+    t')."""
+    N, w = spec.grid.size, spec.grid.weight
+    P = {k: _node_flip(spec.grid.n, k) for k in flips}
+    T = np.flatnonzero(np.all(np.array(list(P.values())) >= np.arange(N), axis=0))
+    require_memory(3 * 8 * (T.size * N) ** 2, "direct Hamiltonian sector blocks")
+    f1, f2 = spec.phi_values(1), spec.phi_values(2)
+    base = np.diag(pair_matrix(spec)[T].ravel())
+    base -= spec.mu2 * np.kron(np.eye(T.size), w * np.outer(f2, f2))
+    # the characters of the group: psi_m(k) = (-1)^|m & k|, one per class of m
+    chars = {tuple((-1) ** len(set(m) & set(k)) for k in flips): None
+             for m in (ax for r in range(4) for ax in combinations(range(3), r))}
+    blocks = []
+    for psi in chars:
+        H = base.copy()
+        for sign, k in zip(psi, flips):
+            H -= sign * spec.mu1 * np.kron(w * np.outer(f1[T], f1[P[k][T]]), np.eye(N)[P[k]])
+        blocks.append(H)
+    return blocks
 
 
 def sandwich_blocks(spec, z: float) -> dict:

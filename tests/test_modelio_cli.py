@@ -397,13 +397,14 @@ def test_cli_efimov_radius_over_cap_exit4(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["count", "essential", "validate"])
 def test_cli_workspace_over_limit_exit4(capsys, command):
-    # the n = 34 workspace (3.1 GB of sector stacks) is refused before it exists
+    # the n = 40 workspace (2.4 GB of sector rows, symmetric blocks and
+    # scratch) is refused before it exists
     model = str(Path(__file__).resolve().parent.parent / "models" / "builtin_critical.json")
     codes = []
-    peak = traced_peak(lambda: codes.append(main([command, "--model", model, "--grid", "34"])))
+    peak = traced_peak(lambda: codes.append(main([command, "--model", model, "--grid", "40"])))
     out, err = capsys.readouterr()
     assert codes == [4]
-    assert peak < 2 ** 23          # loading the model, well below the 3.1 GB refused
+    assert peak < 2 ** 23          # loading the model, well below the 2.4 GB refused
     assert err.startswith("resource error:") and "count workspace" in err
     if command == "validate":
         assert "FAIL" not in out       # the refusal is an exit, not a failed check
@@ -415,7 +416,7 @@ def test_cli_validate_sizes_the_workspace_first(tmp_path, capsys, monkeypatch):
     # an oversized grid is refused before the first check prints, and the one
     # workspace built up front serves the Lambda-maximum check
     model = str(Path(__file__).resolve().parent.parent / "models" / "builtin_critical.json")
-    assert main(["validate", "--model", model, "--grid", "34"]) == 4
+    assert main(["validate", "--model", model, "--grid", "40"]) == 4
     assert capsys.readouterr().out == ""
     built = []
     init = threebody._BSWorkspace.__init__

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import traced_peak
 from oracles import (assemble_bs_matrix, assemble_direct_hamiltonian, count_above,
                      direct_count_below, finite_dim_bs_identity_check,
-                     sandwich_blocks)
+                     hamiltonian_flips, sandwich_blocks, sector_hamiltonians)
 from lattice3b import (HypothesisViolationError, InvalidSpectralPointError,
                        OutOfDomainError, ResourceCapError, build_grid,
                        builtin_dispersion, builtin_epsilon, builtin_model,
@@ -173,10 +173,12 @@ def test_direct_hamiltonian_n6_refused_before_allocation():
     assert traced_peak(lambda: _refused(assemble_direct_hamiltonian, spec)) < 2 ** 22
 
 
-@pytest.mark.parametrize("n,fits", [(32, True), (34, False)])
+@pytest.mark.parametrize("n,fits", [(32, True), (34, True), (40, False)])
 def test_workspace_limit_on_three_axes(n, fits):
-    # two stacks of 8 blocks of (n^3/8)^2 doubles: exactly 2^31 bytes at n = 32,
-    # 3.1 GB at n = 34; both are decided before any stack exists
+    # two stacks of 8 x C(n/2 + 2, 3) x (n/2)^3 doubles on the rows of the
+    # axis permutations' orbits, the symmetric blocks and an (n/2)^3-square
+    # scratch: 0.65 GB at n = 32, 0.93 GB at n = 34 (3.1 GB of full stacks
+    # before), 2.4 GB at n = 40; all are decided before any stack exists
     spec = builtin_model(n, 0.0, 0.0)
     if fits:
         assert traced_peak(lambda: _BSWorkspace(spec)) < 2 ** 22
@@ -185,32 +187,46 @@ def test_workspace_limit_on_three_axes(n, fits):
 
 
 def test_count_with_hs_stays_in_the_workspace(spec16_critical):
-    """The HS diagnostics read the sector blocks of the one pass instead of
+    """The HS diagnostics read the sector rows of the one pass instead of
     building a model kernel stack beside it, and build each model block on the
     kernel's support only: a count sweep with HS stays within the checked
-    two-stack bytes plus small temporaries (1.01x)."""
-    nbytes = _BSWorkspace(spec16_critical).nbytes
-    assert nbytes == 2 * 8 * 512 ** 2 * 8
+    bytes plus small temporaries (1.05x).  The checked bytes are two stacks
+    of 8 flips x 120 rows (the orbits of the axis permutations) x 512
+    representatives, the resolvent slab, the symmetric blocks of the four
+    orbit slots (120, 288, 288 and 120 orbits of their little groups) and a
+    512^2 scratch."""
+    ws = _BSWorkspace(spec16_critical)
+    assert len(ws.rows) == 120
+    nbytes = ws.nbytes
+    assert nbytes == 8 * (2 * 8 * 120 * 512 + 8 * 8192
+                          + 2 * (120 ** 2 + 288 ** 2) + 512 ** 2)
     peak = traced_peak(lambda: count_report(spec16_critical, [1e-1, 1e-4], with_hs=True))
     assert peak <= 1.05 * nbytes
 
 
 def test_count_with_hs_reads_its_norms(spec16_critical, monkeypatch):
-    """With HS on, the count takes each sector block's squared norm from the
-    HS row sums (the same einsum, so the same bits) instead of a second pass
-    over the block: _squared_norm never sees an M x M block, and the counts
-    are those of the sweep without HS, which does."""
+    """The count and the HS diagnostics read one table of sector row norms
+    per row (_row_norms, each row summed as _squared_norm sums it), with HS
+    on or off: _squared_norm never sees an M x M sector block or the rows D
+    of one, only the smaller symmetric blocks, and the counts are the same
+    with HS on and off."""
     M = spec16_critical.grid.n ** 3 // 8
+    rows = len(_BSWorkspace(spec16_critical).rows)
     squared_norm, shapes = threebody._squared_norm, []
+    row_norms, tables = threebody._row_norms, []
     monkeypatch.setattr(threebody, "_squared_norm",
                         lambda X: shapes.append(X.shape) or squared_norm(X))
+    monkeypatch.setattr(threebody, "_row_norms",
+                        lambda ws, Y: tables.append(Y.shape) or row_norms(ws, Y))
     s_vals = [1e-1, 1e-3, 1e-6]
-    with_hs = count_report(spec16_critical, s_vals, with_hs=True)
-    assert shapes and (M, M) not in shapes
-    shapes.clear()
-    without = count_report(spec16_critical, s_vals, with_hs=False)
-    assert (M, M) in shapes
-    assert np.array_equal(with_hs.counts, without.counts)
+    counts = []
+    for with_hs in (True, False):
+        counts.append(count_report(spec16_critical, s_vals, with_hs=with_hs).counts)
+        assert tables == [(8, rows, M)] * len(s_vals)
+        assert shapes and not {(M, M), (rows, M)} & set(shapes)
+        shapes.clear()
+        tables.clear()
+    assert np.array_equal(*counts)
 
 
 def test_essential_bisection_stays_in_the_workspace(spec16_critical):
@@ -341,8 +357,11 @@ def test_workspace_pair_stack_is_the_evaluator(case):
     assert np.array_equal(ws.r, nodes[np.all(nodes[:, list(ws.axes)] > 0.0, axis=1)])
     U = ws._arrays()[0]
     assert len(U) == 2 ** len(ws.axes)
+    # swapping q1 and q2 keeps sin(q1+q2) and A = (2,): 21 x 3 of the 108 rows
+    assert len(ws.rows) == {"axis-weights": len(ws.r), "sin-q1+q2": 63,
+                            "tabulated": len(ws.r)}[case]
     for k, lists in ws.flipped():
-        t = product_nodes(lists)
+        t = product_nodes(lists)[ws.rows]
         assert np.array_equal(U[k], spec.pair(t[:, None, :], ws.r[None, :, :]))
     for a in range(3):
         image = np.abs(nodes[:, a]) if a in ws.axes else nodes[:, a]
@@ -402,6 +421,28 @@ def test_no_axis_parity_takes_full_block():
         assert counts == direct_count_below(model, zs)
     assert counts == [0, 1, 8]
 
+
+
+@pytest.mark.parametrize("case", ["three-axes", "no-axis-parity"])
+def test_direct_oracle_sectors_equal_full_solve(case):
+    """The direct oracle's sector blocks, built from diag(u) and the two rank
+    terms for the flips it reads off the Hamiltonian, hold the spectrum of
+    the full n^6 eigensolve: all eight flips on sin-0-1, only the full
+    negation (and the identity) when neither form factor has an axis
+    parity, and the same counts below every z."""
+    kwargs, flips = {"three-axes": (SECTOR_MODELS["sin-0-1"][0], 8),
+                     "no-axis-parity": (dict(phi1=SIN_Q1_PLUS_Q2, phi2=SIN_Q2_PLUS_Q3),
+                                        [(), (0, 1, 2)])}[case]
+    spec = builtin_model(4, 0.0, 0.0, **kwargs)
+    spec = spec.with_params(mu1=coupling_threshold(spec, 1), mu2=coupling_threshold(spec, 2))
+    found = hamiltonian_flips(spec)
+    assert (len(found) if isinstance(flips, int) else found) == flips
+    full = np.linalg.eigvalsh(assemble_direct_hamiltonian(spec))
+    sectors = np.sort(np.concatenate([np.linalg.eigvalsh(b)
+                                      for b in sector_hamiltonians(spec, found)]))
+    assert np.max(np.abs(sectors - full)) <= 1e-10 * np.max(np.abs(full))
+    zs = [spec.m - s for s in (1.0, 1e-2, 1e-6)] + list(full[[0, 5, 100]] + 1e-6)
+    assert direct_count_below(spec, zs) == [int(np.sum(full < z)) for z in zs]
 
 # the flip-label orbits of the axis permutations each model admits, as
 # (smallest label, size); axis 0 is the top flip bit
@@ -679,9 +720,10 @@ def test_hs_diagnostics_match_dense_block(case, n):
             ref = np.linalg.norm(bs.block12 - model_kernel_block(spec, hess, s, delta))
             assert hs == pytest.approx(bs.hs_norm(), rel=1e-12)
             assert diff == pytest.approx(np.sqrt(2.0) * ref, rel=1e-12)
-    # the workspace holds the model's sector stacks only, never a full block
-    blocks = (2 ** len(axes),) + (spec.grid.size >> len(axes),) * 2
+    # the workspace holds the model's sector rows on D only, never a full block
+    blocks = (2 ** len(axes), len(ws.rows), spec.grid.size >> len(axes))
     assert [a.shape for a in ws._arrays()] == [blocks, blocks]
+    assert (len(ws.rows) < blocks[2]) == (len(ws.group) > 1)
 
 
 @pytest.mark.parametrize("case", ["sin-1-1", "cos-2-sin-3", "sin-q1+q2", "no-parity"])
@@ -814,3 +856,140 @@ def test_count_report_columns_and_trust(spec16_critical, monkeypatch):
         assert (hs, hsd) == hs_diagnostics(spec16_critical, z, 1.0, hess, ws)
     text = rep.to_csv()
     assert text.splitlines()[0] == "m_minus_z,count,det_min,hs_norm,hs_diff,trusted"
+
+
+# Counts of the parent commit aea4499 (the stored orbit-block path, every M x
+# M sector block formed) on rows m - z = 10^-k, k = 0..8, and its HS values
+# (hs_norm, hs_diff) at n = 12 for (m - z, delta) = (1e-4, 1), (1e-4, 3) and
+# (1e-1, 3).  The rows D path must reproduce them: the counts exactly, the HS
+# values within 1e-12 relative.
+PARENT_COUNTS = {
+    "resonance_strong": [1, 2, 9, 9, 9, 9, 9, 9, 9],
+    "builtin_critical": [0, 1, 1, 1, 1, 1, 1, 1, 1],
+    "eigenvalue_case": [0, 1, 1, 1, 1, 1, 1, 1, 1],
+    "weights-1-1-2": [0, 1, 1, 1, 1, 1, 1, 1, 1],
+}
+PARENT_HS_N12 = {
+    "resonance_strong": [(15.28101981790227, 12.990133081474914),
+                         (15.28101981790227, 12.526094638293538),
+                         (5.75486012266476, 3.8336344127000936)],
+    "builtin_critical": [(2.2621120709871807, 1.9505228536864214),
+                         (2.2621120709871807, 1.4364558030217485),
+                         (1.8962085895263348, 1.2988915308487765)],
+    "eigenvalue_case": [(2.347177999383508, 2.471221366053512),
+                        (2.347177999383508, 2.6069293903581614),
+                        (2.074654866018019, 2.269947229056276)],
+    "weights-1-1-2": [(2.254770551605012, 1.9817093883137062),
+                      (2.254770551605012, 1.4375045803754218),
+                      (1.9447944347040047, 1.3146199312936433)],
+}
+
+
+def _evidence_model(case, n):
+    if case == "weights-1-1-2":
+        spec = builtin_model(n, 0.0, 0.0, axis_weights=(1.0, 1.0, 2.0))
+        return spec.with_params(mu1=coupling_threshold(spec, 1),
+                                mu2=coupling_threshold(spec, 2))
+    return load_model(str(MODELS / f"{case}.json"), n).spec
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("case", sorted(PARENT_COUNTS))
+def test_fundamental_rows_reproduce_parent(case, n):
+    """The count from the rows D (one per orbit of the axis permutations) and
+    the little-group symmetric blocks equals the parent's stored path on
+    every row k = 0..8, with the group of order 6 (resonance_strong,
+    builtin_critical), 2 (eigenvalue_case, c1 != c2; axis weights (1, 1, 2),
+    S2 on two axes); at n = 12 the HS values agree to 1e-12."""
+    spec = _evidence_model(case, n)
+    ws = _BSWorkspace(spec)
+    assert len(ws.group) == (6 if case in ("resonance_strong", "builtin_critical") else 2)
+    assert len(ws.rows) < len(ws.r)
+    counts = [count_eigenvalues_below(spec, spec.m - 10.0 ** -k, ws) for k in range(9)]
+    assert counts == PARENT_COUNTS[case]
+    if n == 12:
+        hess = hessian_at_minimum(spec)
+        points = [(1e-4, 1.0), (1e-4, 3.0), (1e-1, 3.0)]
+        for (s, delta), ref in zip(points, PARENT_HS_N12[case]):
+            got = hs_diagnostics(spec, spec.m - s, delta, hess, ws)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_fundamental_rows_reproduce_parent_n24():
+    """resonance_strong at n = 24, 364 rows D of 1728: the parent's counts
+    at m - z = 1, 1e-2 and 1e-8."""
+    spec = _evidence_model("resonance_strong", 24)
+    ws = _BSWorkspace(spec)
+    assert (len(ws.rows), len(ws.r)) == (364, 1728)
+    counts = [count_eigenvalues_below(spec, spec.m - s, ws) for s in (1.0, 1e-2, 1e-8)]
+    assert counts == [1, 5, 9]
+
+
+def _irrep_projectors(ws, psi):
+    """(dimension, projector) per irrep of the little group of psi, acting on
+    the representatives by ws.perms: trivial and sign for a group of order
+    2, also the two-dimensional standard irrep (character: fixed axes - 1)
+    for S3."""
+    little = [g for g in range(len(ws.group)) if ws.labels[g, psi] == psi]
+    M = len(ws.r)
+    mats = []
+    for g in little:
+        P = np.zeros((M, M))
+        P[ws.perms[g], np.arange(M)] = 1.0
+        mats.append(P)
+    perms = [ws.group[g] for g in little]
+    sign = [np.linalg.det(np.eye(3)[list(s)]) for s in perms]
+    irreps = [(1, [1.0] * len(perms)), (1, sign)][:min(len(perms), 2)]
+    if len(perms) == 6:
+        irreps.append((2, [sum(s[a] == a for a in range(3)) - 1.0 for s in perms]))
+    return [(d, d / len(perms) * sum(c * P for c, P in zip(chi, mats))) for d, chi in irreps]
+
+
+@pytest.mark.parametrize("case", ["resonance_strong", "eigenvalue_case", "overcoupled"])
+def test_irrep_counts_sum_to_the_count(case):
+    """The sector blocks split by the irreps of their little groups: the
+    counts of B_psi on each isotypic subspace (each singular value there
+    taken dim times) times the orbit sizes sum to N(z).  On the shipped
+    models every count lies in the symmetric irreps, which the symmetric
+    blocks count, and the other irreps are certified empty.
+
+    "overcoupled" is built to need the fallback: cross weight 15 with both
+    couplings at 0.999 / max_p Lambda(p, m - 1e-8), so the determinants
+    nearly vanish at the threshold and every sector block is large (the
+    000 block's Frobenius norm is about 130 at m - z = 1e-6); its rest norm
+    exceeds 1 on the trivial orbit, whose whole block is then formed from
+    the rows D and counted.  Its counts are the parent's."""
+    if case == "overcoupled":
+        spec = builtin_model(12, 0.0, 0.0, cross_weight=15.0)
+        lam = max(lambda_on_grid(spec, a, spec.m - 1e-8).max() for a in (1, 2))
+        spec = spec.with_params(mu1=0.999 / lam, mu2=0.999 / lam)
+    else:
+        spec = _evidence_model(case, 12)
+    ws = _BSWorkspace(spec)
+    projectors = {psi: _irrep_projectors(ws, psi) for psi in ws.orbit_slots}
+    counts, fallbacks = [], 0
+    for s in (1.0, 1e-2, 1e-6):
+        z = spec.m - s
+        stack = ws.sector_blocks(z, ws.orbit_slots)[0]
+        total = symmetric = 0
+        top = max(np.linalg.norm(b, 2) for b in stack)
+        for (psi, mult), block in zip(ws.orbits, stack):
+            for i, (dim, P) in enumerate(projectors[psi]):
+                sv = np.linalg.svd(block @ P, compute_uv=False)
+                above = int(np.sum(sv > 1.0 + TIE_RTOL * top))
+                assert above % dim == 0
+                total += mult * above
+                symmetric += mult * above * (i == 0)
+        count = count_eigenvalues_below(spec, z, ws)
+        assert total == count
+        counts.append(count)
+        Y = ws._sector_rows(z)[0]
+        full2 = threebody._row_norms(ws, Y)[1]
+        norms = [sum(full2[k] for k in m) / len(m) for m in ws.orbit_members]
+        blocks, fro2 = ws._count_blocks(Y, norms)
+        fallbacks += sum(np.shares_memory(b, ws._scratch) for b in blocks)
+        if case != "overcoupled":
+            assert symmetric == count
+    assert fallbacks > 0 if case == "overcoupled" else fallbacks == 0
+    assert counts == {"resonance_strong": [1, 9, 9], "eigenvalue_case": [0, 1, 1],
+                      "overcoupled": [1, 9, 9]}[case]
