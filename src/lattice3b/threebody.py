@@ -392,8 +392,8 @@ def _character_sums(U: np.ndarray, S: np.ndarray, z: float, slots,
 
     One column slab of the flattened stacks at a time: the resolvents of
     every flip go to one buffer of 2^|A| x _SLAB doubles (`buf`, when given,
-    of at least 2^|A| x min(_SLAB, columns)), and those rows of
-    the character matrix times it go straight to S.  A slot's bits must not
+    of at least 2^|A| x min(_SLAB, columns)), and those rows of the
+    character matrix times it go straight to S.  A slot's bits must not
     depend on which other slots are formed.  A row of a BLAS product of at
     least two rows and two columns is the same dot product over k whatever
     the other rows, but a one-row or one-column product takes the
@@ -748,10 +748,10 @@ def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, rows2: np.ndarray, full2: list,
                                        + ||K_{psi ^ c2}[I, I] - B_psi[I, I]^T||^2,
     exact for any superset of the support, with the K_k built on I in one
     call.  The rows of I are read off the rows D (_twisted_rows), and the
-    rows outside I come from rows2: summed over the labels, the rows t of
-    the orbit of d outside I give their number times rows2[psi, d], so the model
-    kernel need not be invariant under the axis permutations.  Else T and
-    the model sit in disjoint sector pairs and the distance is ||T||^2 +
+    rows outside I come from rows2: summed over the labels, the rows of the
+    orbit of d outside I give their number times rows2[psi, d], so the
+    model kernel need not be invariant under the axis permutations.  Else T
+    and the model sit in disjoint sector pairs and the distance is ||T||^2 +
     ||K||^2, ||K||^2 = 2^|A| sum_k ||K_k||^2."""
     n, (c1, c2) = 2 ** len(ws.axes), ws.chi
     F = ws.flipped_nodes

@@ -137,10 +137,11 @@ def hamiltonian_flips(spec) -> list:
     return found
 
 
-def sector_hamiltonians(spec, flips) -> list:
+def sector_hamiltonians(spec, flips):
     """The blocks of the direct Hamiltonian on the sectors of the characters
-    psi of the flip group `flips` (hamiltonian_flips), dense, each built from
-    diag(u) and the two rank terms, never from the n^6 matrix.
+    psi of the flip group `flips` (hamiltonian_flips), dense, one at a time,
+    each built from diag(u) and the two rank terms, never from the n^6
+    matrix; sized as three blocks (the base, a block and a np.kron term).
 
     The group acts freely on the node pairs (the shifted grid has no zero
     coordinate), so a sector's rows are the pairs (t, q) with t the smallest
@@ -159,13 +160,11 @@ def sector_hamiltonians(spec, flips) -> list:
     # the characters of the group: psi_m(k) = (-1)^|m & k|, one per class of m
     chars = {tuple((-1) ** len(set(m) & set(k)) for k in flips): None
              for m in (ax for r in range(4) for ax in combinations(range(3), r))}
-    blocks = []
     for psi in chars:
         H = base.copy()
         for sign, k in zip(psi, flips):
             H -= sign * spec.mu1 * np.kron(w * np.outer(f1[T], f1[P[k][T]]), np.eye(N)[P[k]])
-        blocks.append(H)
-    return blocks
+        yield H
 
 
 def sandwich_blocks(spec, z: float) -> dict:
