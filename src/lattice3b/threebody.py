@@ -117,9 +117,11 @@ class _BSWorkspace:
         self.orbit_slots = [k for k, _ in self.orbits]
         self._orbit_tables()
         M, rows, labels = len(self.r), len(self.rows), 2 ** len(self.axes)
-        count = (sum(plan[0] ** 2 for plan in self._plans) + max(M * M, 2 * rows * M)
-                 if self._plans else 0)
-        self.nbytes = 8 * (2 * labels * rows * M + labels * min(_SLAB, rows * M) + count)
+        # the count's symmetric blocks and scratch (_count_blocks)
+        self._count_sizes = ((sum(plan[0] ** 2 for plan in self._plans),
+                              max(M * M, 2 * rows * M)) if self._plans else ())
+        self.nbytes = 8 * (2 * labels * rows * M + labels * min(_SLAB, rows * M)
+                           + sum(self._count_sizes))
         require_memory(self.nbytes, f"count workspace on the {n}^3 grid")
         half = tuple(slice(n // 2, None) if a in self.axes else slice(None) for a in range(3))
         self.f1, self.f2 = (v[half].ravel() for v in phi)
@@ -204,8 +206,7 @@ class _BSWorkspace:
             self._slab = np.empty((len(U), min(_SLAB, rows * M)))
             self._u_min = float(U.min())
             if self._plans:
-                self._sym = np.empty(sum(plan[0] ** 2 for plan in self._plans))
-                self._scratch = np.empty(max(M * M, 2 * rows * M))
+                self._sym, self._scratch = (np.empty(size) for size in self._count_sizes)
         return self._stacks
 
     def _character_sums(self, z: float, slots) -> np.ndarray:
@@ -759,9 +760,7 @@ def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, rows2: np.ndarray, full2: list,
     K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta,
                            rows=F[:, I].reshape(-1, 3), cols=ws.r[I])
     K = K.reshape(n, -1)        # row k: K_k on I x I
-    hs2 = diff2 = 0.0
-    for f2 in full2:
-        hs2 += f2
+    hs2, diff2 = sum(full2), 0.0
     if c1 == c2:
         K = _characters(n)[[psi ^ c2 for psi in range(n)]] @ K
         t = np.flatnonzero(I)

@@ -422,7 +422,6 @@ def test_no_axis_parity_takes_full_block():
     assert counts == [0, 1, 8]
 
 
-
 @pytest.mark.parametrize("case", ["three-axes", "no-axis-parity"])
 def test_direct_oracle_sectors_equal_full_solve(case):
     """The direct oracle's sector blocks, built from diag(u) and the two rank
@@ -443,6 +442,7 @@ def test_direct_oracle_sectors_equal_full_solve(case):
     assert np.max(np.abs(sectors - full)) <= 1e-10 * np.max(np.abs(full))
     zs = [spec.m - s for s in (1.0, 1e-2, 1e-6)] + list(full[[0, 5, 100]] + 1e-6)
     assert direct_count_below(spec, zs) == [int(np.sum(full < z)) for z in zs]
+
 
 # the flip-label orbits of the axis permutations each model admits, as
 # (smallest label, size); axis 0 is the top flip bit
@@ -945,7 +945,17 @@ def _irrep_projectors(ws, psi):
     return [(d, d / len(perms) * sum(c * P for c, P in zip(chi, mats))) for d, chi in irreps]
 
 
-@pytest.mark.parametrize("case", ["resonance_strong", "eigenvalue_case", "overcoupled"])
+def _edge_peaked(q):
+    """Sum over a of (1 - cos q_a) prod_{b != a} (1 + cos q_b): even on every
+    axis and invariant under the axis permutations, zero at the origin and
+    largest, 2, on the three points of the orbit of (pi, 0, 0)."""
+    c = np.cos(q)
+    return sum((1 - c[..., a]) * (1 + c[..., (a + 1) % 3]) * (1 + c[..., (a + 2) % 3])
+               for a in range(3))
+
+
+@pytest.mark.parametrize("case", ["resonance_strong", "eigenvalue_case", "overcoupled",
+                                  "edge-peaked"])
 def test_irrep_counts_sum_to_the_count(case):
     """The sector blocks split by the irreps of their little groups: the
     counts of B_psi on each isotypic subspace (each singular value there
@@ -958,9 +968,20 @@ def test_irrep_counts_sum_to_the_count(case):
     nearly vanish at the threshold and every sector block is large (the
     000 block's Frobenius norm is about 130 at m - z = 1e-6); its rest norm
     exceeds 1 on the trivial orbit, whose whole block is then formed from
-    the rows D and counted.  Its counts are the parent's."""
-    if case == "overcoupled":
-        spec = builtin_model(12, 0.0, 0.0, cross_weight=15.0)
+    the rows D and counted.  Its counts are the parent's.
+
+    "edge-peaked" puts levels outside the symmetric irreps: both form factors
+    are _edge_peaked, cross weight 6, couplings at 0.999 / max Lambda as
+    above.  Lambda then peaks on a three-point orbit, so the 000 block binds
+    a level in the two-dimensional irrep of S3 as well as in the symmetric
+    one; its rest exceeds 1, and only the fallback's whole block counts
+    that level.  Its counts are the parent's and those of the dense T(z)
+    (count_above of assemble_bs_matrix)."""
+    if case in ("overcoupled", "edge-peaked"):
+        spec = (builtin_model(12, 0.0, 0.0, cross_weight=15.0) if case == "overcoupled" else
+                builtin_model(12, 0.0, 0.0, cross_weight=6.0,
+                              phi1=form_factor(1, "even", _edge_peaked),
+                              phi2=form_factor(2, "even", _edge_peaked)))
         lam = max(lambda_on_grid(spec, a, spec.m - 1e-8).max() for a in (1, 2))
         spec = spec.with_params(mu1=0.999 / lam, mu2=0.999 / lam)
     else:
@@ -988,8 +1009,10 @@ def test_irrep_counts_sum_to_the_count(case):
         norms = [sum(full2[k] for k in m) / len(m) for m in ws.orbit_members]
         blocks, fro2 = ws._count_blocks(Y, norms)
         fallbacks += sum(np.shares_memory(b, ws._scratch) for b in blocks)
-        if case != "overcoupled":
+        if case in ("resonance_strong", "eigenvalue_case"):
             assert symmetric == count
-    assert fallbacks > 0 if case == "overcoupled" else fallbacks == 0
+        elif case == "edge-peaked" and s < 1.0:
+            assert symmetric < count
+    assert fallbacks > 0 if case in ("overcoupled", "edge-peaked") else fallbacks == 0
     assert counts == {"resonance_strong": [1, 9, 9], "eigenvalue_case": [0, 1, 1],
-                      "overcoupled": [1, 9, 9]}[case]
+                      "overcoupled": [1, 9, 9], "edge-peaked": [1, 7, 7]}[case]
