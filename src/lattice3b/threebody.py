@@ -34,13 +34,14 @@ reads them, weighted by the orbit sizes.  Lambda_alpha(p, z) and
 Delta_alpha(p, z) are invariant under the flips and G, so they come from the
 trivial sum R_0 on the rows D; the determinants, `lambda_on_grid` and
 `validate`'s Lambda maximum spread them to all nodes.  The HS diagnostics
-read the squared norms of the rows and the rows on the threshold model
-kernel's support.  The count reads one block per orbit of the flip labels,
-weighted by its size: the block of the symmetric irrep of its little group,
-whose other irreps a Frobenius bound certifies empty (else the whole block,
-formed from the rows D).  The essential-spectrum bisection runs on the rows
-D of a column-cut stack.  With a trivial G, D is every representative and
-the count reads the sector blocks themselves.
+read the squared norms of the rows and, by Parseval, one gather of the
+sector-block entries on the threshold model kernel's support.  The count
+reads one block per orbit of the flip labels, weighted by its size: the
+block of the symmetric irrep of its little group, whose other irreps a
+Frobenius bound certifies empty (else the whole block, formed from the rows
+D).  The essential-spectrum bisection runs on the rows D of a column-cut
+stack.  With a trivial G, D is every representative and the count reads the
+sector blocks themselves.
 
 One kernel counts each block (`_leading_singular_values`): a Frobenius skip,
 then a block Rayleigh-Ritz count certified by the Weyl bound, then the dense
@@ -570,17 +571,16 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
         raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     Y = ws._sector_rows(z)[0]
-    return _count_orbits(ws, Y, _row_norms(ws, Y)[1])
+    return _count_orbits(ws, Y, _row_norms(ws, Y))
 
 
-def _row_norms(ws: _BSWorkspace, Y: np.ndarray) -> tuple[np.ndarray, list]:
-    """(rows2, full2): rows2[psi, d] = ||B_psi[d, :]||^2 on the rows D of the
-    sector rows Y, each summed as _squared_norm sums a row, and full2[psi] =
-    sum_d |G d| rows2[psi, d].  Row t = s d of B_psi is a permuted row d of
-    B_{s^-1 psi}, so over the labels of an orbit these sums are the squared
-    norms of its sector blocks, and over all labels ||T12||_F^2."""
-    rows2 = np.einsum("kij,kij->ki", Y, Y)
-    return rows2, [float((r * ws.sizes).sum()) for r in rows2]
+def _row_norms(ws: _BSWorkspace, Y: np.ndarray) -> list:
+    """full2[psi] = sum_d |G d| ||B_psi[d, :]||^2 over the rows D of the
+    sector rows Y, each row summed as _squared_norm sums it.  Row t = s d of
+    B_psi is a permuted row d of B_{s^-1 psi}, so over the labels of an orbit
+    these sums are the squared norms of its sector blocks, and over all
+    labels ||T12||_F^2."""
+    return [float((r * ws.sizes).sum()) for r in np.einsum("kij,kij->ki", Y, Y)]
 
 
 def _count_orbits(ws: _BSWorkspace, Y: np.ndarray, full2: list) -> int:
@@ -675,7 +675,7 @@ def _kernel_support(points: np.ndarray, hess: HessianData,
                     delta: float) -> tuple[np.ndarray, np.ndarray]:
     """((x, U x), chi) at the points x: chi marks the support of the threshold
     model kernel, (x, U x) < delta^2."""
-    quad = np.einsum("ij,jk,ik->i", points, hess.U, points)
+    quad = ((points @ hess.U) * points).sum(axis=1)
     return quad, quad < delta * delta
 
 
@@ -728,51 +728,49 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     Y = ws._sector_rows(z)[0]
-    return _hs_of_rows(ws, Y, *_row_norms(ws, Y), z, delta, hess)
+    return _hs_of_rows(ws, Y, _row_norms(ws, Y), z, delta, hess)
 
 
-def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, rows2: np.ndarray, full2: list,
-                z: float, delta: float, hess: HessianData) -> tuple[float, float]:
+def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, full2: list, z: float, delta: float,
+                hess: HessianData) -> tuple[float, float]:
     """hs_diagnostics from the sector rows Y on D, which it leaves unchanged,
-    and their norms (_row_norms).
+    and the squared norms full2 of their sector blocks (_row_norms).
 
     The sector blocks are the blocks of T12 in an orthonormal basis, so
-    ||T||_HS^2 = 2 sum_psi ||B_psi||^2 = 2 sum_psi full2[psi].  U is diagonal
-    on every model with flip axes (the builtin separable ones: off-diagonal
-    Hessian entries exactly 0.0), so the model kernel is flip invariant and
-    its sector blocks are the character sums K_psi = sum_k psi(k) K_k of its
-    flipped blocks K_k, indexed (p, t).  With c1 == c2, T's block psi chi_2
-    meets the model's psi, so by Parseval the squared distance is the sum
-    over the labels psi of ||K_{psi ^ c2} - B_psi^T||^2.  Every K_k vanishes
-    off the rows and columns I of the union of the flipped supports, so
-        ||K_{psi ^ c2} - B_psi^T||^2 = ||B_psi off I x I||^2
-                                       + ||K_{psi ^ c2}[I, I] - B_psi[I, I]^T||^2,
-    exact for any superset of the support, with the K_k built on I in one
-    call.  The rows of I are read off the rows D (_twisted_rows), and the
-    rows outside I come from rows2: summed over the labels, the rows of the
-    orbit of d outside I give their number times rows2[psi, d], so the
-    model kernel need not be invariant under the axis permutations.  Else T
-    and the model sit in disjoint sector pairs and the distance is ||T||^2 +
-    ||K||^2, ||K||^2 = 2^|A| sum_k ||K_k||^2."""
+    ||T||_HS^2 = 2 hs^2, hs^2 = sum_psi full2[psi].  U is diagonal on every
+    model with flip axes (off-diagonal Hessian entries exactly 0.0), so the
+    model's sector blocks are the character sums K_psi = sum_k psi(k) K_k of
+    its flipped blocks K_k, indexed (p, t), which vanish off the rows and
+    columns I of the union of the flipped supports and are built on I in one
+    call.  With c1 == c2, T's block psi chi_2 meets the model's psi, so by
+    Parseval
+        diff^2 = hs^2 - sum_psi ||B_psi[I, I]||^2
+                 + sum_psi ||K_{psi ^ c2}[I, I] - B_psi[I, I]^T||^2,
+    exact for any superset of the support; the off-support term is a sum of
+    squares, clamped at 0.  One gather reads the 2^|A| |I|^2 support entries
+    off the rows D, B_psi[t, t'] = Y[h psi][d, h t'] with h t = d, so the
+    model kernel need not be invariant under the axis permutations.
+    Rounding, u the unit roundoff: hs^2 and the support sum, both at most
+    hs^2, are within (M + |D| + 2^|A|) u and (2^|A| + 1) |I| u of their values
+    (_squared_norm, M representatives), a relative error of about
+    (M + 2^|A|) u hs^2 / diff^2 on diff^2 when I is small.  Else T and the
+    model sit in disjoint sector pairs: diff^2 = hs^2 + 2^|A| sum_k ||K_k||^2."""
     n, (c1, c2) = 2 ** len(ws.axes), ws.chi
     F = ws.flipped_nodes
     I = _kernel_support(F.reshape(-1, 3), hess, delta)[1].reshape(n, -1).any(axis=0)
-    K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta,
-                           rows=F[:, I].reshape(-1, 3), cols=ws.r[I])
-    K = K.reshape(n, -1)        # row k: K_k on I x I
-    hs2, diff2 = sum(full2), 0.0
+    K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta,     # row k: K_k on I x I
+                           rows=F[:, I].reshape(-1, 3), cols=ws.r[I]).reshape(n, -1)
+    hs2 = sum(full2)
     if c1 == c2:
-        K = _characters(n)[[psi ^ c2 for psi in range(n)]] @ K
         t = np.flatnonzero(I)
-        outside = ws.sizes - np.bincount(ws.orbit_of[t], minlength=len(ws.rows))
-        keep = outside > 0
-        for psi in range(n):
-            BI = ws._twisted_rows(Y, psi, t)        # the rows of the support
-            D = K[psi].reshape(len(t), len(t))
-            D -= BI[:, I].T
-            BI[:, I] = 0.0
-            diff2 += (float((rows2[psi][keep] * outside[keep]).sum())
-                      + _squared_norm(BI) + _squared_norm(D))
+        h, m = ws._h[t], len(t)
+        K = (_characters(n)[[psi ^ c2 for psi in range(n)]] @ K).reshape(n, m, m)
+        # B[psi, i, j] = B_psi[t_i, t_j], C-ordered like its indices: no copies
+        B = Y[np.ascontiguousarray(ws.labels[h].T)[:, :, None], ws.orbit_of[t][:, None],
+              ws.perms[h[:, None], t]]
+        K -= B.transpose(0, 2, 1)
+        inside = _squared_norm(B.reshape(n * m, m))
+        diff2 = max(hs2 - inside, 0.0) + _squared_norm(K.reshape(n * m, m))
     else:
         diff2 = hs2 + n * _squared_norm(K)
     return float(np.sqrt(2.0 * hs2)), float(np.sqrt(2.0 * diff2))
@@ -807,9 +805,9 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         # its minimum on the rows D is its minimum over all nodes
         Y, d1, d2 = ws._sector_rows(z)
         detmin[i] = min(float(d1.min()), float(d2.min()))
-        rows2, full2 = _row_norms(ws, Y)
+        full2 = _row_norms(ws, Y)
         if with_hs:
-            hs[i], hsd[i] = _hs_of_rows(ws, Y, rows2, full2, z, delta, hess)
+            hs[i], hsd[i] = _hs_of_rows(ws, Y, full2, z, delta, hess)
         counts[i] = _count_orbits(ws, Y, full2)
         if i and counts[i] < counts[i - 1]:
             raise HypothesisViolationError(

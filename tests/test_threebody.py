@@ -783,6 +783,115 @@ def test_hs_diagnostics_with_a_hessian_the_axis_permutations_move():
             assert diff == pytest.approx(np.sqrt(2.0) * ref, rel=1e-12)
 
 
+def _support_size(ws, hess, delta):
+    """|I|: the representatives on the union of the flipped kernel supports."""
+    flipped = ws.flipped_nodes
+    inside = threebody._kernel_support(flipped.reshape(-1, 3), hess, delta)[1]
+    return int(inside.reshape(len(flipped), -1).any(axis=0).sum())
+
+
+@pytest.mark.parametrize("n", [6, 8, 12, 14, 16, 24])
+def test_kernel_support_is_the_einsum_quad_form(n):
+    """The quad form (x, U x) of the kernel support, one matrix product and a
+    row sum, equals the three-operand einsum bit for bit on every grid node,
+    for the Hessians of the shipped and the HS test models and a caller's
+    U = diag(1/2, 1, 2), so the support masks are the einsum's too."""
+    specs = [load_model(str(MODELS / f"{name}.json"), n).spec
+             for name in ("resonance_strong", "builtin_critical", "eigenvalue_case")]
+    specs += [builtin_model(n, 0.0, 0.0, **HS_MODELS[case][0])
+              for case in ("sin-1-1", "weights-cross-6", "sin-q1+q2", "no-parity")]
+    x, base = specs[0].grid.nodes, hessian_at_minimum(specs[0])
+    for U in [hessian_at_minimum(spec).U for spec in specs] + [np.diag([0.5, 1.0, 2.0])]:
+        hess = dataclasses.replace(base, U=U)
+        ref = np.einsum("ij,jk,ik->i", x, U, x)
+        assert np.array_equal(threebody._kernel_support(x, hess, 1.0)[0], ref)
+        for delta in (0.5, 1.0, 3.0):
+            assert np.array_equal(threebody._kernel_support(x, hess, delta)[1],
+                                  ref < delta * delta)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("edge", ["every node", "empty", "moved U"])
+def test_hs_distance_edges_match_dense_block(edge, n):
+    """The Parseval form of the HS distance (c1 == c2) equals the dense
+    computation at its edges, on the const model (c2 = 0) and sin-1-1 (c2 =
+    4): a cutoff whose support I holds every representative, so the
+    off-support mass is 0 and its clamp at 0 takes the rounding of either
+    sign; an empty support, where the distance is the norm itself; and a
+    caller's U = diag(1/2, 1, 2), which the axis permutations move."""
+    for case in ("const", "sin-1-1"):
+        kwargs, _, chi = HS_MODELS[case]
+        spec = builtin_model(n, 0.0, 0.0, **kwargs)
+        spec = spec.with_params(mu1=coupling_threshold(spec, 1),
+                                mu2=coupling_threshold(spec, 2))
+        hess = hessian_at_minimum(spec)
+        if edge == "moved U":
+            hess = dataclasses.replace(hess, U=np.diag([0.5, 1.0, 2.0]))
+        ws = _BSWorkspace(spec)
+        assert ws.chi == chi and chi[0] == chi[1]
+        for delta in {"every node": [1e3], "empty": [1e-9], "moved U": [1.0, 3.0]}[edge]:
+            m = _support_size(ws, hess, delta)
+            assert m == {"every node": len(ws.r), "empty": 0}.get(edge, m)
+            assert edge != "moved U" or 0 < m < len(ws.r)
+            for s in (1e-1, 1e-3):
+                bs = assemble_bs_matrix(spec, spec.m - s)
+                hs, diff = hs_diagnostics(spec, spec.m - s, delta, hess, ws)
+                ref = np.linalg.norm(bs.block12 - model_kernel_block(spec, hess, s, delta))
+                assert diff == pytest.approx(np.sqrt(2.0) * ref, rel=1e-12)
+                assert edge != "empty" or diff == hs
+
+
+def test_hs_distance_reads_only_the_support_entries(monkeypatch):
+    """With c1 == c2 and |G| = 6 (builtin_critical at n = 12), the HS distance
+    reads the sector rows by one gather of the 2^|A| |I|^2 support entries
+    B_psi[I, I], never by full twisted rows (_twisted_rows raises here), and
+    still gives the values of PARENT_HS_N12."""
+    spec = _evidence_model("builtin_critical", 12)
+    hess = hessian_at_minimum(spec)
+    ws = _BSWorkspace(spec)
+    assert len(ws.group) == 6 and ws.chi == (0, 0)
+    taken = []
+
+    class Reads(np.ndarray):
+        def __getitem__(self, key):
+            out = np.asarray(super().__getitem__(key))
+            taken.append(out.size)
+            return out
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("the HS distance gathered full twisted rows")
+
+    def read_rows(self, z):
+        Y, d1, d2 = sector_rows(self, z)
+        return Y.view(Reads), d1, d2
+
+    sector_rows = _BSWorkspace._sector_rows
+    monkeypatch.setattr(_BSWorkspace, "_twisted_rows", no_rows)
+    monkeypatch.setattr(_BSWorkspace, "_sector_rows", read_rows)
+    points = [(1e-4, 1.0), (1e-4, 3.0), (1e-1, 3.0)]
+    for (s, delta), ref in zip(points, PARENT_HS_N12["builtin_critical"]):
+        taken.clear()
+        got = hs_diagnostics(spec, spec.m - s, delta, hess, ws)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        m = _support_size(ws, hess, delta)
+        assert 0 < m < len(ws.r)
+        assert taken == [8 * m * m]
+
+
+def test_hs_row_peak_with_a_wide_support(spec16_critical):
+    """One HS row at delta = 3 on n = 16 (232 of 512 representatives in the
+    support) allocates the workspace and, on top, the support's model
+    kernel, the gather of the 2^|A| |I|^2 support entries and small
+    temporaries: at most 3 x 2^|A| |I|^2 x 8 bytes beside nbytes."""
+    hess = hessian_at_minimum(spec16_critical)
+    ws = _BSWorkspace(spec16_critical)
+    m = _support_size(ws, hess, 3.0)
+    assert m == 232
+    z = spec16_critical.m - 1e-2
+    peak = traced_peak(lambda: hs_diagnostics(spec16_critical, z, 3.0, hess))
+    assert peak <= ws.nbytes + 3 * 8 * m * m * 8
+
+
 @pytest.mark.parametrize("case", ["resonance_strong", "eigenvalue_case", "no-parity"])
 def test_hs_diagnostics_match_dense_block_n12(case):
     """At n = 12, the HS norm and the model-kernel distance from the flipped
@@ -1005,7 +1114,7 @@ def test_irrep_counts_sum_to_the_count(case):
         assert total == count
         counts.append(count)
         Y = ws._sector_rows(z)[0]
-        full2 = threebody._row_norms(ws, Y)[1]
+        full2 = threebody._row_norms(ws, Y)
         norms = [sum(full2[k] for k in m) / len(m) for m in ws.orbit_members]
         blocks, fro2 = ws._count_blocks(Y, norms)
         fallbacks += sum(np.shares_memory(b, ws._scratch) for b in blocks)
