@@ -15,13 +15,13 @@ never enter.
 
 n(mu, S_r) is an inertia count at r12 = 0, where each degree's block K is
 symmetric Toeplitz: by Sylvester's law, #{|eig K| > mu} follows from the signs
-of the Levinson-Durbin prediction errors of K -/+ mu I, with no nn x nn matrix.
+of the LDL^T pivots of K -/+ mu I, read by the Schur algorithm in one in-place
+hyperbolic 2 x 2 update of two generators per pivot, with no nn x nn matrix.
 The degree-0 kernel is a positive combination of the positive-definite
 functions 1/(cosh y + c), |c| < 1, so its block is positive semidefinite up
 to a stated rounding bound and, for mu above it, needs the K - mu I pass
-only.  At r12 != 0, and for a degree whose
-smallest pivot falls below PIVOT_RTOL, one dense eigvalsh of the block's
-Hankel form counts it instead.
+only.  At r12 != 0, and for a degree whose smallest pivot falls below
+PIVOT_RTOL, one dense eigvalsh of the block's Hankel form counts it instead.
 
 The mode table folds the symmetric 64-node Gauss-Legendre rule onto its 32
 positive nodes, where even degrees read cosh and odd degrees sinh ratios, and
@@ -38,6 +38,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.linalg import hankel
+from scipy.linalg.blas import drotm
 
 from .errors import (DegenerateCouplingError, InsufficientDataError, ModelDataError,
                      require_memory)
@@ -50,12 +51,16 @@ N_LAMBDA = 20001
 GL_NODES = 64
 NODES_PER_UNIT = 8          # S_r Nystrom nodes per unit length
 SLOPE_MIN_POINTS = 4        # trusted rows asymptotic_slope needs
-# smallest Levinson pivot, relative to |h s_l(0)| + mu, that the inertia count
+# smallest Schur pivot, relative to |h s_l(0)| + mu, that the inertia count
 # of sobolev_finite trusts; below it the degree is counted densely
 PIVOT_RTOL = 1e-8
 # bound on -lambda_min of the computed degree-0 block of S_r at r12 = 0,
 # relative to sum_d |h s_0(d h)| / (1 - |s12|); see _degree0_psd_bound
 PSD_RTOL = 1e-12
+# lag tail of S_r the Schur pass drops, relative to the Gershgorin bound
+# G = |diag| + 2 sum_{d>0} |c_d| >= ||T||_2: a 2-norm change of 2e-20 G, about
+# 1e-4 of the rounding the entries carry, that keeps subnormal tails out
+BAND_RTOL = 1e-20
 # lambdas per slab of the mode table: a slab's three (32, LAMBDA_SLAB)
 # half-node buffers (384 KB) stay in cache, and every slab, the padded last
 # one and a single column included, is one BLAS product shape per parity
@@ -93,10 +98,6 @@ _GLX, _GLW = leggauss(GL_NODES)
 # the rule is exactly symmetric, _GLX[-1 - k] == -_GLX[k] and _GLW[-1 - k] ==
 # _GLW[k]: the mode table reads its positive half
 _GLX_POS, _GLW_POS = _GLX[GL_NODES // 2:], _GLW[GL_NODES // 2:]
-
-
-def _legendre_rows(ell_max: int) -> np.ndarray:
-    return legvander(_GLX, ell_max).T
 
 
 @lru_cache(maxsize=4)
@@ -281,7 +282,7 @@ def sobolev_1d_kernel(params: EfimovParams, ell: int, y: np.ndarray) -> np.ndarr
     S(y, t) = (2 pi)^{-2} u12 / (cosh(y + r12) + s12 t); Gauss-Legendre in t.
     """
     y = np.asarray(y, dtype=float)
-    P = _legendre_rows(ell)[ell] * _GLW
+    P = legvander(_GLX, ell)[:, ell] * _GLW
     # cosh overflows beyond ~710; the kernel is ~1e-300 there, clip instead
     arg = np.minimum(np.abs(y + params.r12), 700.0)
     den = np.cosh(arg)[..., None] + params.s12 * _GLX
@@ -297,29 +298,28 @@ def _dense_count(vals: np.ndarray, nn: int, mu: float) -> int:
 
 
 def _negative_pivots(col: np.ndarray, diag: float, floor: float) -> int | None:
-    """#neg of the symmetric Toeplitz matrix with first column col and its
-    diagonal replaced by diag, or None when a pivot comes within floor of zero.
+    """#neg of the symmetric Toeplitz T with first column col and diagonal diag,
+    or None when a pivot comes within floor of zero.
 
-    One Levinson-Durbin pass: the prediction errors E_0 = diag and
-    E_k = E_{k-1} (1 - kappa_k^2) are the LDL^T pivots det T_{k+1} / det T_k,
-    so by Sylvester's law of inertia the negative E_k number the negative
-    eigenvalues.  Each E_k is checked before anything is divided by it.
+    Schur's algorithm: step k rotates the generators (x[0:n-k], v[k:n]) in place
+    by the hyperbolic [[1, kappa], [kappa, 1]], kappa = -v_k / E_{k-1} (one drotm),
+    zeroing v_k; the LDL^T pivot E_k = x_0 is checked against floor before it
+    divides, and the negative E_k number #neg (Sylvester).  The lags from w on, at
+    most BAND_RTOL G in sum, are dropped: step k rotates min(w, n - k) entries.
     """
-    n = col.size
-    rev = col[::-1].copy()              # rev[n-k:n-1] = c_{k-1}, ..., c_1
-    a = np.zeros(n)                     # predictor a_1 .. a_k in a[1:k+1]
-    err = float(diag)
-    if not abs(err) > floor:
-        return None
-    neg = int(err < 0)
-    for k in range(1, n):
-        kappa = -float(col[k] + a[1:k] @ rev[n - k:n - 1]) / err
-        a[1:k] += kappa * a[k - 1:0:-1]
-        a[k] = kappa
-        err *= 1.0 - kappa * kappa
+    x = np.concatenate(([diag], col[1:]), dtype=float)     # contiguous: drotm works in place
+    tail = np.cumsum(np.abs(x[::-1]))   # tail[j]: |x| summed over the last j + 1 lags
+    w = int(np.count_nonzero(tail > BAND_RTOL * (2 * tail[-1] - abs(diag))))
+    x[w:] = 0.0
+    n, v, rot, neg = x.size, x.copy(), np.zeros(5), 0      # v_0 is never read
+    for k in range(1, n + 1):
+        err = x.item(0)                 # E_{k-1}
         if not abs(err) > floor:
             return None
         neg += err < 0
+        if k < n:   # flag 0: h11 = h22 = 1, h12 = h21 = kappa; then n, offx, incx, offy, incy
+            rot[2] = rot[3] = -v.item(k) / err
+            drotm(x, v, rot, min(w, n - k), 0, 1, k, 1, 1, 1)
     return neg
 
 
@@ -364,16 +364,16 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
     At r12 = 0 the kernel is even, so K is symmetric Toeplitz and its singular
     values are its eigenvalue moduli.  The count is then an inertia count,
     #{|eig K| > mu} = (nn - #neg(K - mu I)) + #neg(K + mu I), each #neg read off
-    the Levinson-Durbin prediction errors of the first column h s_l(d h),
-    d = 0..nn-1: O(nn^2) work and O(nn) memory.  The degree-0 block K_0 is
-    positive semidefinite up to rounding (_degree0_psd_bound), so when mu
-    exceeds that bound #neg(K_0 + mu I) = 0 and only K_0 - mu I is factored.
-    Two cases take one dense eigvalsh instead: every degree at r12 != 0, and
-    a degree where a pivot of a factored shift comes within PIVOT_RTOL of
-    zero, relative to the diagonal's scale |h s_l(0)| + mu.  There, as
-    x_{nn-1-i} = r - x_i, the reversed rows h s_l(r - x_i - x_j) form a
-    symmetric Hankel matrix whose eigenvalue moduli are the singular values
-    of K.
+    the Schur pivots of the first column h s_l(d h), d = 0..nn-1, one 2 x 2
+    rotation of a band of w <= nn generator entries per pivot (_negative_pivots):
+    O(nn w) work and O(nn) memory.  The degree-0 block K_0 is positive
+    semidefinite up to rounding (_degree0_psd_bound), so when mu exceeds that
+    bound #neg(K_0 + mu I) = 0 and only K_0 - mu I is factored.  Two cases take
+    one dense eigvalsh instead: every degree at r12 != 0, and a degree where a
+    pivot of a factored shift comes within PIVOT_RTOL of zero (checked before
+    it divides), relative to |h s_l(0)| + mu.  There, as x_{nn-1-i} = r - x_i,
+    the reversed rows h s_l(r - x_i - x_j) form a symmetric Hankel matrix whose
+    eigenvalue moduli are the singular values of K.
     """
     if not 0 < r < np.inf or not mu > 0:
         raise ModelDataError("r must be finite and positive, and mu positive")

@@ -307,18 +307,6 @@ class _BSWorkspace:
                 out[at] = rows if g == 0 else rows[:, self.perms[g]]    # group[0]: identity
         return out
 
-    def sector_blocks(self, z: float, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(stack, d1, d2): entry i of the new stack is the sector block B_psi
-        of T12(z) on all representatives for the label psi = slots[i], read
-        off the sector rows (_sector_rows, _twisted_rows); d1 and d2 are the
-        determinants on the representatives."""
-        Y, d1, d2 = self._sector_rows(z)
-        t = np.arange(len(self.r))
-        stack = np.empty((len(slots), len(t), len(t)))
-        for i, psi in enumerate(slots):
-            self._twisted_rows(Y, psi, t, out=stack[i])
-        return stack, d1[self.orbit_of], d2[self.orbit_of]
-
     def _count_blocks(self, Y: np.ndarray, full2: list) -> tuple:
         """(blocks, fro2): per orbit slot, the block the count reads and its
         squared Frobenius norm, given the squared norms full2 of the slots'
@@ -679,26 +667,20 @@ def _kernel_support(points: np.ndarray, hess: HessianData,
     return quad, quad < delta * delta
 
 
-def model_kernel_block(spec: ModelSpec, hess: HessianData, s: float,
-                       delta: float = 1.0, rows: Optional[np.ndarray] = None,
-                       cols: Optional[np.ndarray] = None) -> np.ndarray:
+def _model_kernel(spec: ModelSpec, hess: HessianData, s: float, rows: tuple,
+                  cols: tuple) -> np.ndarray:
     """Nystrom block of the threshold model kernel T(delta; s), cross entry only.
 
     d0 chi(p) chi(q) (n1 (Up,p) + 2s)^{-1/4} (n2 (Uq,q) + 2s)^{-1/4}
        / (l1 (Up,p) + 2 l (Up,q) + l2 (Uq,q) + 2s),
-    with chi the indicator of |U^{1/2} p| < delta (_kernel_support), over the
-    points p (rows) and q (cols), by default the grid nodes, with the grid
-    weight.
+    chi the indicator of |U^{1/2} p| < delta, with the grid weight, over the p of
+    rows = (p, *_kernel_support(p, hess, delta)) and the q of cols likewise.
     """
-    r = spec.grid.nodes if rows is None else rows
-    c = spec.grid.nodes if cols is None else cols
-    Uh = hess.U
+    (r, quad_r, chi_r), (c, quad_c, chi_c) = rows, cols
     d0 = np.sqrt(hess.detU) / (2 * np.pi ** 2) * (hess.l1 * hess.l2) ** 0.75
-    quad_r, chi_r = _kernel_support(r, hess, delta)
-    quad_c, chi_c = _kernel_support(c, hess, delta)
     num_r = chi_r * (hess.n1 * quad_r + 2 * s) ** -0.25
     num_c = chi_c * (hess.n2 * quad_c + 2 * s) ** -0.25
-    K = (r @ Uh) @ c.T      # the one block-sized array: the denominator, in place
+    K = (r @ hess.U) @ c.T      # the one block-sized array: the denominator, in place
     K *= 2 * hess.l
     K += hess.l1 * quad_r[:, None]
     K += hess.l2 * quad_c[None, :]
@@ -728,13 +710,32 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     Y = ws._sector_rows(z)[0]
-    return _hs_of_rows(ws, Y, _row_norms(ws, Y), z, delta, hess)
+    return _hs_of_rows(ws, Y, _row_norms(ws, Y), z, hess, _hs_support(ws, hess, delta))
 
 
-def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, full2: list, z: float, delta: float,
-                hess: HessianData) -> tuple[float, float]:
-    """hs_diagnostics from the sector rows Y on D, which it leaves unchanged,
-    and the squared norms full2 of their sector blocks (_row_norms).
+def _hs_support(ws: _BSWorkspace, hess: HessianData, delta: float) -> tuple:
+    """The z-independent part of _hs_of_rows, once per sweep: (points, quad
+    forms, masks) of the model block's rows k r[I] and columns r[I] = 0 r[I], I
+    the union of the flipped supports from one _kernel_support call, and for
+    c1 == c2 the character rows psi ^ c2 and the gather of B_psi[I, I]."""
+    n, (c1, c2), F = 2 ** len(ws.axes), ws.chi, ws.flipped_nodes
+    quad, chi = (a.reshape(n, -1) for a in _kernel_support(F.reshape(-1, 3), hess, delta))
+    t = np.flatnonzero(chi.any(axis=0))     # I
+    blocks = ((F[:, t].reshape(-1, 3), quad[:, t].ravel(), chi[:, t].ravel()),
+              (ws.r[t], quad[0, t], chi[0, t]))
+    if c1 != c2:
+        return *blocks, None
+    h = ws._h[t]
+    # B[psi, i, j] = B_psi[t_i, t_j], C-ordered like its indices: no copies
+    gather = (np.ascontiguousarray(ws.labels[h].T)[:, :, None], ws.orbit_of[t][:, None],
+              ws.perms[h[:, None], t])
+    return *blocks, (_characters(n)[[psi ^ c2 for psi in range(n)]], gather)
+
+
+def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, full2: list, z: float,
+                hess: HessianData, support: tuple) -> tuple[float, float]:
+    """hs_diagnostics from the sector rows Y on D, left unchanged, the squared
+    norms full2 of their blocks (_row_norms) and the kernel support (_hs_support).
 
     The sector blocks are the blocks of T12 in an orthonormal basis, so
     ||T||_HS^2 = 2 hs^2, hs^2 = sum_psi full2[psi].  U is diagonal on every
@@ -755,19 +756,13 @@ def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, full2: list, z: float, delta: f
     (_squared_norm, M representatives), a relative error of about
     (M + 2^|A|) u hs^2 / diff^2 on diff^2 when I is small.  Else T and the
     model sit in disjoint sector pairs: diff^2 = hs^2 + 2^|A| sum_k ||K_k||^2."""
-    n, (c1, c2) = 2 ** len(ws.axes), ws.chi
-    F = ws.flipped_nodes
-    I = _kernel_support(F.reshape(-1, 3), hess, delta)[1].reshape(n, -1).any(axis=0)
-    K = model_kernel_block(ws.spec, hess, ws.spec.m - z, delta,     # row k: K_k on I x I
-                           rows=F[:, I].reshape(-1, 3), cols=ws.r[I]).reshape(n, -1)
+    n, (rows, cols, parseval) = 2 ** len(ws.axes), support
+    K = _model_kernel(ws.spec, hess, ws.spec.m - z, rows, cols).reshape(n, -1)   # row k: K_k
     hs2 = sum(full2)
-    if c1 == c2:
-        t = np.flatnonzero(I)
-        h, m = ws._h[t], len(t)
-        K = (_characters(n)[[psi ^ c2 for psi in range(n)]] @ K).reshape(n, m, m)
-        # B[psi, i, j] = B_psi[t_i, t_j], C-ordered like its indices: no copies
-        B = Y[np.ascontiguousarray(ws.labels[h].T)[:, :, None], ws.orbit_of[t][:, None],
-              ws.perms[h[:, None], t]]
+    if parseval is not None:
+        (characters, gather), m = parseval, len(cols[0])
+        K = (characters @ K).reshape(n, m, m)
+        B = Y[gather]
         K -= B.transpose(0, 2, 1)
         inside = _squared_norm(B.reshape(n * m, m))
         diff2 = max(hs2 - inside, 0.0) + _squared_norm(K.reshape(n * m, m))
@@ -791,7 +786,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
     ws = _BSWorkspace(spec)
     if with_hs:
         try:
-            hess = hessian_at_minimum(spec)
+            support = _hs_support(ws, hess := hessian_at_minimum(spec), delta)
         except NotProductFormError:
             with_hs = False     # e.g. tabulated models: HS columns stay NaN
     counts = np.empty(s_list.size, dtype=int)
@@ -807,7 +802,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         detmin[i] = min(float(d1.min()), float(d2.min()))
         full2 = _row_norms(ws, Y)
         if with_hs:
-            hs[i], hsd[i] = _hs_of_rows(ws, Y, full2, z, delta, hess)
+            hs[i], hsd[i] = _hs_of_rows(ws, Y, full2, z, hess, support)
         counts[i] = _count_orbits(ws, Y, full2)
         if i and counts[i] < counts[i - 1]:
             raise HypothesisViolationError(

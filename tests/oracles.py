@@ -9,7 +9,9 @@ checked against them; the determinant identity compares the sandwich blocks
 with the package's `lambda_on_grid`, which it checks.  Unlike `helpers.py`,
 they share the package's pair-energy and form-factor evaluators.  Each
 assembly checks the bytes it is about to allocate with the package's
-`require_memory` first.
+`require_memory` first.  `levinson_pivots` is the reference for the S_r
+inertia count: the Levinson-Durbin recursion the package's Schur pivots
+replace.
 """
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -21,7 +23,7 @@ from lattice3b import lambda_on_grid
 from lattice3b.errors import (InvalidSpectralPointError, OutOfDomainError,
                               require_memory)
 from lattice3b.model import pair_matrix
-from lattice3b.threebody import TIE_RTOL
+from lattice3b.threebody import TIE_RTOL, _kernel_support, _model_kernel
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,14 @@ def count_above(matrix: np.ndarray, lam: float) -> int:
     ev = np.linalg.eigvalsh(matrix)
     tie = TIE_RTOL * max(np.abs(ev[0]), np.abs(ev[-1]))
     return int(np.sum(ev > lam + tie))
+
+
+def model_kernel_block(spec, hess, s: float, delta: float = 1.0) -> np.ndarray:
+    """The package's threshold model kernel T(delta; s) on every grid node, as
+    the dense block the HS distance is checked against."""
+    nodes = spec.grid.nodes
+    support = (nodes, *_kernel_support(nodes, hess, delta))
+    return _model_kernel(spec, hess, s, support, support)
 
 
 def assemble_direct_hamiltonian(spec) -> np.ndarray:
@@ -206,3 +216,21 @@ def finite_dim_bs_identity_check(spec, z: float) -> float:
         rhs = np.diag(1.0 - spec.mu(alpha) * lambda_on_grid(spec, alpha, z))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def levinson_pivots(col: np.ndarray, diag: float) -> np.ndarray:
+    """The Levinson-Durbin prediction errors E_0 = diag, E_k = E_{k-1} (1 -
+    kappa_k^2) of the symmetric Toeplitz matrix with first column col and its
+    diagonal replaced by diag: its LDL^T pivots det T_{k+1} / det T_k, from
+    the predictor a_1 .. a_k updated in place, one dot product per step."""
+    n = col.size
+    rev = col[::-1].copy()              # rev[n-k:n-1] = c_{k-1}, ..., c_1
+    a = np.zeros(n)                     # predictor a_1 .. a_k in a[1:k+1]
+    err = np.empty(n)
+    err[0] = diag
+    for k in range(1, n):
+        kappa = -float(col[k] + a[1:k] @ rev[n - k:n - 1]) / err[k - 1]
+        a[1:k] += kappa * a[k - 1:0:-1]
+        a[k] = kappa
+        err[k] = err[k - 1] * (1.0 - kappa * kappa)
+    return err

@@ -4,6 +4,7 @@ from scipy.linalg import toeplitz
 
 from helpers import (sinh_ratio_modes, sobolev_toeplitz_count, sphere_nystrom_count,
                      traced_peak)
+from oracles import levinson_pivots
 from lattice3b import efimov
 from lattice3b.efimov import ModeTable
 from lattice3b import (CountReport, DegenerateCouplingError, EfimovParams,
@@ -266,6 +267,116 @@ def _sobolev_column(params, ell, r):
     step = r / nn
     x = (np.arange(nn) + 0.5) * step
     return step * efimov.sobolev_1d_kernel(params, ell, x - x[0])
+
+
+def _record_pivots(monkeypatch) -> list:
+    """Have _negative_pivots' drotm steps append each new pivot E_k = x_0 to
+    the returned list."""
+    pivots, rotm = [], efimov.drotm
+
+    def step(x, v, *args):
+        rotm(x, v, *args)
+        pivots.append(x.item(0))
+    monkeypatch.setattr(efimov, "drotm", step)
+    return pivots
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("s12", [-0.9, -0.5, 0.0, 0.5, 0.9])
+def test_schur_pivots_match_levinson_and_dense_inertia(monkeypatch, s12, ell):
+    # the Schur pivots against the Levinson-Durbin reference, and their
+    # negative count against a dense eigvalsh of toeplitz(col), on the S_r
+    # columns at r = 10, 50, 100 and 13 mu in [0.05, 5], for K - mu I and
+    # K + mu I; a shift with an eigenvalue within 1e-6 (|c_0| + mu) of 0 is a
+    # tie and skipped (the nearest on these cases is 1.6e-4 (|c_0| + mu) away)
+    p = EfimovParams(u12=BUILTIN.u12, r12=0.0, s12=s12)
+    pivots, checked = _record_pivots(monkeypatch), 0
+    for r in (10.0, 50.0, 100.0):
+        col = _sobolev_column(p, ell, r)
+        eigs = np.linalg.eigvalsh(toeplitz(col))
+        for shift in [s * mu for mu in np.geomspace(0.05, 5.0, 13) for s in (-1, 1)]:
+            scale = abs(col[0]) + abs(shift)
+            if np.min(np.abs(eigs + shift)) <= 1e-6 * scale:
+                continue
+            pivots[:] = [col[0] + shift]
+            neg = efimov._negative_pivots(col, col[0] + shift, efimov.PIVOT_RTOL * scale)
+            ref = levinson_pivots(col, col[0] + shift)
+            assert len(pivots) == col.size
+            assert np.max(np.abs(np.array(pivots) - ref) / np.abs(ref)) <= 1e-6, (r, shift)
+            assert neg == int(np.sum(eigs + shift < 0)), (r, shift)
+            checked += 1
+    assert checked >= 74
+
+
+def test_schur_step_rotates_only_its_generator_slices(monkeypatch):
+    # step k changes only x[0:n-k] and v[k:n], to x + kappa v and kappa x + v
+    # with kappa = -v_k / x_0, which zeroes v_k: the drotm offsets
+    col = np.array([3.0, 1.0, -0.5, 0.25, 0.125, -0.0625])
+    n, steps, rotm = col.size, [], efimov.drotm
+
+    def step(x, v, *args):
+        before = x.copy(), v.copy()
+        rotm(x, v, *args)
+        steps.append((before, (x.copy(), v.copy())))
+    monkeypatch.setattr(efimov, "drotm", step)
+    assert efimov._negative_pivots(col, col[0], 1e-12) == 0
+    assert len(steps) == n - 1
+    for k, ((x0, v0), (x1, v1)) in enumerate(steps, start=1):
+        kappa = -v0[k] / x0[0]
+        assert np.array_equal(x1[n - k:], x0[n - k:]) and np.array_equal(v1[:k], v0[:k])
+        assert np.allclose(x1[:n - k], x0[:n - k] + kappa * v0[k:], rtol=1e-15, atol=1e-15)
+        assert np.allclose(v1[k:], kappa * x0[:n - k] + v0[k:], rtol=1e-15, atol=1e-15)
+        assert abs(v1[k]) <= 1e-15 and x1[0] < x0[0]
+    # a column of another dtype or with strides is rotated in float64 copies
+    diag = 0.5
+    neg = int(np.sum(np.linalg.eigvalsh(toeplitz(np.r_[diag, col[1:]])) < 0))
+    assert neg > 0
+    for c in (col, col.astype(np.float32), np.repeat(col, 2)[::2]):
+        assert efimov._negative_pivots(c, diag, 1e-12) == neg
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_schur_rotates_only_the_band(monkeypatch, ell):
+    # at r = 800 the degree-1 column decays into subnormal numbers, which make
+    # full-length rotations about 5 times slower than the Levinson loop; the pass
+    # rotates min(w, n - k) entries, w the shortest band whose dropped tail
+    # sums to at most BAND_RTOL times the Gershgorin bound, and its pivots and
+    # counts are still Levinson's on the whole column, for K - mu I and K + mu I.
+    # At mu = 0.3 the degree-0 K - mu I has pivots down to 1.9e-4 of its
+    # scale, and the two recursions part by 6e-6 relative even without the
+    # band (1.0e-5 with it), so the pivots are held to 1e-4 here
+    col = _sobolev_column(BUILTIN, ell, 800.0)
+    n, lengths, pivots, rotm = col.size, [], [], efimov.drotm
+
+    def step(x, v, rot, m, *args):
+        rotm(x, v, rot, m, *args)
+        lengths.append(m)
+        pivots.append(x.item(0))
+    monkeypatch.setattr(efimov, "drotm", step)
+    assert (np.count_nonzero(np.abs(col) < np.finfo(float).tiny) > 1000) == (ell == 1)
+    for shift in (-0.3, 0.3):
+        lengths.clear()
+        pivots[:] = [col[0] + shift]
+        neg = efimov._negative_pivots(col, col[0] + shift, 1e-8 * (abs(col[0]) + 0.3))
+        w = lengths[0]
+        assert w < n // 10 and lengths == [min(w, n - k) for k in range(1, n)]
+        gersh = abs(col[0] + shift) + 2 * np.abs(col[1:]).sum()
+        dropped = np.abs(col[w:]).sum()
+        assert dropped <= efimov.BAND_RTOL * gersh < dropped + abs(col[w - 1])
+        ref = levinson_pivots(col, col[0] + shift)
+        assert np.max(np.abs(np.array(pivots) - ref) / np.abs(ref)) <= 1e-4
+        assert neg == int(np.sum(ref < 0))
+
+
+def test_negative_pivots_memory_is_linear():
+    # the O(nn) memory of the inertia count: at r = 800 (nn = 6400) the
+    # traced peak is the generator x, the band search's |x| and cumulative
+    # sum, and then v: within 4 * 8 nn bytes, against the 8 nn^2 (328 MB)
+    # that sobolev_finite's check charges
+    col = _sobolev_column(BUILTIN, 0, 800.0)
+    floor = efimov.PIVOT_RTOL * (abs(col[0]) + 1.0)
+    peak = traced_peak(lambda: efimov._negative_pivots(col, col[0] - 1.0, floor))
+    assert col.size == 6400 and peak <= 4 * 8 * col.size
 
 
 @pytest.mark.parametrize("case", ["diagonal", "near_diagonal", "leading_minor"])

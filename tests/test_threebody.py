@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from helpers import traced_peak
 from oracles import (assemble_bs_matrix, assemble_direct_hamiltonian, count_above,
                      direct_count_below, finite_dim_bs_identity_check,
-                     hamiltonian_flips, sandwich_blocks, sector_hamiltonians)
+                     hamiltonian_flips, model_kernel_block, sandwich_blocks,
+                     sector_hamiltonians)
 from lattice3b import (HypothesisViolationError, InvalidSpectralPointError,
                        OutOfDomainError, ResourceCapError, build_grid,
                        builtin_dispersion, builtin_epsilon, builtin_model,
@@ -27,8 +28,7 @@ from lattice3b.model import hessian_at_minimum, pair_matrix
 from lattice3b.modelio import load_model
 from lattice3b.threebody import (_SLAB, TIE_RTOL, _BSWorkspace, _character_sums,
                                  _count_block_singular_above, _leading_singular_values,
-                                 _ritz_bounds, _squared_norm, _test_matrix,
-                                 model_kernel_block)
+                                 _ritz_bounds, _squared_norm, _test_matrix)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -302,10 +302,23 @@ def _tabulated_band(n):
                       n, 0.0, 0.0)
 
 
+def _sector_blocks(ws, z, slots):
+    """(stack, d1, d2): entry i of the stack is the sector block B_psi of
+    T12(z) on all representatives for the label psi = slots[i], read off the
+    workspace's sector rows; d1 and d2 are the determinants on the
+    representatives."""
+    Y, d1, d2 = ws._sector_rows(z)
+    t = np.arange(len(ws.r))
+    stack = np.empty((len(slots), len(t), len(t)))
+    for i, psi in enumerate(slots):
+        ws._twisted_rows(Y, psi, t, out=stack[i])
+    return stack, d1[ws.orbit_of], d2[ws.orbit_of]
+
+
 def _sector_stack(ws, z):
     """The 2^|A| sector blocks of T12(z), in label order: the character sums
     of the flipped blocks."""
-    return ws.sector_blocks(z, list(range(2 ** len(ws.axes))))[0]
+    return _sector_blocks(ws, z, list(range(2 ** len(ws.axes))))[0]
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -757,7 +770,7 @@ def test_sector_pass_equals_character_sums(case):
                     for psi in range(n)])
     formed = {}
     for slots in ([0], ws.orbit_slots, list(range(n))):
-        stack, e1, e2 = ws.sector_blocks(z, slots)
+        stack, e1, e2 = _sector_blocks(ws, z, slots)
         assert np.max(np.abs(e1 - d1[reps])) <= 1e-13 * np.max(np.abs(d1))
         assert np.max(np.abs(e2 - d2[reps])) <= 1e-13 * np.max(np.abs(d2))
         for i, psi in enumerate(slots):
@@ -876,6 +889,31 @@ def test_hs_distance_reads_only_the_support_entries(monkeypatch):
         m = _support_size(ws, hess, delta)
         assert 0 < m < len(ws.r)
         assert taken == [8 * m * m]
+
+
+@pytest.mark.parametrize("case", ["builtin_critical", "cos-2-sin-3"])
+def test_hs_support_taken_once_per_sweep(monkeypatch, case):
+    """count_report tests the kernel support on the flipped nodes once per
+    sweep, not once per row, for c1 == c2 (builtin_critical) and c1 != c2
+    (cos-2-sin-3), and its HS columns equal hs_diagnostics row by row, bit
+    for bit."""
+    if case in HS_MODELS:
+        spec = builtin_model(12, 0.0, 0.0, **HS_MODELS[case][0])
+        spec = spec.with_params(mu1=coupling_threshold(spec, 1),
+                                mu2=coupling_threshold(spec, 2))
+    else:
+        spec = _evidence_model(case, 12)
+    hess, ws = hessian_at_minimum(spec), _BSWorkspace(spec)
+    assert (ws.chi[0] == ws.chi[1]) == (case == "builtin_critical")
+    assert 0 < _support_size(ws, hess, 3.0) < len(ws.r)
+    support, calls = threebody._kernel_support, []
+    monkeypatch.setattr(threebody, "_kernel_support",
+                        lambda *a: calls.append(len(a[0])) or support(*a))
+    s_vals = np.geomspace(1e-4, 1.0, 9)
+    rep = count_report(spec, s_vals, delta=3.0)
+    assert calls == [2 ** len(ws.axes) * len(ws.r)]
+    for s, hs, hsd in zip(rep.m_minus_z, rep.hs_norm, rep.hs_diff):
+        assert hs_diagnostics(spec, spec.m - s, 3.0, hess, ws) == (hs, hsd)
 
 
 def test_hs_row_peak_with_a_wide_support(spec16_critical):
@@ -1100,7 +1138,7 @@ def test_irrep_counts_sum_to_the_count(case):
     counts, fallbacks = [], 0
     for s in (1.0, 1e-2, 1e-6):
         z = spec.m - s
-        stack = ws.sector_blocks(z, ws.orbit_slots)[0]
+        stack = _sector_blocks(ws, z, ws.orbit_slots)[0]
         total = symmetric = 0
         top = max(np.linalg.norm(b, 2) for b in stack)
         for (psi, mult), block in zip(ws.orbits, stack):
