@@ -100,6 +100,10 @@ _GLX, _GLW = leggauss(GL_NODES)
 _GLX_POS, _GLW_POS = _GLX[GL_NODES // 2:], _GLW[GL_NODES // 2:]
 
 
+def _legendre_rows(ell_max: int) -> np.ndarray:
+    return legvander(_GLX, ell_max).T
+
+
 @lru_cache(maxsize=4)
 def _half_legendre_rows(ell_max: int) -> np.ndarray:
     """P_l at the positive nodes, l = 0..ell_max: read-only and kept, as every
@@ -282,7 +286,7 @@ def sobolev_1d_kernel(params: EfimovParams, ell: int, y: np.ndarray) -> np.ndarr
     S(y, t) = (2 pi)^{-2} u12 / (cosh(y + r12) + s12 t); Gauss-Legendre in t.
     """
     y = np.asarray(y, dtype=float)
-    P = legvander(_GLX, ell)[:, ell] * _GLW
+    P = _legendre_rows(ell)[ell] * _GLW
     # cosh overflows beyond ~710; the kernel is ~1e-300 there, clip instead
     arg = np.minimum(np.abs(y + params.r12), 700.0)
     den = np.cosh(arg)[..., None] + params.s12 * _GLX
@@ -378,7 +382,7 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
     if not 0 < r < np.inf or not mu > 0:
         raise ModelDataError("r must be finite and positive, and mu positive")
     nn = int(np.ceil(NODES_PER_UNIT * r))
-    # the dense path's nn x nn block; the bound also caps the O(nn^2) pivot work
+    # the dense path's nn x nn block
     require_memory(8 * nn * nn, f"S_r block at r = {r:g}")
     tbl = _table_for(params, table)
     step = r / nn

@@ -307,6 +307,18 @@ class _BSWorkspace:
                 out[at] = rows if g == 0 else rows[:, self.perms[g]]    # group[0]: identity
         return out
 
+    def sector_blocks(self, z: float, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stack, d1, d2): entry i of the new stack is the sector block B_psi
+        of T12(z) on all representatives for the label psi = slots[i], read
+        off the sector rows (_sector_rows, _twisted_rows); d1 and d2 are the
+        determinants on the representatives."""
+        Y, d1, d2 = self._sector_rows(z)
+        t = np.arange(len(self.r))
+        stack = np.empty((len(slots), len(t), len(t)))
+        for i, psi in enumerate(slots):
+            self._twisted_rows(Y, psi, t, out=stack[i])
+        return stack, d1[self.orbit_of], d2[self.orbit_of]
+
     def _count_blocks(self, Y: np.ndarray, full2: list) -> tuple:
         """(blocks, fro2): per orbit slot, the block the count reads and its
         squared Frobenius norm, given the squared norms full2 of the slots'

@@ -302,23 +302,10 @@ def _tabulated_band(n):
                       n, 0.0, 0.0)
 
 
-def _sector_blocks(ws, z, slots):
-    """(stack, d1, d2): entry i of the stack is the sector block B_psi of
-    T12(z) on all representatives for the label psi = slots[i], read off the
-    workspace's sector rows; d1 and d2 are the determinants on the
-    representatives."""
-    Y, d1, d2 = ws._sector_rows(z)
-    t = np.arange(len(ws.r))
-    stack = np.empty((len(slots), len(t), len(t)))
-    for i, psi in enumerate(slots):
-        ws._twisted_rows(Y, psi, t, out=stack[i])
-    return stack, d1[ws.orbit_of], d2[ws.orbit_of]
-
-
 def _sector_stack(ws, z):
     """The 2^|A| sector blocks of T12(z), in label order: the character sums
     of the flipped blocks."""
-    return _sector_blocks(ws, z, list(range(2 ** len(ws.axes))))[0]
+    return ws.sector_blocks(z, list(range(2 ** len(ws.axes))))[0]
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -770,7 +757,7 @@ def test_sector_pass_equals_character_sums(case):
                     for psi in range(n)])
     formed = {}
     for slots in ([0], ws.orbit_slots, list(range(n))):
-        stack, e1, e2 = _sector_blocks(ws, z, slots)
+        stack, e1, e2 = ws.sector_blocks(z, slots)
         assert np.max(np.abs(e1 - d1[reps])) <= 1e-13 * np.max(np.abs(d1))
         assert np.max(np.abs(e2 - d2[reps])) <= 1e-13 * np.max(np.abs(d2))
         for i, psi in enumerate(slots):
@@ -1138,7 +1125,7 @@ def test_irrep_counts_sum_to_the_count(case):
     counts, fallbacks = [], 0
     for s in (1.0, 1e-2, 1e-6):
         z = spec.m - s
-        stack = _sector_blocks(ws, z, ws.orbit_slots)[0]
+        stack = ws.sector_blocks(z, ws.orbit_slots)[0]
         total = symmetric = 0
         top = max(np.linalg.norm(b, 2) for b in stack)
         for (psi, mult), block in zip(ws.orbits, stack):
