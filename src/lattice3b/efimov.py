@@ -297,6 +297,7 @@ def _dense_count(vals: np.ndarray, nn: int, mu: float) -> int:
     """#{singular values of K > mu} from vals = h s_l at the lags nn-1 .. -(nn-1):
     the reversed rows of K form the symmetric Hankel matrix with entries
     vals[i + j], whose eigenvalue moduli are the singular values of K."""
+    require_memory(8 * nn * nn, f"S_r dense block of {nn} nodes")
     sv = np.abs(np.linalg.eigvalsh(hankel(vals[:nn], vals[nn - 1:])))
     return int(np.sum(sv > mu))
 
@@ -382,8 +383,10 @@ def sobolev_finite(params: EfimovParams, r: float, mu: float,
     if not 0 < r < np.inf or not mu > 0:
         raise ModelDataError("r must be finite and positive, and mu positive")
     nn = int(np.ceil(NODES_PER_UNIT * r))
-    # the dense path's nn x nn block
-    require_memory(8 * nn * nn, f"S_r block at r = {r:g}")
+    # sobolev_1d_kernel's two (points, GL_NODES) arrays and a few vectors;
+    # the dense route charges its block in _dense_count
+    points = nn if params.r12 == 0.0 else 2 * nn - 1
+    require_memory(8 * points * (2 * GL_NODES + 16), f"S_r arrays at r = {r:g}")
     tbl = _table_for(params, table)
     step = r / nn
     x = (np.arange(nn) + 0.5) * step

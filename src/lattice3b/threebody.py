@@ -38,9 +38,10 @@ read the squared norms of the rows and, by Parseval, one gather of the
 sector-block entries on the threshold model kernel's support.  The count
 reads one block per orbit of the flip labels, weighted by its size: the
 block of the symmetric irrep of its little group, whose other irreps a
-Frobenius bound certifies empty (else the whole block, formed from the rows
-D).  The essential-spectrum bisection runs on the rows D of a column-cut
-stack.  With a trivial G, D is every representative and the count reads the
+Frobenius bound certifies empty, else the whole block (the plan of the
+identity), each formed in turn by one builder (`_plan_block`).  The
+essential-spectrum bisection runs on the rows D of a column-cut stack.
+With a trivial G, D is every representative and the count reads the
 sector blocks themselves.
 
 One kernel counts each block (`_leading_singular_values`): a Frobenius skip,
@@ -54,7 +55,7 @@ part of the package; they live with the tests, in tests/oracles.py.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Optional
 
 import numpy as np
@@ -89,13 +90,14 @@ class _BSWorkspace:
     and `sizes` the orbit sizes).  Its arrays, nbytes in all, are the 2^|A|
     pair energies U_k[d, p] = u(k r_d, r_p) over the flips k on A on the rows
     D, one stack of the same shape for their character sums, and, when the
-    group is not trivial, the count's symmetric blocks and one scratch array
-    of M x M or two D x M gathers (M representatives).
+    group is not trivial, a buffer for the count's largest symmetric block
+    and two D x M gathers (M representatives); the first failed certificate
+    adds an M x M block (_count_blocks).
 
     T(z) commutes with the permutations: U_{s k}[s t, s p] = U_k[t, p] with
     s k the flip moved by s, so R_psi[s t, s p] = R_{s^-1 psi}[t, p] for
     the character sums R_psi = sum_k psi(k) / (U_k - z), and every row of a
-    sector block is a permuted row D of another (`_twisted_rows`): with h t
+    sector block is a permuted row D of another (_symmetric_plan): with h t
     = d in D, B_psi[t, p] = B_{h psi}[d, h p].  One pass (_sector_rows)
     forms all 2^|A| character sums on the rows D and scales them to the
     sector rows; Lambda, the determinants, the HS diagnostics, the count and
@@ -118,9 +120,9 @@ class _BSWorkspace:
         self.orbit_slots = [k for k, _ in self.orbits]
         self._orbit_tables()
         M, rows, labels = len(self.r), len(self.rows), 2 ** len(self.axes)
-        # the count's symmetric blocks and scratch (_count_blocks)
-        self._count_sizes = ((sum(plan[0] ** 2 for plan in self._plans),
-                              max(M * M, 2 * rows * M)) if self._plans else ())
+        # the count's block buffer and gathers (_count_blocks)
+        self._count_sizes = ((max(plan[0] for plan in self._plans) ** 2, 2 * rows * M)
+                             if self._plans else ())
         self.nbytes = 8 * (2 * labels * rows * M + labels * min(_SLAB, rows * M)
                            + sum(self._count_sizes))
         require_memory(self.nbytes, f"count workspace on the {n}^3 grid")
@@ -129,6 +131,8 @@ class _BSWorkspace:
         self._f1w = self.sizes * self.f1[self.rows] ** 2    # Lambda_1's weights on D
         self._stacks = None     # (U stack, character sums) on the rows D
         self._u_min = np.inf    # U's minimum, set with the stacks
+        self._whole = None      # M x M, made on the first failed certificate
+        self._support = (None, None, None)  # (hess, delta, _hs_support) of the last HS row
 
     def _orbit_tables(self) -> None:
         """The group's action on the representatives and the flip labels, the
@@ -150,18 +154,20 @@ class _BSWorkspace:
         self._plans = [self._symmetric_plan(k) for k in self.orbit_slots] \
             if len(self.group) > 1 else []
 
-    def _symmetric_plan(self, psi: int) -> tuple:
-        """(size, parts, row scale, column scale) of the symmetric block of the
-        sector psi under its little group G_psi = {s: s psi = psi}.
+    def _symmetric_plan(self, psi: int, little=None) -> tuple:
+        """(size, parts, row orbits, row scale, column scale) of the symmetric
+        block of the sector psi under a subgroup L (indices into group) of
+        G_psi = {s: s psi = psi}, by default G_psi.
 
         B_sym[O, O'] = sqrt(|O| / |O'|) sum_{y in O'} B_psi[x0(O), y] over the
-        G_psi-orbits O and O' of the representatives.  A G_psi-orbit in the
-        G-orbit of d holds c d for some c of the right cosets G_psi c, so
-        x0(O) = c d for the first such c in group order, and the orbit sum is
-        |O'| / |G_psi| times sum_{g in G_psi} B_psi[x0, g y0], y0 the smallest
+        L-orbits O and O' of the representatives, row i on row orbits[i].  An
+        L-orbit in the G-orbit of d holds c d for some c of the right cosets
+        L c, so x0(O) = c d for the first such c in group order, and the orbit
+        sum is |O'| / |L| times sum_{g in L} B_psi[x0, g y0], y0 the smallest
         index in O'.  Part (label, rows, cols) gives the rows c d = h^-1 d of
-        one c: B_psi[c d, y] = Y[h psi][d, h y], so cols[g] = h g y0."""
-        little = np.flatnonzero(self.labels[:, psi] == psi)
+        one c: B_psi[c d, y] = Y[h psi][d, h y], so cols[g] = h g y0.  With L
+        = [0], the identity, B_sym is B_psi with its rows permuted."""
+        little = np.flatnonzero(self.labels[:, psi] == psi) if little is None else little
         first, oid = np.unique(self.perms[little].min(axis=0), return_inverse=True)
         size = np.bincount(oid)
         index = {s: g for g, s in enumerate(self.group)}
@@ -177,7 +183,8 @@ class _BSWorkspace:
             cols = self.perms[h][self.perms[little][:, first]]
             parts.append((int(self.labels[h, psi]), new, cols))
             row_orbits.append(o[new])
-        return (len(size), parts, np.sqrt(size[np.concatenate(row_orbits)]),
+        row_orbits = np.concatenate(row_orbits)
+        return (len(size), parts, row_orbits, np.sqrt(size[row_orbits]),
                 np.sqrt(size) / len(little))
 
     def flips(self) -> list:
@@ -207,7 +214,7 @@ class _BSWorkspace:
             self._slab = np.empty((len(U), min(_SLAB, rows * M)))
             self._u_min = float(U.min())
             if self._plans:
-                self._sym, self._scratch = (np.empty(size) for size in self._count_sizes)
+                self._block, self._gather = (np.empty(size) for size in self._count_sizes)
         return self._stacks
 
     def _character_sums(self, z: float, slots) -> np.ndarray:
@@ -290,89 +297,75 @@ class _BSWorkspace:
             S[:, i:i + step] *= np.multiply.outer(col[i:i + step], row)
         return S, d1, d2
 
-    def _twisted_rows(self, Y: np.ndarray, psi: int, t: np.ndarray,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-        """B_psi[t, :] for the representatives t from the sector rows Y on D:
-        with h the group element that takes t to its row d = h t in D,
-        B_psi[t, p] = Y[h psi][d, h p].  Rows go in chunks of 16 _SLAB
-        entries, so the gathers stay small beside out."""
-        out = np.empty((len(t), Y.shape[2])) if out is None else out
-        h = self._h[t]
-        step = max(1, 16 * _SLAB // Y.shape[2])
-        for g in np.unique(h):
-            group_rows = np.flatnonzero(h == g)
-            for i in range(0, len(group_rows), step):
-                at = group_rows[i:i + step]
-                rows = Y[self.labels[g, psi]][self.orbit_of[t[at]]]
-                out[at] = rows if g == 0 else rows[:, self.perms[g]]    # group[0]: identity
-        return out
-
     def sector_blocks(self, z: float, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(stack, d1, d2): entry i of the new stack is the sector block B_psi
-        of T12(z) on all representatives for the label psi = slots[i], read
-        off the sector rows (_sector_rows, _twisted_rows); d1 and d2 are the
-        determinants on the representatives."""
+        of T12(z) on all representatives for the label psi = slots[i], formed
+        on the identity's plan (_plan_block) in representative order; d1 and
+        d2 are the determinants on the representatives."""
         Y, d1, d2 = self._sector_rows(z)
-        t = np.arange(len(self.r))
-        stack = np.empty((len(slots), len(t), len(t)))
+        stack = np.empty((len(slots), len(self.r), len(self.r)))
         for i, psi in enumerate(slots):
-            self._twisted_rows(Y, psi, t, out=stack[i])
+            plan = self._symmetric_plan(psi, [0])
+            stack[i][plan[2]] = _plan_block(Y, plan, stack[i], np.empty(2 * Y[0].size))
         return stack, d1[self.orbit_of], d2[self.orbit_of]
 
-    def _count_blocks(self, Y: np.ndarray, full2: list) -> tuple:
-        """(blocks, fro2): per orbit slot, the block the count reads and its
+    def _count_blocks(self, Y: np.ndarray, full2: list):
+        """(block, fro2) per orbit slot: the block the count reads and its
         squared Frobenius norm, given the squared norms full2 of the slots'
-        sector blocks.  With a trivial group a slot's block is its sector
-        rows.  Else it is its symmetric block (_symmetric_plan): B_psi
-        commutes with the permutations of G_psi, so its singular values are
-        those of B_sym and of its restriction to the other irreps of G_psi,
-        whose Frobenius norm rest obeys rest^2 = ||B_psi||^2 - ||B_sym||^2.
-        rest <= 1 certifies that none of them exceeds 1.  Rounding, u the
-        unit roundoff: both squared norms are sums of nonnegative terms,
-        each within (2 M + 2^|A| + 4) u of its value, and an entry of B_sym
-        adds at most |G| <= 6 entries of B_psi and takes two scale factors,
-        so it is within 8 u of the same entry of the symmetric block of
-        |B_psi|, whose norm is at most ||B_psi||_F; that moves ||B_sym||^2 by
-        at most 17 u full2.  The slack 8 (M + 2^|A| + 8) eps full2 (eps =
-        2 u) covers the three, and rest^2 + slack <= 1 certifies the slot.
-        A slot whose full2 is at most 1 needs no block.  Where a slot is not
-        certified, its whole sector block is formed from the rows D in the
-        scratch array, one at a time, and counted instead."""
-        if not self._plans:
-            return [Y[k] for k in self.orbit_slots], full2
-        M, rows = Y.shape[2], Y.shape[1]
-        scratch = self._scratch
-        blocks, fro2, at = [], [], 0
-        for psi, (size, parts, rscale, cscale), f2 in zip(self.orbit_slots, self._plans, full2):
-            B = self._sym[at:at + size * size].reshape(size, size)
-            at += size * size
-            if f2 <= 1.0:       # the sector block's norm already bounds every value
-                blocks.append(B)
-                fro2.append(f2)
+        sector blocks, each formed in one buffer after the last was counted.
+        With a trivial group a slot's block is its sector rows.  Else it is
+        its symmetric block (_symmetric_plan): B_psi commutes with the
+        permutations of G_psi, so its singular values are those of B_sym and
+        of its restriction to the other irreps of G_psi, whose Frobenius norm
+        rest obeys rest^2 = ||B_psi||^2 - ||B_sym||^2.  rest <= 1 certifies
+        that none of them exceeds 1.  Rounding, u the unit roundoff: both
+        squared norms are sums of nonnegative terms, each within (2 M + 2^|A|
+        + 4) u of its value, and an entry of B_sym adds at most |G| <= 6
+        entries of B_psi and takes two scale factors, so it is within 8 u of
+        the same entry of the symmetric block of |B_psi|, whose norm is at
+        most ||B_psi||_F; that moves ||B_sym||^2 by at most 17 u full2.  The
+        slack 8 (M + 2^|A| + 8) eps full2 (eps = 2 u) covers the three, and
+        rest^2 + slack <= 1 certifies the slot.  Where it does not, the whole
+        sector block is formed on the identity's plan and counted instead, in
+        an M x M array made (after a memory check) on the first such slot."""
+        M = Y.shape[2]
+        for psi, plan, f2 in zip(self.orbit_slots, self._plans or repeat(None), full2):
+            if plan is None or f2 <= 1.0:   # the sector rows; unread when f2 decides
+                yield Y[psi], f2
                 continue
-            i = 0
-            for label, sel, cols in parts:
-                r = len(sel)
-                src = Y[label] if r == rows else np.take(
-                    Y[label], sel, axis=0, out=scratch[:r * M].reshape(r, M), mode="clip")
-                dst = B[i:i + r]
-                i += r
-                np.take(src, cols[0], axis=1, out=dst, mode="clip")
-                add = scratch[r * M:r * (M + size)].reshape(r, size)
-                for g in cols[1:]:
-                    dst += np.take(src, g, axis=1, out=add, mode="clip")
-            if size < M:
-                B *= cscale
-                B *= rscale[:, None]
+            B = _plan_block(Y, plan, self._block, self._gather)
             sym2 = _squared_norm(B)
-            slack = 8 * (M + len(Y) + 8) * _EPS * f2
-            certified = f2 - sym2 + slack <= 1.0
-            blocks.append(B if certified else psi)
-            fro2.append(sym2 if certified else f2)
-        t = np.arange(M)
-        full = self._scratch[:M * M].reshape(M, M)
-        return (b if isinstance(b, np.ndarray) else self._twisted_rows(Y, b, t, out=full)
-                for b in blocks), fro2
+            if f2 - sym2 + 8 * (M + len(Y) + 8) * _EPS * f2 <= 1.0:
+                yield B, sym2
+                continue
+            if self._whole is None:
+                require_memory(self.nbytes + 8 * M * M, "the count's whole sector block")
+                self._whole = np.empty((M, M))
+            yield _plan_block(Y, self._symmetric_plan(psi, [0]), self._whole, self._gather), f2
+
+
+def _plan_block(Y: np.ndarray, plan: tuple, out: np.ndarray,
+                gather: np.ndarray) -> np.ndarray:
+    """The block of a _symmetric_plan from the sector rows Y on D, formed in
+    out with 2 |D| M doubles of gather for the row and column gathers."""
+    size, parts, _, rscale, cscale = plan
+    rows, M = Y.shape[1], Y.shape[2]
+    B = out.reshape(-1)[:size * size].reshape(size, size)
+    i = 0
+    for label, sel, cols in parts:
+        r = len(sel)
+        src = Y[label] if r == rows else np.take(
+            Y[label], sel, axis=0, out=gather[:r * M].reshape(r, M), mode="clip")
+        dst = B[i:i + r]
+        i += r
+        np.take(src, cols[0], axis=1, out=dst, mode="clip")
+        add = gather[r * M:r * (M + size)].reshape(r, size)
+        for g in cols[1:]:
+            dst += np.take(src, g, axis=1, out=add, mode="clip")
+    if size < M:
+        B *= cscale
+        B *= rscale[:, None]
+    return B
 
 
 @lru_cache(maxsize=None)
@@ -465,25 +458,25 @@ def _sector_orbits(spec: ModelSpec, axes: tuple,
 
 
 def _count_block_singular_above(stack, mu: float, mults: Optional[list] = None,
-                                fro2: Optional[list] = None,
                                 band: Optional[float] = None) -> int:
     """#{singular values > mu} of one block, or of the block-diagonal sum of a
-    stack or sequence of blocks: every block once, or block i counted mults[i]
-    times (the sizes of the sector orbits, see _BSWorkspace).  fro2[i], when
-    given, is _squared_norm of block i, computed by the caller, and the blocks
-    may then come from an iterator, each formed after the last one's count.
+    stack of blocks: every block once, or block i counted mults[i] times (the
+    sizes of the sector orbits, see _BSWorkspace).  stack may also be a
+    sequence of pairs (block i, its _squared_norm), computed by the caller,
+    which may come from an iterator, each block formed after the last one's
+    count; band is then required.
 
     Values within TIE_RTOL times the largest singular value of the whole count
     as not above; the certificates clear that band, by default at the largest
     Frobenius norm, which bounds the largest singular value from above (the
     caller passes the band of larger blocks the given ones are parts of).
     """
-    blocks = [stack] if isinstance(stack, np.ndarray) and stack.ndim == 2 else stack
-    fro2 = fro2 if fro2 is not None else [_squared_norm(b) for b in blocks]
-    mults = mults if mults is not None else [1] * len(fro2)
-    band = band if band is not None else TIE_RTOL * np.sqrt(max(fro2))
+    if isinstance(stack, np.ndarray):
+        stack = [(b, _squared_norm(b)) for b in ([stack] if stack.ndim == 2 else stack)]
+        band = band if band is not None else TIE_RTOL * np.sqrt(max(f2 for _, f2 in stack))
+    mults = mults if mults is not None else [1] * len(stack)
     sv = [(_leading_singular_values(b, mu, f2, band), mult)
-          for b, mult, f2 in zip(blocks, mults, fro2)]
+          for (b, f2), mult in zip(stack, mults)]
     top = max((float(v.max()) for v, _ in sv if v.size), default=0.0)
     return int(sum(mult * np.sum(v > mu + TIE_RTOL * top) for v, mult in sv))
 
@@ -567,8 +560,8 @@ def count_eigenvalues_below(spec: ModelSpec, z: float,
     counts block singular values above 1 over the blocks of the model's flip
     axes (one full cross block when it has none), one block per sector orbit.
     """
-    if z >= spec.m:
-        raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
+    if not -np.inf < z < spec.m:
+        raise OutOfDomainError(f"z = {z} is not finite and below the threshold m = {spec.m}")
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     Y = ws._sector_rows(z)[0]
     return _count_orbits(ws, Y, _row_norms(ws, Y))
@@ -588,8 +581,8 @@ def _count_orbits(ws: _BSWorkspace, Y: np.ndarray, full2: list) -> int:
     one block per orbit (_count_blocks), times its size, with the tie band
     of the largest sector block."""
     norms = [sum(full2[k] for k in members) / len(members) for members in ws.orbit_members]
-    blocks, fro2 = ws._count_blocks(Y, norms)
-    return _count_block_singular_above(blocks, 1.0, [mult for _, mult in ws.orbits], fro2,
+    return _count_block_singular_above(ws._count_blocks(Y, norms), 1.0,
+                                       [mult for _, mult in ws.orbits],
                                        TIE_RTOL * np.sqrt(max(norms)))
 
 
@@ -716,20 +709,21 @@ def hs_diagnostics(spec: ModelSpec, z: float, delta: float = 1.0,
     basis).  The model kernel uses the Hessian structure at the minimum;
     extraction is done on demand when `hess` is not supplied.
     """
-    if z >= spec.m:
-        raise OutOfDomainError(f"z = {z} is not below the threshold m = {spec.m}")
+    if not -np.inf < z < spec.m:
+        raise OutOfDomainError(f"z = {z} is not finite and below the threshold m = {spec.m}")
     _check_cutoff(delta)
     hess = hess if hess is not None else hessian_at_minimum(spec)
     ws = workspace if workspace is not None else _BSWorkspace(spec)
     Y = ws._sector_rows(z)[0]
-    return _hs_of_rows(ws, Y, _row_norms(ws, Y), z, hess, _hs_support(ws, hess, delta))
+    return _hs_of_rows(ws, Y, _row_norms(ws, Y), z, hess, delta)
 
 
 def _hs_support(ws: _BSWorkspace, hess: HessianData, delta: float) -> tuple:
-    """The z-independent part of _hs_of_rows, once per sweep: (points, quad
-    forms, masks) of the model block's rows k r[I] and columns r[I] = 0 r[I], I
-    the union of the flipped supports from one _kernel_support call, and for
-    c1 == c2 the character rows psi ^ c2 and the gather of B_psi[I, I]."""
+    """The z-independent part of _hs_of_rows, kept for the last Hessian
+    object and cutoff: (points, quad forms, masks) of the model block's rows
+    k r[I] and columns r[I] = 0 r[I], I the union of the flipped supports
+    from one _kernel_support call, and for c1 == c2 the character rows
+    psi ^ c2 and the gather of B_psi[I, I]."""
     n, (c1, c2), F = 2 ** len(ws.axes), ws.chi, ws.flipped_nodes
     quad, chi = (a.reshape(n, -1) for a in _kernel_support(F.reshape(-1, 3), hess, delta))
     t = np.flatnonzero(chi.any(axis=0))     # I
@@ -745,7 +739,7 @@ def _hs_support(ws: _BSWorkspace, hess: HessianData, delta: float) -> tuple:
 
 
 def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, full2: list, z: float,
-                hess: HessianData, support: tuple) -> tuple[float, float]:
+                hess: HessianData, delta: float) -> tuple[float, float]:
     """hs_diagnostics from the sector rows Y on D, left unchanged, the squared
     norms full2 of their blocks (_row_norms) and the kernel support (_hs_support).
 
@@ -768,7 +762,9 @@ def _hs_of_rows(ws: _BSWorkspace, Y: np.ndarray, full2: list, z: float,
     (_squared_norm, M representatives), a relative error of about
     (M + 2^|A|) u hs^2 / diff^2 on diff^2 when I is small.  Else T and the
     model sit in disjoint sector pairs: diff^2 = hs^2 + 2^|A| sum_k ||K_k||^2."""
-    n, (rows, cols, parseval) = 2 ** len(ws.axes), support
+    if ws._support[0] is not hess or ws._support[1] != delta:
+        ws._support = (hess, delta, _hs_support(ws, hess, delta))
+    n, (rows, cols, parseval) = 2 ** len(ws.axes), ws._support[2]
     K = _model_kernel(ws.spec, hess, ws.spec.m - z, rows, cols).reshape(n, -1)   # row k: K_k
     hs2 = sum(full2)
     if parseval is not None:
@@ -792,13 +788,13 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
                  with_hs: bool = True) -> CountReport:
     """Sweep N(z), determinant minima and HS diagnostics over a z-list."""
     s_list = np.unique(np.asarray(m_minus_z, dtype=float))[::-1]
-    if s_list.size == 0 or s_list.min() <= 0:
-        raise ModelDataError("m - z values must be positive and nonempty")
+    if s_list.size == 0 or not np.all(np.isfinite(s_list) & (spec.m - s_list < spec.m)):
+        raise ModelDataError("m - z values must be nonempty, finite and leave z below m")
     _check_cutoff(delta)
     ws = _BSWorkspace(spec)
     if with_hs:
         try:
-            support = _hs_support(ws, hess := hessian_at_minimum(spec), delta)
+            hess = hessian_at_minimum(spec)
         except NotProductFormError:
             with_hs = False     # e.g. tabulated models: HS columns stay NaN
     counts = np.empty(s_list.size, dtype=int)
@@ -814,7 +810,7 @@ def count_report(spec: ModelSpec, m_minus_z, delta: float = 1.0,
         detmin[i] = min(float(d1.min()), float(d2.min()))
         full2 = _row_norms(ws, Y)
         if with_hs:
-            hs[i], hsd[i] = _hs_of_rows(ws, Y, full2, z, hess, support)
+            hs[i], hsd[i] = _hs_of_rows(ws, Y, full2, z, hess, delta)
         counts[i] = _count_orbits(ws, Y, full2)
         if i and counts[i] < counts[i - 1]:
             raise HypothesisViolationError(

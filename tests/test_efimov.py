@@ -7,6 +7,7 @@ from helpers import (sinh_ratio_modes, sobolev_toeplitz_count, sphere_nystrom_co
 from oracles import levinson_pivots
 from lattice3b import efimov
 from lattice3b.efimov import ModeTable
+from lattice3b.errors import MEMORY_LIMIT_BYTES
 from lattice3b import (CountReport, DegenerateCouplingError, EfimovParams,
                        HessianData, ModelDataError, InsufficientDataError,
                        ResourceCapError, asymptotic_slope,
@@ -372,11 +373,45 @@ def test_negative_pivots_memory_is_linear():
     # the O(nn) memory of the inertia count: at r = 800 (nn = 6400) the
     # traced peak is the generator x, the band search's |x| and cumulative
     # sum, and then v: within 4 * 8 nn bytes, against the 8 nn^2 (328 MB)
-    # that sobolev_finite's check charges
+    # of the dense route's block
     col = _sobolev_column(BUILTIN, 0, 800.0)
     floor = efimov.PIVOT_RTOL * (abs(col[0]) + 1.0)
     peak = traced_peak(lambda: efimov._negative_pivots(col, col[0] - 1.0, floor))
     assert col.size == 6400 and peak <= 4 * 8 * col.size
+
+
+def _linear_charge(points):
+    """The bytes sobolev_finite charges up front for the kernel at `points`
+    lags or differences."""
+    return 8 * points * (2 * efimov.GL_NODES + 16)
+
+
+def test_sobolev_radius_past_the_dense_block_cap():
+    # r = 2100 (nn = 16800): the dense block would take 2.26 GB, above the
+    # limit, but the inertia count at r12 = 0 holds only the linear arrays
+    # it is charged for (about 134 x 8 nn bytes, mostly the kernel evaluation)
+    tbl, nn = mode_table(BUILTIN), 16800
+    assert 8 * nn * nn > MEMORY_LIMIT_BYTES
+    count = sobolev_finite(BUILTIN, 2100.0, 1.0, table=tbl)
+    assert count >= sobolev_finite(BUILTIN, 2000.0, 1.0, table=tbl) == 263
+    assert traced_peak(lambda: sobolev_finite(BUILTIN, 2100.0, 1.0, table=tbl)) \
+        <= _linear_charge(nn)
+
+
+@pytest.mark.parametrize("route", ["r12", "pivot guard"])
+def test_sobolev_dense_route_refused_over_cap(monkeypatch, route):
+    # both dense routes (r12 != 0, and a pivot within the floor at r12 = 0)
+    # charge the nn^2 Hankel block in _dense_count before they build it
+    params = BUILTIN if route == "pivot guard" else \
+        EfimovParams(u12=BUILTIN.u12, r12=0.3, s12=BUILTIN.s12)
+    if route == "pivot guard":
+        monkeypatch.setattr(efimov, "_negative_pivots", lambda *args: None)
+    tbl, nn = mode_table(params, ell_max=1), 16800
+
+    def refused():
+        with pytest.raises(ResourceCapError, match="dense block"):
+            sobolev_finite(params, 2100.0, 1.0, table=tbl)
+    assert traced_peak(refused) <= _linear_charge(2 * nn - 1) < 8 * nn * nn
 
 
 @pytest.mark.parametrize("case", ["diagonal", "near_diagonal", "leading_minor"])

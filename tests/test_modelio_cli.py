@@ -397,14 +397,14 @@ def test_cli_efimov_radius_over_cap_exit4(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["count", "essential", "validate"])
 def test_cli_workspace_over_limit_exit4(capsys, command):
-    # the n = 40 workspace (2.4 GB of sector rows, symmetric blocks and
-    # scratch) is refused before it exists
+    # the n = 42 workspace (2.55 GB of sector rows, the symmetric block
+    # buffer and row gathers) is refused before it exists
     model = str(Path(__file__).resolve().parent.parent / "models" / "builtin_critical.json")
     codes = []
-    peak = traced_peak(lambda: codes.append(main([command, "--model", model, "--grid", "40"])))
+    peak = traced_peak(lambda: codes.append(main([command, "--model", model, "--grid", "42"])))
     out, err = capsys.readouterr()
     assert codes == [4]
-    assert peak < 2 ** 23          # loading the model, well below the 2.4 GB refused
+    assert peak < 2 ** 23          # loading the model, well below the 2.55 GB refused
     assert err.startswith("resource error:") and "count workspace" in err
     if command == "validate":
         assert "FAIL" not in out       # the refusal is an exit, not a failed check
@@ -416,7 +416,7 @@ def test_cli_validate_sizes_the_workspace_first(tmp_path, capsys, monkeypatch):
     # an oversized grid is refused before the first check prints, and the one
     # workspace built up front serves the Lambda-maximum check
     model = str(Path(__file__).resolve().parent.parent / "models" / "builtin_critical.json")
-    assert main(["validate", "--model", model, "--grid", "40"]) == 4
+    assert main(["validate", "--model", model, "--grid", "42"]) == 4
     assert capsys.readouterr().out == ""
     built = []
     init = threebody._BSWorkspace.__init__
@@ -448,6 +448,15 @@ def test_cli_count_rejects_nonfinite_exponent(tmp_path, capsys, flag):
     model = write_model(tmp_path / "m.json")
     assert main(["count", "--model", model, "--grid", "6", flag]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_cli_count_rejects_an_overflowing_sweep(tmp_path, capsys):
+    # finite exponents whose m - z = 10^400 overflows to inf: no inf row
+    model = write_model(tmp_path / "m.json")
+    args = ["count", "--model", model, "--grid", "6", "--zmin-exp", "-400", "--zmax-exp", "-399"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "finite" in err
 
 
 @pytest.mark.parametrize("mu", ["nan", "inf", "0", "-1"])

@@ -11,7 +11,7 @@ from oracles import (assemble_bs_matrix, assemble_direct_hamiltonian, count_abov
                      direct_count_below, finite_dim_bs_identity_check,
                      hamiltonian_flips, model_kernel_block, sandwich_blocks,
                      sector_hamiltonians)
-from lattice3b import (HypothesisViolationError, InvalidSpectralPointError,
+from lattice3b import (HypothesisViolationError, InvalidSpectralPointError, ModelDataError,
                        OutOfDomainError, ResourceCapError, build_grid,
                        builtin_dispersion, builtin_epsilon, builtin_model,
                        channel_eigenvalue, cos_axis_form_factor,
@@ -20,7 +20,7 @@ from lattice3b import (HypothesisViolationError, InvalidSpectralPointError,
                        essential_spectrum, form_factor, hs_diagnostics,
                        lambda_on_grid, make_model, pair_energy_sum,
                        sin_axis_form_factor, tabulated_dispersion, trust_floor)
-from lattice3b import threebody
+from lattice3b import errors, threebody
 from lattice3b.cli import main
 from lattice3b.errors import MEMORY_LIMIT_BYTES, require_memory
 from lattice3b.grids import product_nodes
@@ -173,12 +173,12 @@ def test_direct_hamiltonian_n6_refused_before_allocation():
     assert traced_peak(lambda: _refused(assemble_direct_hamiltonian, spec)) < 2 ** 22
 
 
-@pytest.mark.parametrize("n,fits", [(32, True), (34, True), (40, False)])
+@pytest.mark.parametrize("n,fits", [(32, True), (34, True), (40, True), (42, False)])
 def test_workspace_limit_on_three_axes(n, fits):
     # two stacks of 8 x C(n/2 + 2, 3) x (n/2)^3 doubles on the rows of the
-    # axis permutations' orbits, the symmetric blocks and an (n/2)^3-square
-    # scratch: 0.65 GB at n = 32, 0.93 GB at n = 34 (3.1 GB of full stacks
-    # before), 2.4 GB at n = 40; all are decided before any stack exists
+    # axis permutations' orbits, the largest symmetric block and two row
+    # gathers: 0.52 GB at n = 32, 1.92 GB at n = 40 and 2.55 GB at n = 42;
+    # all are decided before any stack exists
     spec = builtin_model(n, 0.0, 0.0)
     if fits:
         assert traced_peak(lambda: _BSWorkspace(spec)) < 2 ** 22
@@ -192,14 +192,13 @@ def test_count_with_hs_stays_in_the_workspace(spec16_critical):
     kernel's support only: a count sweep with HS stays within the checked
     bytes plus small temporaries (1.05x).  The checked bytes are two stacks
     of 8 flips x 120 rows (the orbits of the axis permutations) x 512
-    representatives, the resolvent slab, the symmetric blocks of the four
-    orbit slots (120, 288, 288 and 120 orbits of their little groups) and a
-    512^2 scratch."""
+    representatives, the resolvent slab, one buffer for the largest
+    symmetric block of the four orbit slots (120, 288, 288 and 120 orbits of
+    their little groups) and two 120 x 512 row gathers."""
     ws = _BSWorkspace(spec16_critical)
     assert len(ws.rows) == 120
     nbytes = ws.nbytes
-    assert nbytes == 8 * (2 * 8 * 120 * 512 + 8 * 8192
-                          + 2 * (120 ** 2 + 288 ** 2) + 512 ** 2)
+    assert nbytes == 8 * (2 * 8 * 120 * 512 + 8 * 8192 + 288 ** 2 + 2 * 120 * 512)
     peak = traced_peak(lambda: count_report(spec16_critical, [1e-1, 1e-4], with_hs=True))
     assert peak <= 1.05 * nbytes
 
@@ -844,7 +843,7 @@ def test_hs_distance_edges_match_dense_block(edge, n):
 def test_hs_distance_reads_only_the_support_entries(monkeypatch):
     """With c1 == c2 and |G| = 6 (builtin_critical at n = 12), the HS distance
     reads the sector rows by one gather of the 2^|A| |I|^2 support entries
-    B_psi[I, I], never by full twisted rows (_twisted_rows raises here), and
+    B_psi[I, I], never by forming blocks (_plan_block raises here), and
     still gives the values of PARENT_HS_N12."""
     spec = _evidence_model("builtin_critical", 12)
     hess = hessian_at_minimum(spec)
@@ -859,14 +858,14 @@ def test_hs_distance_reads_only_the_support_entries(monkeypatch):
             return out
 
     def no_rows(*args, **kwargs):
-        raise AssertionError("the HS distance gathered full twisted rows")
+        raise AssertionError("the HS distance formed a block")
 
     def read_rows(self, z):
         Y, d1, d2 = sector_rows(self, z)
         return Y.view(Reads), d1, d2
 
     sector_rows = _BSWorkspace._sector_rows
-    monkeypatch.setattr(_BSWorkspace, "_twisted_rows", no_rows)
+    monkeypatch.setattr(threebody, "_plan_block", no_rows)
     monkeypatch.setattr(_BSWorkspace, "_sector_rows", read_rows)
     points = [(1e-4, 1.0), (1e-4, 3.0), (1e-1, 3.0)]
     for (s, delta), ref in zip(points, PARENT_HS_N12["builtin_critical"]):
@@ -1088,6 +1087,18 @@ def _edge_peaked(q):
                for a in range(3))
 
 
+def _fallback_model(case, n=12):
+    """The n^3 models of test_irrep_counts_sum_to_the_count whose rest
+    certificate fails: "overcoupled" (cross weight 15) or "edge-peaked",
+    both couplings at 0.999 / max_p Lambda(p, m - 1e-8)."""
+    spec = (builtin_model(n, 0.0, 0.0, cross_weight=15.0) if case == "overcoupled" else
+            builtin_model(n, 0.0, 0.0, cross_weight=6.0,
+                          phi1=form_factor(1, "even", _edge_peaked),
+                          phi2=form_factor(2, "even", _edge_peaked)))
+    lam = max(lambda_on_grid(spec, a, spec.m - 1e-8).max() for a in (1, 2))
+    return spec.with_params(mu1=0.999 / lam, mu2=0.999 / lam)
+
+
 @pytest.mark.parametrize("case", ["resonance_strong", "eigenvalue_case", "overcoupled",
                                   "edge-peaked"])
 def test_irrep_counts_sum_to_the_count(case):
@@ -1111,15 +1122,8 @@ def test_irrep_counts_sum_to_the_count(case):
     one; its rest exceeds 1, and only the fallback's whole block counts
     that level.  Its counts are the parent's and those of the dense T(z)
     (count_above of assemble_bs_matrix)."""
-    if case in ("overcoupled", "edge-peaked"):
-        spec = (builtin_model(12, 0.0, 0.0, cross_weight=15.0) if case == "overcoupled" else
-                builtin_model(12, 0.0, 0.0, cross_weight=6.0,
-                              phi1=form_factor(1, "even", _edge_peaked),
-                              phi2=form_factor(2, "even", _edge_peaked)))
-        lam = max(lambda_on_grid(spec, a, spec.m - 1e-8).max() for a in (1, 2))
-        spec = spec.with_params(mu1=0.999 / lam, mu2=0.999 / lam)
-    else:
-        spec = _evidence_model(case, 12)
+    spec = (_fallback_model(case) if case in ("overcoupled", "edge-peaked")
+            else _evidence_model(case, 12))
     ws = _BSWorkspace(spec)
     projectors = {psi: _irrep_projectors(ws, psi) for psi in ws.orbit_slots}
     counts, fallbacks = [], 0
@@ -1141,8 +1145,8 @@ def test_irrep_counts_sum_to_the_count(case):
         Y = ws._sector_rows(z)[0]
         full2 = threebody._row_norms(ws, Y)
         norms = [sum(full2[k] for k in m) / len(m) for m in ws.orbit_members]
-        blocks, fro2 = ws._count_blocks(Y, norms)
-        fallbacks += sum(np.shares_memory(b, ws._scratch) for b in blocks)
+        fallbacks += sum(ws._whole is not None and np.shares_memory(b, ws._whole)
+                         for b, _ in ws._count_blocks(Y, norms))
         if case in ("resonance_strong", "eigenvalue_case"):
             assert symmetric == count
         elif case == "edge-peaked" and s < 1.0:
@@ -1150,3 +1154,86 @@ def test_irrep_counts_sum_to_the_count(case):
     assert fallbacks > 0 if case in ("overcoupled", "edge-peaked") else fallbacks == 0
     assert counts == {"resonance_strong": [1, 9, 9], "eigenvalue_case": [0, 1, 1],
                       "overcoupled": [1, 9, 9], "edge-peaked": [1, 7, 7]}[case]
+
+
+PARENT_HS_SWEEP_N12 = [     # builtin_critical, delta = 1, m - z = geomspace(1e-4, 1e-1, 16)
+    (2.262112070987182, 1.9505228536864223), (2.2617276006234, 1.9503422037029847),
+    (2.2611190377019423, 1.9500562419077023), (2.2601564883510497, 1.9496038972555823),
+    (2.2586358475617763, 1.9488891644897655), (2.256238012947625, 1.9477618356299986),
+    (2.252468068698673, 1.945988652318929), (2.246568121732372, 1.9432116341826622),
+    (2.2374008532098277, 1.9388914556162617), (2.2233140197550534, 1.9322386381023746),
+    (2.2020296436417404, 1.9221475917550577), (2.1706655284543324, 1.9071699019099733),
+    (2.126074035425771, 1.885581656205768), (2.065667147559857, 1.8555697861802645),
+    (1.9885644852048119, 1.8154257221117596), (1.8962085895263352, 1.763473382513162),
+]
+
+
+def test_hs_support_kept_per_workspace(monkeypatch):
+    """16 hs_diagnostics calls on one workspace with one Hessian object and
+    cutoff test the kernel support once, and return the parent's values bit
+    for bit; another cutoff or Hessian object takes it again."""
+    spec = _evidence_model("builtin_critical", 12)
+    hess, ws = hessian_at_minimum(spec), _BSWorkspace(spec)
+    support, calls = threebody._kernel_support, []
+    monkeypatch.setattr(threebody, "_kernel_support",
+                        lambda *a: calls.append(a[2]) or support(*a))
+    got = [hs_diagnostics(spec, spec.m - s, 1.0, hess, ws) for s in np.geomspace(1e-4, 1e-1, 16)]
+    assert got == PARENT_HS_SWEEP_N12
+    assert calls == [1.0]
+    hs_diagnostics(spec, spec.m - 1e-2, 3.0, hess, ws)
+    hs_diagnostics(spec, spec.m - 1e-2, 3.0, dataclasses.replace(hess), ws)
+    assert calls == [1.0, 3.0, 3.0]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_points_refused(spec8, value):
+    """A spectral point that is not finite is refused at every entry point:
+    z for the count and the HS diagnostics, m - z for count_report."""
+    for entry in (count_eigenvalues_below, hs_diagnostics):
+        with pytest.raises(OutOfDomainError):
+            entry(spec8, value)
+    with pytest.raises(ModelDataError):
+        count_report(spec8, [1e-1, value])
+
+
+def test_fallback_sweep_forms_one_whole_block(monkeypatch):
+    """A sweep over the overcoupled model at n = 12, whose trivial orbit
+    fails the rest certificate, charges and allocates the whole M x M block
+    once per workspace.  The whole block needs the dense SVD, which copies
+    it, so the sweep peaks within 1.05 (nbytes + 2 x 8 M^2)."""
+    spec = _fallback_model("overcoupled")
+    ws = _BSWorkspace(spec)
+    M = len(ws.r)
+    charges, require = [], threebody.require_memory
+    monkeypatch.setattr(threebody, "require_memory",
+                        lambda nbytes, what: charges.append(nbytes) or require(nbytes, what))
+    s_vals = [1.0, 1e-2, 1e-4, 1e-6]
+    rep = count_report(spec, s_vals)
+    assert list(rep.counts) == [1, 9, 9, 9]
+    assert charges == [ws.nbytes, ws.nbytes + 8 * M * M]
+    whole = []
+    for s in s_vals:
+        count_eigenvalues_below(spec, spec.m - s, ws)
+        whole.append(ws._whole)
+    assert whole[0] is None and whole[-1] is not None
+    assert all(w is whole[-1] for w in whole[1:])
+    monkeypatch.undo()
+    peak = traced_peak(lambda: count_report(spec, s_vals))
+    assert peak <= 1.05 * (ws.nbytes + 2 * 8 * M * M)
+
+
+def test_whole_block_refused_over_the_limit(monkeypatch):
+    """With the limit at nbytes + 1, the workspace fits, and the first
+    failed certificate raises ResourceCapError before the whole block
+    exists: the row peaks less than 8 M^2 bytes above nbytes."""
+    spec = _fallback_model("overcoupled")
+    ws = _BSWorkspace(spec)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT_BYTES", ws.nbytes + 1)
+    z = spec.m - 1e-6
+
+    def count():
+        with pytest.raises(ResourceCapError, match="whole sector block"):
+            count_eigenvalues_below(spec, z, ws)
+    peak = traced_peak(count)
+    assert ws._whole is None
+    assert peak < ws.nbytes + 8 * len(ws.r) ** 2
