@@ -84,7 +84,11 @@ def _z_sweep(args) -> np.ndarray:
         ks = np.linspace(k_lo, k_hi, args.zcount)
     else:
         ks = np.arange(k_lo, k_hi + 1e-12)
-    return 10.0 ** (-ks)
+    with np.errstate(over="ignore"):
+        s_values = 10.0 ** (-ks)
+    if not np.all(np.isfinite(s_values)):
+        raise ModelDataError(f"z exponents must leave m - z = 10^-k finite, got zmin-exp {k_lo}")
+    return s_values
 
 
 def cmd_threshold(args) -> int:

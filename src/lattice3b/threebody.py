@@ -30,7 +30,9 @@ pair energies U_k only on the rows D, one representative per G-orbit
 (about N / 2^|A| / |G| of them), built by pair_matrix; one pass over
 cache-sized slabs (`_character_sums`) forms the character sums
 R_psi = sum_k psi(k) / (U_k - z) of every label on those rows, and the rest
-reads them, weighted by the orbit sizes.  Lambda_alpha(p, z) and
+reads them, weighted by the orbit sizes.  One action table of G on the
+representatives and the flip labels gives the rows D, the label orbits and
+the little-group plans.  Lambda_alpha(p, z) and
 Delta_alpha(p, z) are invariant under the flips and G, so they come from the
 trivial sum R_0 on the rows D; the determinants, `lambda_on_grid` and
 `validate`'s Lambda maximum spread them to all nodes.  The HS diagnostics
@@ -54,11 +56,12 @@ part of the package; they live with the tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import permutations, repeat
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import hadamard
 
 from .errors import (HypothesisViolationError, InvalidSpectralPointError,
                      ModelDataError, NotProductFormError, OutOfDomainError,
@@ -103,9 +106,14 @@ class _BSWorkspace:
     sector rows; Lambda, the determinants, the HS diagnostics, the count and
     the essential bisection read everything from them, weighted by the orbit
     sizes.  With a trivial group D is every representative and the pass is
-    the full sector pass.  `orbits` holds (k, multiplicity) for each orbit of
-    the flip labels, k the orbit's smallest label, and `orbit_slots` those
-    labels k: the sector blocks a count reads.
+    the full sector pass.
+
+    Every orbit table is read off `perms[g, t]` and `labels[g, k]`, the
+    images of the representative t and of the flip label k (an index into
+    flips()) under group[g], and `_h[t]`, the first g with g t = d in D.
+    `orbits` holds (k, multiplicity) for each orbit of the flip labels, k
+    the orbit's smallest label, and `orbit_slots` those labels k: the sector
+    blocks a count reads.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -113,11 +121,11 @@ class _BSWorkspace:
         self.w = spec.grid.weight
         n, x = spec.grid.n, spec.grid.axis
         phi = [spec.phi_values(alpha).reshape((n,) * 3) for alpha in (1, 2)]
-        self.axes, self.chi = _flip_axes(spec, phi)
+        self.axes, odd = _flip_axes(spec, phi)
+        self.chi = tuple(self.flips().index(f) for f in odd)
         self.lists = [x[n // 2:] if a in self.axes else x for a in range(3)]
         self.r = product_nodes(self.lists)      # the representatives
-        self.group, self.orbits = _sector_orbits(spec, self.axes, phi)
-        self.orbit_slots = [k for k, _ in self.orbits]
+        self.group = _sector_orbits(spec, self.axes, phi)
         self._orbit_tables()
         M, rows, labels = len(self.r), len(self.rows), 2 ** len(self.axes)
         # the count's block buffer and gathers (_count_blocks)
@@ -136,20 +144,21 @@ class _BSWorkspace:
 
     def _orbit_tables(self) -> None:
         """The group's action on the representatives and the flip labels, the
-        rows D, and one plan per orbit slot for its symmetric block."""
+        rows D, the label orbits and one plan per orbit slot."""
         shape = [len(l) for l in self.lists]
         idx = np.indices(shape).reshape(3, -1)
-        # perms[g, t]: the representative with the coordinates of t moved by
-        # group[g], coordinate a to axis group[g][a]; labels[g, k]: the flip k
-        # moved the same way (axis A[0] is the top flip bit)
+        flips = self.flips()
+        # group[g] moves axis a, of a representative or a flip, to axis group[g][a]
         self.perms = np.array([np.ravel_multi_index([idx[s.index(b)] for b in range(3)], shape)
                                for s in self.group])
-        bit = {a: 1 << (len(self.axes) - 1 - i) for i, a in enumerate(self.axes)}
-        self.labels = np.array([[sum(bit[s[a]] for a in self.axes if k & bit[a])
-                                 for k in range(2 ** len(self.axes))] for s in self.group])
+        self.labels = np.array([[flips.index(tuple(sorted(s[a] for a in f))) for f in flips]
+                                for s in self.group])
         self.rows, self.orbit_of = np.unique(self.perms.min(axis=0), return_inverse=True)
         self.sizes = np.bincount(self.orbit_of).astype(float)
         self._h = np.argmax(self.perms == self.rows[self.orbit_of], axis=0)    # h t = d
+        slots, mults = np.unique(self.labels.min(axis=0), return_counts=True)
+        self.orbit_slots = slots.tolist()
+        self.orbits = tuple(zip(self.orbit_slots, mults.tolist()))
         self.orbit_members = [np.unique(self.labels[:, k]) for k in self.orbit_slots]
         self._plans = [self._symmetric_plan(k) for k in self.orbit_slots] \
             if len(self.group) > 1 else []
@@ -160,48 +169,36 @@ class _BSWorkspace:
         G_psi = {s: s psi = psi}, by default G_psi.
 
         B_sym[O, O'] = sqrt(|O| / |O'|) sum_{y in O'} B_psi[x0(O), y] over the
-        L-orbits O and O' of the representatives, row i on row orbits[i].  An
-        L-orbit in the G-orbit of d holds c d for some c of the right cosets
-        L c, so x0(O) = c d for the first such c in group order, and the orbit
-        sum is |O'| / |L| times sum_{g in L} B_psi[x0, g y0], y0 the smallest
-        index in O'.  Part (label, rows, cols) gives the rows c d = h^-1 d of
-        one c: B_psi[c d, y] = Y[h psi][d, h y], so cols[g] = h g y0.  With L
-        = [0], the identity, B_sym is B_psi with its rows permuted."""
+        L-orbits O and O' of the representatives, x0(O) the smallest index in
+        O, row i on row orbits[i]; the orbit sum is |O'| / |L| times
+        sum_{g in L} B_psi[x0, g y0], y0 = x0(O').  With h = _h[x0], h x0 = d
+        in D, B_psi[x0, y] = Y[h psi][d, h y], so the orbits are grouped by h,
+        one part (label, rows, cols) per h: the rows d in increasing order
+        and cols[g] = h g y0.  With L = [0], the identity, B_sym is B_psi
+        with its rows permuted."""
         little = np.flatnonzero(self.labels[:, psi] == psi) if little is None else little
         first, oid = np.unique(self.perms[little].min(axis=0), return_inverse=True)
         size = np.bincount(oid)
-        index = {s: g for g, s in enumerate(self.group)}
-        seen, covered, parts, row_orbits = np.zeros(len(size), bool), set(), [], []
-        for g, c in enumerate(self.group):
-            if g in covered:
-                continue
-            covered |= {index[tuple(self.group[f][c[a]] for a in range(3))] for f in little}
-            o = oid[self.perms[g][self.rows]]
-            new = np.flatnonzero(~seen[o])
-            seen[o[new]] = True
-            h = index[tuple(c.index(b) for b in range(3))]
-            cols = self.perms[h][self.perms[little][:, first]]
-            parts.append((int(self.labels[h, psi]), new, cols))
-            row_orbits.append(o[new])
-        row_orbits = np.concatenate(row_orbits)
+        h, d = self._h[first], self.orbit_of[first]
+        row_orbits = np.lexsort((d, h))     # by h, then by the row d
+        moved = self.perms[little][:, first]    # g y0
+        parts = [(int(self.labels[g, psi]), d[o], self.perms[g][moved])
+                 for g in np.unique(h) for o in [row_orbits[h[row_orbits] == g]]]
         return (len(size), parts, row_orbits, np.sqrt(size[row_orbits]),
                 np.sqrt(size) / len(little))
 
     def flips(self) -> list:
-        """The axis sets of the flips k on A in bit order: k's set bits."""
+        """The flips k on A as the axis sets they negate, in label order: the
+        bits of k over the axes A, A[0] the top bit.  Every label (labels,
+        chi, orbits, the character sums) indexes this list."""
         return [tuple(a for a, f in zip(self.axes, flip) if f)
                 for flip in np.ndindex((2,) * len(self.axes))]
-
-    def flipped(self):
-        """(k, the per-axis lists of the representatives flipped by k) for the
-        flips k in bit order: negated on the axes of k's set bits."""
-        for k, neg in enumerate(self.flips()):
-            yield k, [-x if a in neg else x for a, x in enumerate(self.lists)]
 
     @cached_property
     def flipped_nodes(self) -> np.ndarray:
         """The representatives flipped by k, k r, stacked over the flips k."""
-        return np.stack([product_nodes(lists) for _, lists in self.flipped()])
+        signs = [[-1.0 if a in f else 1.0 for a in range(3)] for f in self.flips()]
+        return np.array(signs)[:, None, :] * self.r
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._stacks is None:
@@ -217,16 +214,16 @@ class _BSWorkspace:
                 self._block, self._gather = (np.empty(size) for size in self._count_sizes)
         return self._stacks
 
-    def _character_sums(self, z: float, slots) -> np.ndarray:
-        """The character sums of the resolvents 1/(U_k - z) on the rows D, in
-        the front of the second stack, entry i for the label slots[i]
-        (_character_sums).  fl(u - z) <= 0 exactly when u <= z, so the domain
-        check reads U's minimum instead of the differences."""
+    def _character_sums(self, z: float) -> np.ndarray:
+        """The second stack holding the character sums of the resolvents
+        1/(U_k - z) on the rows D, entry psi for the label psi
+        (_character_sums); R_0 = S[:1].  fl(u - z) <= 0 exactly when u <= z,
+        so the domain check reads U's minimum instead of the differences."""
         U, S = self._arrays()
         if self._u_min <= z:
             raise OutOfDomainError(f"z = {z} is not below the grid spectrum of u")
-        _character_sums(U, S, z, slots, self._slab)
-        return S[:len(slots)]
+        _character_sums(U, S, z, self._slab)
+        return S
 
     def _lambda(self, alpha: int, S: np.ndarray,
                 cols: Optional[np.ndarray] = None) -> np.ndarray:
@@ -246,7 +243,7 @@ class _BSWorkspace:
 
     def lambdas(self, alpha: int, z: float) -> np.ndarray:
         """Lambda_alpha(p, z) on the representatives p of the model's axes."""
-        return self._lambda(alpha, self._character_sums(z, [0]))[self.orbit_of]
+        return self._lambda(alpha, self._character_sums(z)[:1])[self.orbit_of]
 
     def on_nodes(self, values: np.ndarray) -> np.ndarray:
         """Values on the representatives of the model's axes spread to all
@@ -260,7 +257,7 @@ class _BSWorkspace:
 
     def determinants(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """Delta_alpha(p, z) on all grid nodes; requires z < every u value."""
-        R0 = self._character_sums(z, [0])
+        R0 = self._character_sums(z)[:1]
         return tuple(self.on_nodes((1.0 - self.spec.mu(a) * self._lambda(a, R0))[self.orbit_of])
                      for a in (1, 2))
 
@@ -282,7 +279,7 @@ class _BSWorkspace:
         group, so the rows are scaled row slab by row slab with the outer
         product of col on D and row on every representative.
         """
-        S = self._character_sums(z, range(2 ** len(self.axes)))
+        S = self._character_sums(z)
         d1, d2 = (1.0 - self.spec.mu(a) * self._lambda(a, S[:1]) for a in (1, 2))
         if d1.min() <= 0.0 or d2.min() <= 0.0:
             raise InvalidSpectralPointError(
@@ -338,8 +335,8 @@ class _BSWorkspace:
             if f2 - sym2 + 8 * (M + len(Y) + 8) * _EPS * f2 <= 1.0:
                 yield B, sym2
                 continue
-            if self._whole is None:
-                require_memory(self.nbytes + 8 * M * M, "the count's whole sector block")
+            if self._whole is None:     # the block and the dense SVD's copy of it
+                require_memory(self.nbytes + 2 * 8 * M * M, "the count's whole sector block")
                 self._whole = np.empty((M, M))
             yield _plan_block(Y, self._symmetric_plan(psi, [0]), self._whole, self._gather), f2
 
@@ -371,54 +368,41 @@ def _plan_block(Y: np.ndarray, plan: tuple, out: np.ndarray,
 @lru_cache(maxsize=None)
 def _characters(n: int) -> np.ndarray:
     """The n x n +-1 character matrix of Z2^|A|, n = 2^|A| (read-only): entry
-    (psi, k) is psi(k) = (-1)^popcount(psi & k), with psi and k both indexing
-    the flip bits of the axes in order."""
-    H = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (n.bit_length() - 1),
-               np.ones((1, 1)))
+    (psi, k) is psi(k) = (-1)^popcount(psi & k), Sylvester's Hadamard
+    matrix, whose bit order is that of the labels (flips)."""
+    H = hadamard(n, dtype=float)
     H.flags.writeable = False
     return H
 
 
-def _character_sums(U: np.ndarray, S: np.ndarray, z: float, slots,
+def _character_sums(U: np.ndarray, S: np.ndarray, z: float,
                     buf: Optional[np.ndarray] = None) -> None:
-    """In place, S[i] becomes the character sum R_psi = sum_k psi(k) / (U_k -
-    z) over the stack U_k of the flips k, for psi = slots[i]; the rest of S
-    is scratch.
+    """In place, S[psi] becomes the character sum R_psi = sum_k psi(k) / (U_k
+    - z) over the stack U_k of the flips k, for every label psi.
 
     One column slab of the flattened stacks at a time: the resolvents of
     every flip go to one buffer of 2^|A| x _SLAB doubles (`buf`, when given,
-    of at least 2^|A| x min(_SLAB, columns)), and those rows of the
-    character matrix times it go straight to S.  A slot's bits must not
-    depend on which other slots are formed.  A row of a BLAS product of at
-    least two rows and two columns is the same dot product over k whatever
-    the other rows, but a one-row or one-column product takes the
-    matrix-vector path, which rounds differently.  So a single slot is
-    formed twice (into S[0] and S[1]: 2^|A| >= 2 slots), the last slab is
-    moved back to hold two columns and a one-column stack (M = 1) is
-    widened; with |A| = 0 the one product is exact (1.0 times the
-    resolvent)."""
+    of at least 2^|A| x min(_SLAB, columns)), and the character matrix
+    times it goes straight to S.  Every caller reads this one product, so
+    the sums a count, a determinant or a bisection bracket reads have the
+    same bits."""
     n = len(U)
-    rows = list(slots) * (2 if len(slots) == 1 and n > 1 else 1)
-    H = _characters(n)[rows]
+    H = _characters(n)
     X, Y = U.reshape(n, -1), S.reshape(n, -1)
     width = X.shape[1]
     buf = np.empty((n, min(_SLAB, width))) if buf is None else buf
     for j in range(0, width, _SLAB):
-        j = max(0, min(j, width - 2))
         cols = slice(j, j + _SLAB)
         R = buf[:, :min(_SLAB, width - j)]
         np.subtract(X[:, cols], z, out=R)
         np.reciprocal(R, out=R)
-        if width == 1:
-            Y[:len(rows), cols] = (H @ np.repeat(R, 2, axis=1))[:, :1]
-        else:
-            np.matmul(H, R, out=Y[:len(rows), cols])
+        np.matmul(H, R, out=Y[:, cols])
 
 
-def _flip_axes(spec: ModelSpec, phi: list) -> tuple[tuple, tuple[int, int]]:
-    """(A, (c1, c2)): the axes A on which T(z) commutes with flipping both
-    momenta, and the labels of the parity characters chi_alpha of phi_alpha
-    on A, whose flip bits are set on the axes where phi_alpha is odd.
+def _flip_axes(spec: ModelSpec, phi: list) -> tuple[tuple, tuple[tuple, tuple]]:
+    """(A, (odd1, odd2)): the axes A on which T(z) commutes with flipping
+    both momenta, and for each form factor phi_alpha the axes of A on which
+    it is odd, the flip whose label is that of its parity character chi_alpha.
 
     The shifted grid has no zero coordinate, so the flips act freely on it.
     An axis counts when the pair energy is the builtin separable sum
@@ -428,33 +412,24 @@ def _flip_axes(spec: ModelSpec, phi: list) -> tuple[tuple, tuple[int, int]]:
     model.
     """
     if not spec.pair.separable:
-        return (), (0, 0)
+        return (), ((), ())
     par = np.array([[next((sign for sign in (1, -1) if has_flip_parity(v, axis, sign)), 0)
                      for axis in range(3)] for v in phi])     # +1 even, -1 odd, 0 neither
     axes = tuple(int(a) for a in np.flatnonzero(np.all(par != 0, axis=0)))
-    bits = 1 << np.arange(len(axes))[::-1]      # axis A[0] is the top flip bit
-    return axes, tuple(int((p[list(axes)] < 0) @ bits) for p in par)
+    return axes, tuple(tuple(a for a in axes if p[a] < 0) for p in par)
 
 
-def _sector_orbits(spec: ModelSpec, axes: tuple,
-                   phi: list) -> tuple[list, tuple[tuple[int, int], ...]]:
-    """(group, orbits): the axis permutations s (axis a to s[a]) that map A
-    onto A, keep the builtin axis weights exactly and leave the (n, n, n)
-    grid values phi of both form factors unchanged, so that they commute with
-    T(z), and the orbits of the flip labels under them, (smallest label,
-    size) in label order.  A = () gives the trivial group."""
+def _sector_orbits(spec: ModelSpec, axes: tuple, phi: list) -> list:
+    """The group G: the axis permutations s (axis a to s[a]) that map A onto
+    A, keep the builtin axis weights exactly and leave the (n, n, n) grid
+    values phi of both form factors unchanged, so that they commute with
+    T(z), the identity first.  A = () gives the trivial group."""
     if not axes:
-        return [(0, 1, 2)], ((0, 1),)
+        return [(0, 1, 2)]
     w = spec.pair.dispersion.axis_weights
-    group = [s for s in permutations(range(3)) if {s[a] for a in axes} == set(axes)
-             and all(w[s[a]] == w[a] for a in range(3))
-             and all(grid_equal(v.transpose(s), v) for v in phi)]
-    bit = {a: 1 << (len(axes) - 1 - i) for i, a in enumerate(axes)}    # A[0] on top
-    orbits: dict[int, int] = {}
-    for k in range(2 ** len(axes)):
-        rep = min(sum(bit[s[a]] for a in axes if k & bit[a]) for s in group)
-        orbits[rep] = orbits.get(rep, 0) + 1
-    return group, tuple(orbits.items())
+    return [s for s in permutations(range(3)) if {s[a] for a in axes} == set(axes)
+            and all(w[s[a]] == w[a] for a in range(3))
+            and all(grid_equal(v.transpose(s), v) for v in phi)]
 
 
 def _count_block_singular_above(stack, mu: float, mults: Optional[list] = None,
@@ -633,7 +608,7 @@ def _channel_roots_on_grid(ws: _BSWorkspace, alpha: int) -> np.ndarray:
     top = spec.m - 1e-12 * max(1.0, abs(spec.m))
     phi2max = float(np.max(spec.phi_values(alpha) ** 2))
     lo = vals_min - (spec.M - spec.m) - mu * TWO_PI ** 3 * phi2max
-    has_root = 1.0 - mu * ws._lambda(alpha, ws._character_sums(top, [0])) < 0.0
+    has_root = 1.0 - mu * ws._lambda(alpha, ws._character_sums(top)[:1]) < 0.0
     out = np.full(D, np.nan)
     if has_root.any():
         # Delta_alpha(p, .) > 0 below a bracket without a root, so only the

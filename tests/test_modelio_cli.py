@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -451,10 +452,14 @@ def test_cli_count_rejects_nonfinite_exponent(tmp_path, capsys, flag):
 
 
 def test_cli_count_rejects_an_overflowing_sweep(tmp_path, capsys):
-    # finite exponents whose m - z = 10^400 overflows to inf: no inf row
+    # finite exponents whose m - z = 10^400 overflows to inf: no inf row,
+    # and no numpy overflow warning before the refusal
     model = write_model(tmp_path / "m.json")
     args = ["count", "--model", model, "--grid", "6", "--zmin-exp", "-400", "--zmax-exp", "-399"]
-    assert main(args) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     out, err = capsys.readouterr()
     assert out == "" and "finite" in err
 

@@ -24,7 +24,7 @@ from lattice3b import errors, threebody
 from lattice3b.cli import main
 from lattice3b.errors import MEMORY_LIMIT_BYTES, require_memory
 from lattice3b.grids import product_nodes
-from lattice3b.model import hessian_at_minimum, pair_matrix
+from lattice3b.model import has_flip_parity, hessian_at_minimum, pair_matrix
 from lattice3b.modelio import load_model
 from lattice3b.threebody import (_SLAB, TIE_RTOL, _BSWorkspace, _character_sums,
                                  _count_block_singular_above, _leading_singular_values,
@@ -359,13 +359,19 @@ def test_workspace_pair_stack_is_the_evaluator(case):
     # swapping q1 and q2 keeps sin(q1+q2) and A = (2,): 21 x 3 of the 108 rows
     assert len(ws.rows) == {"axis-weights": len(ws.r), "sin-q1+q2": 63,
                             "tabulated": len(ws.r)}[case]
-    for k, lists in ws.flipped():
-        t = product_nodes(lists)[ws.rows]
+    for k, flip in enumerate(ws.flips()):
+        t = product_nodes(_flipped_lists(ws, flip))[ws.rows]
         assert np.array_equal(U[k], spec.pair(t[:, None, :], ws.r[None, :, :]))
+        assert np.array_equal(ws.flipped_nodes[k][ws.rows], t)
     for a in range(3):
         image = np.abs(nodes[:, a]) if a in ws.axes else nodes[:, a]
         assert np.array_equal(ws.on_nodes(np.abs(ws.r[:, a]) if a in ws.axes
                                           else ws.r[:, a]), image)
+
+
+def _flipped_lists(ws, flip):
+    """The per-axis node lists of the representatives negated on flip's axes."""
+    return [-x if a in flip else x for a, x in enumerate(ws.lists)]
 
 
 def _resolvent_stack(seed, flips, m):
@@ -384,24 +390,8 @@ def test_walsh_hadamard_matches_character_sums(flips, m):
     chars = np.array([[(-1) ** bin(psi & k).count("1") for k in range(flips)]
                       for psi in range(flips)])
     expected = np.einsum("pk,kij->pij", chars, 1.0 / (U - 0.5))
-    _character_sums(U, S, 0.5, range(flips))
+    _character_sums(U, S, 0.5)
     np.testing.assert_allclose(S, expected, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("flips,m,rows", [(1, 30, [0]), (2, 70, [0]), (4, 40, [0, 3]),
-                                          (8, 100, [0, 1, 3, 7]), (8, 20, [2, 5])])
-def test_walsh_hadamard_orbit_slots_equal_full_transform(flips, m, rows):
-    """The count path forms only the orbit slots, from those rows of the
-    character matrix, at the front of the scratch stack: they equal the full
-    transform's bit for bit, over several column slabs and a partial last
-    one, and the rest of the scratch stack is not written (a single slot is
-    formed twice, into entries 0 and 1)."""
-    U = _resolvent_stack(1, flips, m)
-    full, part = np.empty_like(U), np.full_like(U, np.nan)
-    _character_sums(U, full, 0.5, range(flips))
-    _character_sums(U, part, 0.5, rows)
-    assert np.array_equal(part[:len(rows)], full[rows])
-    assert np.all(np.isnan(part[max(len(rows), min(flips, 2)):]))
 
 
 def test_no_axis_parity_takes_full_block():
@@ -725,15 +715,38 @@ def test_hs_diagnostics_match_dense_block(case, n):
     assert (len(ws.rows) < blocks[2]) == (len(ws.group) > 1)
 
 
+def _reference_sector_blocks(spec, ws, z):
+    """(blocks, d1, d2, top): the sector blocks sum_k psi(k) T_k of T12(z) on
+    the representatives in label order, built without the workspace's
+    passes, from pair_matrix on the flipped lists, a dense reciprocal and
+    the determinants d1, d2 of the full pair matrix (on the
+    representatives), and top = max_k |T_k|."""
+    w, f1, f2 = spec.grid.weight, spec.phi_values(1), spec.phi_values(2)
+    R = 1.0 / (pair_matrix(spec) - z)
+    d1 = 1.0 - spec.mu1 * w * (f1 ** 2 @ R)
+    d2 = 1.0 - spec.mu2 * w * (R @ f2 ** 2)
+    reps = np.all(spec.grid.nodes[:, list(ws.axes)] > 0.0, axis=1)
+    col = f1[reps] / np.sqrt(d2[reps])
+    row = np.sqrt(spec.mu1 * spec.mu2) * w * f2[reps] / np.sqrt(d1[reps])
+    T = np.array([np.outer(col, row) / (pair_matrix(spec, rows=_flipped_lists(ws, flip),
+                                                    cols=ws.lists) - z)
+                  for flip in ws.flips()])
+    n = len(T)
+    blocks = np.array([sum((-1) ** bin(psi & k).count("1") * T[k] for k in range(n))
+                       for psi in range(n)])
+    return blocks, d1[reps], d2[reps], np.max(np.abs(T))
+
+
 @pytest.mark.parametrize("case", ["sin-1-1", "cos-2-sin-3", "sin-q1+q2", "no-parity"])
 def test_sector_pass_equals_character_sums(case):
     """Every sector block of the one pass equals sum_k psi(k) T_k built
     independently, from pair_matrix on the flipped lists, a dense reciprocal
     and the determinants of the full pair matrix, to 1e-13 relative, for
     c1 == c2 != 0, c1 != c2, A = (2,) and A = () on a grid whose M^2 is not
-    a multiple of _SLAB; a slot's bits do not depend on which other slots
-    the pass forms ({0}, the orbit representatives or all labels), and the
-    determinants are those of the full pair matrix on the representatives."""
+    a multiple of _SLAB; a block's bits do not depend on which other blocks
+    sector_blocks is asked for ({0}, the orbit representatives or all
+    labels), and the determinants are those of the full pair matrix on the
+    representatives."""
     kwargs, axes, chi = HS_MODELS[case]
     spec = builtin_model(10, 0.0, 0.0, **kwargs)
     spec = spec.with_params(mu1=coupling_threshold(spec, 1), mu2=coupling_threshold(spec, 2))
@@ -742,25 +755,14 @@ def test_sector_pass_equals_character_sums(case):
     n, M = 2 ** len(axes), len(ws.r)
     assert M * M > _SLAB and M * M % _SLAB != 0
     z = spec.m - 1e-2
-    w, f1, f2 = spec.grid.weight, spec.phi_values(1), spec.phi_values(2)
-    R = 1.0 / (pair_matrix(spec) - z)
-    d1 = 1.0 - spec.mu1 * w * (f1 ** 2 @ R)
-    d2 = 1.0 - spec.mu2 * w * (R @ f2 ** 2)
-    nodes = spec.grid.nodes
-    reps = np.all(nodes[:, list(axes)] > 0.0, axis=1)
-    col = f1[reps] / np.sqrt(d2[reps])
-    row = np.sqrt(spec.mu1 * spec.mu2) * w * f2[reps] / np.sqrt(d1[reps])
-    T = np.array([np.outer(col, row) / (pair_matrix(spec, rows=lists, cols=ws.lists) - z)
-                  for _, lists in ws.flipped()])
-    ref = np.array([sum((-1) ** bin(psi & k).count("1") * T[k] for k in range(n))
-                    for psi in range(n)])
+    ref, d1, d2, top = _reference_sector_blocks(spec, ws, z)
     formed = {}
     for slots in ([0], ws.orbit_slots, list(range(n))):
         stack, e1, e2 = ws.sector_blocks(z, slots)
-        assert np.max(np.abs(e1 - d1[reps])) <= 1e-13 * np.max(np.abs(d1))
-        assert np.max(np.abs(e2 - d2[reps])) <= 1e-13 * np.max(np.abs(d2))
+        assert np.max(np.abs(e1 - d1)) <= 1e-13 * np.max(np.abs(d1))
+        assert np.max(np.abs(e2 - d2)) <= 1e-13 * np.max(np.abs(d2))
         for i, psi in enumerate(slots):
-            assert np.max(np.abs(stack[i] - ref[psi])) <= 1e-13 * np.max(np.abs(T))
+            assert np.max(np.abs(stack[i] - ref[psi])) <= 1e-13 * top
             assert np.array_equal(stack[i], formed.setdefault(psi, stack[i].copy()))
 
 
@@ -1156,6 +1158,62 @@ def test_irrep_counts_sum_to_the_count(case):
                       "overcoupled": [1, 9, 9], "edge-peaked": [1, 7, 7]}[case]
 
 
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("case", ["resonance_strong", "eigenvalue_case", "weights-1-1-2"])
+def test_symmetric_plans_are_the_trivial_irrep_blocks(case, n):
+    """For every orbit slot psi, the block _plan_block forms from the rows D
+    on _symmetric_plan(psi) has the nonzero singular values of B_psi P, P
+    the projector on the trivial irrep of the little group of psi, to 1e-12
+    relative (|G| = 6 on resonance_strong, 2 on the others); and on the plan
+    of the identity it is B_psi with its rows permuted.  B_psi is built
+    without the workspace's passes (_reference_sector_blocks)."""
+    spec = _evidence_model(case, n)
+    ws = _BSWorkspace(spec)
+    assert len(ws.group) == (6 if case == "resonance_strong" else 2)
+    z = spec.m - 1e-2
+    ref, _, _, top = _reference_sector_blocks(spec, ws, z)
+    Y = ws._sector_rows(z)[0]
+    M = len(ws.r)
+    gather = np.empty(2 * Y[0].size)
+    for psi in ws.orbit_slots:
+        plan = ws._symmetric_plan(psi)
+        B = threebody._plan_block(Y, plan, np.empty((plan[0], plan[0])), gather)
+        sv = np.linalg.svd(ref[psi] @ _irrep_projectors(ws, psi)[0][1], compute_uv=False)
+        assert np.max(np.abs(np.linalg.svd(B, compute_uv=False) - sv[:plan[0]])) <= 1e-12 * sv[0]
+        assert np.all(sv[plan[0]:] <= 1e-12 * sv[0])
+        plan = ws._symmetric_plan(psi, [0])
+        assert plan[0] == M and np.array_equal(np.sort(plan[2]), np.arange(M))
+        whole = threebody._plan_block(Y, plan, np.empty((M, M)), gather)
+        assert np.max(np.abs(whole - ref[psi][plan[2]])) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("case", ["sin-0-1", "eigenvalue_case", "const"])
+def test_labels_follow_the_flip_bits(case):
+    """The flip labels index flips(), whose order is the bits of the label
+    over the axes A, A[0] the top bit: labels, chi and orbits equal that bit
+    formula (the flip k moved by s sets bit s[a] for each set bit a of k;
+    chi_alpha sets the bits of the axes on which phi_alpha is odd; the
+    orbits are (smallest label, size) in label order)."""
+    n = 8
+    spec = (_evidence_model(case, n) if case == "eigenvalue_case"
+            else builtin_model(n, 0.0, 0.0, **ORBIT_MODELS[case][0]))
+    ws = _BSWorkspace(spec)
+    axes, flips = ws.axes, range(2 ** len(ws.axes))
+    bit = {a: 1 << (len(axes) - 1 - i) for i, a in enumerate(axes)}
+    assert ws.flips() == [tuple(a for a in axes if k & bit[a]) for k in flips]
+    labels = [[sum(bit[s[a]] for a in axes if k & bit[a]) for k in flips] for s in ws.group]
+    assert ws.labels.tolist() == labels
+    phi = [spec.phi_values(alpha).reshape((n,) * 3) for alpha in (1, 2)]
+    chi = tuple(sum(bit[a] for a in axes if has_flip_parity(v, a, -1)) for v in phi)
+    assert ws.chi == chi == {"sin-0-1": (4, 2), "eigenvalue_case": (4, 0), "const": (0, 0)}[case]
+    orbits = {}
+    for k in flips:
+        first = min(row[k] for row in labels)
+        orbits[first] = orbits.get(first, 0) + 1
+    assert ws.orbits == tuple(orbits.items())
+    assert ws.orbit_slots == [k for k, _ in ws.orbits]
+
+
 PARENT_HS_SWEEP_N12 = [     # builtin_critical, delta = 1, m - z = geomspace(1e-4, 1e-1, 16)
     (2.262112070987182, 1.9505228536864223), (2.2617276006234, 1.9503422037029847),
     (2.2611190377019423, 1.9500562419077023), (2.2601564883510497, 1.9496038972555823),
@@ -1198,9 +1256,9 @@ def test_nonfinite_points_refused(spec8, value):
 
 def test_fallback_sweep_forms_one_whole_block(monkeypatch):
     """A sweep over the overcoupled model at n = 12, whose trivial orbit
-    fails the rest certificate, charges and allocates the whole M x M block
-    once per workspace.  The whole block needs the dense SVD, which copies
-    it, so the sweep peaks within 1.05 (nbytes + 2 x 8 M^2)."""
+    fails the rest certificate, allocates the whole M x M block once per
+    workspace.  The whole block needs the dense SVD, which copies it, so the
+    charge is nbytes + 2 x 8 M^2 and the sweep peaks within 1.05 times it."""
     spec = _fallback_model("overcoupled")
     ws = _BSWorkspace(spec)
     M = len(ws.r)
@@ -1210,7 +1268,7 @@ def test_fallback_sweep_forms_one_whole_block(monkeypatch):
     s_vals = [1.0, 1e-2, 1e-4, 1e-6]
     rep = count_report(spec, s_vals)
     assert list(rep.counts) == [1, 9, 9, 9]
-    assert charges == [ws.nbytes, ws.nbytes + 8 * M * M]
+    assert charges == [ws.nbytes, ws.nbytes + 2 * 8 * M * M]
     whole = []
     for s in s_vals:
         count_eigenvalues_below(spec, spec.m - s, ws)
@@ -1223,17 +1281,21 @@ def test_fallback_sweep_forms_one_whole_block(monkeypatch):
 
 
 def test_whole_block_refused_over_the_limit(monkeypatch):
-    """With the limit at nbytes + 1, the workspace fits, and the first
-    failed certificate raises ResourceCapError before the whole block
-    exists: the row peaks less than 8 M^2 bytes above nbytes."""
+    """With the limit at nbytes + 1, or at nbytes + 8 M^2 (room for the
+    whole block but not for the dense SVD's copy of it), the workspace
+    fits, and the first failed certificate raises ResourceCapError before
+    the whole block exists: the row peaks less than 8 M^2 bytes above
+    nbytes."""
     spec = _fallback_model("overcoupled")
     ws = _BSWorkspace(spec)
-    monkeypatch.setattr(errors, "MEMORY_LIMIT_BYTES", ws.nbytes + 1)
+    block = 8 * len(ws.r) ** 2
     z = spec.m - 1e-6
 
     def count():
         with pytest.raises(ResourceCapError, match="whole sector block"):
             count_eigenvalues_below(spec, z, ws)
-    peak = traced_peak(count)
-    assert ws._whole is None
-    assert peak < ws.nbytes + 8 * len(ws.r) ** 2
+    for extra in (1, block):
+        monkeypatch.setattr(errors, "MEMORY_LIMIT_BYTES", ws.nbytes + extra)
+        peak = traced_peak(count)
+        assert ws._whole is None
+        assert peak < ws.nbytes + block
